@@ -70,7 +70,7 @@ from .scenario import (
     scenario_from_json,
     scenario_to_json,
 )
-from .utility import ConcaveUtility, LogUtility, inverse_marginal_by_bisection
+from .utility import LogUtility
 from .welfare import WelfareSolution, efficiency_gap, social_welfare, solve_welfare
 
 __version__ = "0.1.0"

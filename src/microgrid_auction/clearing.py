@@ -335,7 +335,13 @@ def clear_market_proximal(
             return min(max(total_bid / s0, m0), m1) if s0 > 0 else m1
         coef_b = s0 - k * m0
         disc = coef_b * coef_b + 4.0 * k * total_bid
-        mu_root = (-coef_b + math.sqrt(disc)) / (2.0 * k)
+        # Positive root of k*mu^2 + coef_b*mu = total_bid. For coef_b >= 0,
+        # -coef_b + sqrt(disc) cancels, so use the equivalent
+        # 2 * total_bid / (coef_b + sqrt(disc)).
+        if coef_b >= 0:
+            mu_root = 2.0 * total_bid / (coef_b + math.sqrt(disc))
+        else:
+            mu_root = (-coef_b + math.sqrt(disc)) / (2.0 * k)
         return min(max(mu_root, m0), m1)
 
     # Each supply term is monotone in mu under IEEE rounding and fsum rounds

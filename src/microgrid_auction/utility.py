@@ -1,39 +1,20 @@
-"""Concave utility families used by market agents.
+"""Logarithmic utility shared by buyers and sellers.
 
 The engine only ever talks to a utility through three callables: value,
-marginal, and inverse marginal. The logarithmic family is the default and has
-closed forms for all three; other concave families can plug in by implementing
-the same protocol, falling back to :func:`inverse_marginal_by_bisection` when
-no closed-form inverse exists.
+marginal, and inverse marginal, all closed-form for x * log(y * q + 1). The
+full-information welfare solver relies on this family: its responses are
+x/m - 1/y clipped to bounds, so its price has a closed form between kinks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
-
-@runtime_checkable
-class ConcaveUtility(Protocol):
-    """Strictly increasing, strictly concave utility of a nonnegative quantity."""
-
-    def value(self, q: float) -> float:
-        """Utility at quantity q >= 0, normalized so value(0) == 0."""
-        ...
-
-    def marginal(self, q: float) -> float:
-        """First derivative at q >= 0; positive and strictly decreasing."""
-        ...
-
-    def inverse_marginal(self, m: float) -> float:
-        """Largest q with marginal(q) >= m, clamped to 0 when marginal(0) < m."""
-        ...
 
 
 @dataclass(frozen=True)
 class LogUtility:
-    """x * log(y * q + 1): the default utility family for both roles.
+    """x * log(y * q + 1): the utility family for both roles.
 
     Buyers evaluate it at consumed energy; sellers evaluate it at retained
     generation. marginal(0) = x * y is the choke price, and the inverse
@@ -63,38 +44,3 @@ class LogUtility:
         if m <= 0 or not math.isfinite(m):
             raise ValueError(f"marginal value must be positive and finite, got {m}")
         return max(self.x / m - 1.0 / self.y, 0.0)
-
-
-def inverse_marginal_by_bisection(
-    utility: ConcaveUtility,
-    m: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iters: int = 200,
-) -> float:
-    """Generic inverse-marginal hook for families without a closed form.
-
-    Finds q in [0, hi] with marginal(q) = m by bisection; marginal is strictly
-    decreasing so the bracket is monotone. Returns 0 when even marginal(0) < m
-    and hi when marginal(hi) > m.
-    """
-    if m <= 0 or not math.isfinite(m):
-        raise ValueError(f"marginal value must be positive and finite, got {m}")
-    if hi < 0 or not math.isfinite(hi):
-        raise ValueError(f"search bound must be finite and >= 0, got {hi}")
-    if utility.marginal(0.0) <= m:
-        return 0.0
-    if utility.marginal(hi) >= m:
-        return hi
-    lo = 0.0
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if utility.marginal(mid) > m:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)

@@ -5,6 +5,10 @@ pick: maximize total welfare sum(u_i(d_i)) + sum(v_j(g_j - s_j)) subject to
 the same budget caps, availability bounds, and energy balance the auction
 enforces. The auction never consults this module; it exists so tests and
 experiments can measure how close the bid-driven outcome gets.
+
+The optimum's price is found exactly from sorted response breakpoints, with a
+closed-form root on the bracketing segment: O(N log N) per solve, no rescale
+of either side to force the balance.
 """
 
 from __future__ import annotations
@@ -83,9 +87,16 @@ def solve_welfare(
 
     Strict concavity gives a unique optimum characterized by one price mu:
     buyers demand u'^-1(mu) capped at b/p, sellers supply down to the stock
-    whose retained marginal value is mu, capped at their availability. Demand
-    falls and supply rises in mu, so bisection finds the crossing. Bids and
-    availabilities are taken as given, typically the auction's final ones.
+    whose retained marginal value is mu, capped at their availability. Bids and
+    availabilities are taken as given, typically the auction's final ones, and
+    must be finite and >= 0.
+
+    The price search uses sorted response breakpoints and a closed-form root
+    on the bracketing segment: O(N log N), no rescale. With log utility every
+    response is x/mu - 1/y clipped to its bounds, with two kinks in mu, so
+    between consecutive kinks excess demand is A/mu + B. Excess demand is
+    nonincreasing in mu, so bisecting the sorted kinks finds the first one not
+    in excess demand, and mu = A/(-B) on the segment that ends there.
     """
     if len(bids) != len(buyers):
         raise ValueError(f"{len(bids)} bids vs {len(buyers)} buyers")
@@ -93,6 +104,12 @@ def solve_welfare(
         raise ValueError(f"{len(avails)} availabilities vs {len(sellers)} sellers")
     bids = tuple(float(b) for b in bids)
     avails = tuple(float(a) for a in avails)
+    for b in bids:
+        if not math.isfinite(b) or b < 0:
+            raise ValueError(f"bids must be finite and >= 0, got {b}")
+    for a in avails:
+        if not math.isfinite(a) or a < 0:
+            raise ValueError(f"availabilities must be finite and >= 0, got {a}")
     p = params.p
 
     active_b = [i for i, b in enumerate(bids) if b > BID_FLOOR]
@@ -118,16 +135,58 @@ def solve_welfare(
         supply = math.fsum(_seller_response(sellers[j], avails[j], mu) for j in active_s)
         return demand - supply
 
-    lo, hi = mu_lo, mu_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if excess(mid) > 0:
-            lo = mid
+    # Buyer i demands clip(x/mu - 1/y, 0, b/p): capped below marginal(b/p),
+    # zero above marginal(0). Seller j supplies g - max(x/mu - 1/y, 0) clipped
+    # to [0, a]: zero below marginal(g), capped at min(a, g) above
+    # marginal(g - min(a, g)). Rows hold both kinks, the utility and bounds.
+    buyer_rows = []
+    for i in active_b:
+        u = buyers[i].utility
+        cap = bids[i] / p
+        buyer_rows.append((u.marginal(cap), u.marginal(0.0), u, cap))
+    seller_rows = []
+    for j in active_s:
+        u, g = sellers[j].utility, sellers[j].g
+        top = min(avails[j], g)
+        seller_rows.append((u.marginal(g), u.marginal(g - top), u, g, top))
+    kinks = {mu_lo, mu_hi}
+    for lower, upper, *_ in buyer_rows + seller_rows:
+        kinks.update(k for k in (lower, upper) if mu_lo < k < mu_hi)
+    grid = sorted(kinks)
+
+    # First kink not in excess demand; the fsum test is monotone in mu.
+    lo, hi = 0, len(grid)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if excess(grid[mid]) > 0:
+            lo = mid + 1
         else:
             hi = mid
-    mu = hi  # supply side of the bracket: allocations never exceed demand funds
+    # Both ends are only reachable through rounding at the outermost kinks.
+    if lo == 0:
+        mu = grid[0]
+    elif lo == len(grid):
+        mu = grid[-1]
+    else:
+        m0, m1 = grid[lo - 1], grid[lo]
+        probe = 0.5 * (m0 + m1)  # no kink lies strictly inside the segment
+        slope_terms: list[float] = []
+        const_terms: list[float] = []
+        for lower, upper, u, cap in buyer_rows:
+            if probe <= lower:
+                const_terms.append(cap)
+            elif probe < upper:
+                slope_terms.append(u.x)
+                const_terms.append(-1.0 / u.y)
+        for lower, upper, u, g, top in seller_rows:
+            if probe >= upper:
+                const_terms.append(-top)
+            elif probe > lower:
+                slope_terms.append(u.x)
+                const_terms.extend((-g, -1.0 / u.y))
+        slope = math.fsum(slope_terms)
+        const = math.fsum(const_terms)
+        mu = min(max(slope / -const, m0), m1) if const < 0 else m1
 
     d = [0.0] * len(buyers)
     s = [0.0] * len(sellers)
@@ -135,18 +194,8 @@ def solve_welfare(
         d[i] = _buyer_response(buyers[i], bids[i], mu, p)
     for j in active_s:
         s[j] = _seller_response(sellers[j], avails[j], mu)
-    total_d = math.fsum(d)
-    total_s = math.fsum(s)
-    if total_d <= 0.0 or total_s <= 0.0:
+    if math.fsum(d) <= 0.0 or math.fsum(s) <= 0.0:
         return autarky(None)
-    # Rescale the larger side down so the balance holds to round-off; bounds
-    # survive because scaling only shrinks allocations.
-    if total_d > total_s:
-        ratio = total_s / total_d
-        d = [v * ratio for v in d]
-    elif total_s > total_d:
-        ratio = total_d / total_s
-        s = [v * ratio for v in s]
     theta = social_welfare(buyers, sellers, d, s)
     return WelfareSolution(tuple(d), tuple(s), mu, theta)
 

@@ -2,8 +2,9 @@
 
 Deliberately different algorithms from the ones under test: the clearing
 objective is maximized with scipy's SLSQP from several starts, the
-regularized clearing price is found by a linear scan over every supply kink,
-and the welfare objective with a zooming grid search. Slow but trustworthy.
+regularized clearing price and the welfare price are found by linear scans
+over every kink of the response curves, and the welfare objective with a
+zooming grid search. Slow but trustworthy.
 """
 
 import math
@@ -124,6 +125,76 @@ def proximal_clearing_reference(
         mu = min(max(mu, m0), m1)
     s = tuple(response(j, mu) if avails[j] > 0 else 0.0 for j in range(len(avails)))
     return mu, s
+
+
+def welfare_price_reference(
+    buyers: list[BuyerState] | tuple[BuyerState, ...],
+    sellers: list[SellerState] | tuple[SellerState, ...],
+    bids: tuple[float, ...],
+    avails: tuple[float, ...],
+    p: float,
+) -> float | None:
+    """Full-information welfare price by a linear scan, or None for no trade.
+
+    With u = x*log(y*q + 1) the inverse marginal at price mu is
+    r(mu) = max(x/mu - 1/y, 0). A buyer bidding above 1e-9 demands
+    min(r, b/p); a seller offering a > 0 supplies clip(g - r, 0, a). Every
+    kink of those curves is visited in increasing order until supply covers
+    demand. On the segment that ends there, each agent whose response is
+    strictly inside its bounds contributes x/mu - 1/y (buyer) or
+    x/mu - g - 1/y (seller, as negative supply) to excess demand, and every
+    other agent a constant, so excess demand is A/mu + B and the price is
+    A/(-B). No trade when either side is empty, when the keenest buyer's
+    choke price x*y does not exceed the lowest seller marginal x*y/(y*g + 1),
+    or when nothing is traded at the price.
+    """
+    demanders = [(b.x, b.y, bid / p) for b, bid in zip(buyers, bids) if bid > 1e-9]
+    suppliers = [(s.x, s.y, s.g, a) for s, a in zip(sellers, avails) if a > 0]
+    if not demanders or not suppliers:
+        return None
+    choke = max(x * y for x, y, _ in demanders)
+    if choke <= min(x * y / (y * g + 1.0) for x, y, g, _ in suppliers):
+        return None
+
+    def demand(mu: float) -> list[float]:
+        return [min(max(x / mu - 1.0 / y, 0.0), cap) for x, y, cap in demanders]
+
+    def supply(mu: float) -> list[float]:
+        return [min(max(g - max(x / mu - 1.0 / y, 0.0), 0.0), a) for x, y, g, a in suppliers]
+
+    def excess(mu: float) -> float:
+        return math.fsum(demand(mu)) - math.fsum(supply(mu))
+
+    kinks = set()
+    for x, y, cap in demanders:
+        kinks.update((x * y / (y * cap + 1.0), x * y))
+    for x, y, g, a in suppliers:
+        kinks.update((x * y / (y * g + 1.0), x * y / (y * max(g - a, 0.0) + 1.0)))
+    kinks = sorted(kinks)
+    first = next((k for k, m in enumerate(kinks) if excess(m) <= 0), len(kinks) - 1)
+    mu = kinks[first]
+    if first > 0:
+        m0, m1 = kinks[first - 1], mu
+        mid = 0.5 * (m0 + m1)
+        slope, const = [], []
+        for (x, y, cap), d in zip(demanders, demand(mid)):
+            if 0.0 < d < cap:
+                slope.append(x)
+                const.append(-1.0 / y)
+            else:
+                const.append(d)
+        for (x, y, g, a), s in zip(suppliers, supply(mid)):
+            if 0.0 < s < min(a, g):
+                slope.append(x)
+                const.extend((-g, -1.0 / y))
+            else:
+                const.append(-s)
+        intercept = math.fsum(const)
+        if intercept < 0:
+            mu = min(max(math.fsum(slope) / -intercept, m0), m1)
+    if math.fsum(demand(mu)) <= 0 or math.fsum(supply(mu)) <= 0:
+        return None
+    return mu
 
 
 def best_welfare_by_grid(

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from microgrid_auction.utility import LogUtility, inverse_marginal_by_bisection
+from microgrid_auction.utility import LogUtility
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 quantities = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -52,11 +52,3 @@ def test_value_nonnegative_and_increasing(x, y, q):
     u = LogUtility(x=x, y=y)
     assert u.value(q) >= 0.0
     assert u.value(q + 1.0) > u.value(q)
-
-
-@given(x=positive, y=positive, m=st.floats(min_value=1e-6, max_value=1e3))
-def test_bisection_agrees_with_closed_form(x, y, m):
-    u = LogUtility(x=x, y=y)
-    closed = u.inverse_marginal(m)
-    bisected = inverse_marginal_by_bisection(u, m, hi=max(closed * 2, 1.0))
-    assert bisected == pytest.approx(closed, rel=1e-6, abs=1e-9)

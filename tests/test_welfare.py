@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from microgrid_auction.clearing import ClearingResult, clear_market, kkt_residual
+from microgrid_auction.clearing import BID_FLOOR, ClearingResult, clear_market, kkt_residual
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
 from microgrid_auction.welfare import (
     efficiency_gap,
@@ -11,7 +12,7 @@ from microgrid_auction.welfare import (
     solve_welfare,
 )
 
-from oracles import best_welfare_by_grid
+from oracles import best_welfare_by_grid, welfare_price_reference
 
 P = MarketParams()
 
@@ -189,3 +190,70 @@ def test_input_length_validation():
         solve_welfare(buyers, sellers, (1.0, 1.0), (1.0,), P)
     with pytest.raises(ValueError):
         solve_welfare(buyers, sellers, (1.0,), (1.0, 1.0), P)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_input_value_validation(bad):
+    # non-finite or negative quotes used to pass as parked buyers, inert
+    # sellers or, for an infinite bid, an uncapped budget
+    buyers = [BuyerState(1.0, 1.0), BuyerState(0.8, 1.5)]
+    sellers = [SellerState(0.3, 1.0, 2.0), SellerState(0.2, 1.2, 3.0)]
+    with pytest.raises(ValueError, match="bids"):
+        solve_welfare(buyers, sellers, (1.0, bad), (1.0, 1.0), P)
+    with pytest.raises(ValueError, match="availabilities"):
+        solve_welfare(buyers, sellers, (1.0, 1.0), (bad, 1.0), P)
+
+
+@st.composite
+def welfare_markets(draw):
+    """Up to 60 agents per side. Bids are parked (<= BID_FLOOR), small enough
+    for the budget cap b/p to bind, or ample; availabilities are 0, part of
+    g, g, or above g. Weak buyers (choke prices x*y of at most 0.06) often
+    never reach the sellers' marginal values, so some markets do not trade."""
+    weak = draw(st.booleans())
+    buyers, bids = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=60))):
+        lo, hi = (1e-3, 0.02) if weak else (0.05, 2.0)
+        x = draw(st.floats(min_value=lo, max_value=hi))
+        buyers.append(BuyerState(x, draw(st.floats(min_value=0.5, max_value=3.0))))
+        bids.append(
+            draw(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=0.0, max_value=BID_FLOOR),
+                    st.floats(min_value=1e-4, max_value=0.05),
+                    st.floats(min_value=0.05, max_value=20.0),
+                )
+            )
+        )
+    sellers, avails = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=60))):
+        g = draw(st.floats(min_value=0.5, max_value=5.0))
+        x = draw(st.floats(min_value=0.1, max_value=1.0))
+        sellers.append(SellerState(x, draw(st.floats(min_value=0.5, max_value=3.0)), g))
+        avails.append(
+            draw(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=0.0, max_value=g),
+                    st.just(g),
+                    st.floats(min_value=g, max_value=3.0 * g),
+                )
+            )
+        )
+    return buyers, sellers, tuple(bids), tuple(avails)
+
+
+@settings(deadline=None, max_examples=200)
+@given(market=welfare_markets())
+@example(market=([BuyerState(0.01, 1.0)], [SellerState(0.5, 1.0, 2.0)], (1.0,), (2.0,)))
+def test_welfare_price_matches_linear_scan_reference(market):
+    buyers, sellers, bids, avails = market
+    sol = solve_welfare(buyers, sellers, bids, avails, P)
+    mu = welfare_price_reference(buyers, sellers, bids, avails, P.p)
+    assert sol.no_trade == (mu is None)
+    if mu is None:
+        return
+    assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
+    total_d = math.fsum(sol.d_star)
+    assert abs(total_d - math.fsum(sol.s_star)) <= 1e-12 * max(1.0, total_d)
