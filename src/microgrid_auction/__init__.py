@@ -2,17 +2,14 @@
 
 from .clearing import (
     BID_FLOOR,
-    PROPORTIONAL,
     ClearingResult,
     NumericalFailure,
-    TiePolicy,
     aggregate_demand,
     aggregate_supply,
     clear_market,
     clear_market_proximal,
     clearing_objective,
     kkt_residual,
-    proximal,
 )
 from .engine import (
     AuctionConfig,
@@ -52,14 +49,8 @@ from .market import (
     MarketParams,
     Payoffs,
     SellerState,
-    buyer_bid_update,
-    buyer_marginal,
-    buyer_utility,
     compute_payoffs,
     declare_availability,
-    seller_ask_update,
-    seller_marginal,
-    seller_utility,
 )
 from .scenario import (
     ParameterRanges,

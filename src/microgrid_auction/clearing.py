@@ -10,22 +10,25 @@ this module resolves in closed form.
 Two solvers live here:
 
 * :func:`clear_market` — the exact optimum. Marginal sellers (asks tied at mu)
-  share the residual per a :class:`TiePolicy`.
+  share the residual in proportion to their availability.
 * :func:`clear_market_proximal` — the exact optimum of the same objective with
   a small proximal penalty pulling seller allocations toward their previous
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
   in near-tied asks and damping alone cannot stabilize that. Its price search
-  sorts the supply breakpoints once and bisects over them, evaluating the
-  O(N_s) supply sum at about log2(2*N_s) breakpoints: O(N_s log N_s) per
-  clearing.
+  sorts the supply breakpoints once and walks them with a running slope and
+  intercept to guess the bracketing segment, then confirms the guess with the
+  exact O(N_s) supply sum at the segment's two ends (bisecting the rest of
+  the grid if the guess was off): O(N_s log N_s) per clearing, two exact sums
+  in the usual case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .market import MarketParams
 
@@ -38,28 +41,6 @@ TIE_REL_TOL = 1e-12
 
 class NumericalFailure(RuntimeError):
     """Raised when clearing cannot bracket a price on inconsistent inputs."""
-
-
-@dataclass(frozen=True)
-class TiePolicy:
-    """How marginal sellers (asks tied at the clearing price) split residual demand.
-
-    variant "proportional" shares in proportion to availability; "proximal"
-    projects the previous allocations onto the residual budget (the closest
-    feasible split in Euclidean distance), and requires ``prev`` to carry one
-    previous allocation per seller.
-    """
-
-    variant: Literal["proportional", "proximal"] = "proportional"
-    prev: tuple[float, ...] | None = None
-
-
-PROPORTIONAL = TiePolicy("proportional")
-
-
-def proximal(prev: tuple[float, ...] | list[float]) -> TiePolicy:
-    """Tie policy keeping marginal allocations as close as possible to prev."""
-    return TiePolicy("proximal", tuple(float(v) for v in prev))
 
 
 @dataclass(frozen=True)
@@ -81,6 +62,15 @@ class ClearingResult:
     @property
     def no_trade(self) -> bool:
         return self.mu is None
+
+
+class _Draft(NamedTuple):
+    """The fields of a ClearingResult that :func:`kkt_residual` checks."""
+
+    d: tuple[float, ...]
+    s: tuple[float, ...]
+    mu: float
+    buyer_budget_active: tuple[bool, ...]
 
 
 def _validate_inputs(
@@ -142,35 +132,49 @@ def aggregate_supply(
     return low, low + tied
 
 
-def _shift_projection(
-    prev: list[float], caps: list[float], total: float
-) -> list[float]:
-    # Euclidean projection of prev onto {sum(s) = total, 0 <= s <= caps}:
-    # s_j = clip(prev_j + t, 0, cap_j) with t chosen so the sum matches.
-    if total <= 0:
-        return [0.0] * len(prev)
-    cap_sum = math.fsum(caps)
-    if total >= cap_sum:
-        return list(caps)
-    breakpoints = sorted({-pj for pj in prev} | {cj - pj for pj, cj in zip(prev, caps)})
+def first_passing(n: int, guess: int, passes: Callable[[int], bool]) -> int:
+    """Smallest i in [0, n) with passes(i), or n when none does.
 
-    def mass(t: float) -> float:
-        return math.fsum(min(max(pj + t, 0.0), cj) for pj, cj in zip(prev, caps))
+    passes must be monotone (False up to some index, True from there on).
+    The guess and the index below it are tested first, so a right guess
+    costs two calls; a wrong one is narrowed by bisecting what remains,
+    never more than about log2(n) + 2 calls. Every answer i has passes(i)
+    and passes(i - 1) evaluated whenever those indices exist.
+    """
+    lo, hi = 0, n
+    for i in (guess, guess - 1):
+        if lo <= i < hi:
+            if passes(i):
+                hi = i
+            else:
+                lo = i + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    lo_t = breakpoints[0]
-    for bp in breakpoints:
-        if mass(bp) >= total:
-            hi_t = bp
-            break
-        lo_t = bp
-    else:  # pragma: no cover - total < cap_sum guarantees a bracket
-        raise NumericalFailure("projection could not bracket the shift")
-    m_lo, m_hi = mass(lo_t), mass(hi_t)
-    if m_hi <= m_lo:
-        t = hi_t
-    else:
-        t = lo_t + (total - m_lo) * (hi_t - lo_t) / (m_hi - m_lo)
-    return [min(max(pj + t, 0.0), cj) for pj, cj in zip(prev, caps)]
+
+def _settle(
+    bids: tuple[float, ...],
+    asks: tuple[float, ...],
+    avails: tuple[float, ...],
+    params: MarketParams,
+    active_buyers: list[int],
+    mu: float,
+    s: list[float],
+) -> ClearingResult:
+    # Budget-capped demand at mu, then the optimality check on the result.
+    p = params.p
+    denom = max(mu, p)
+    active_set = set(active_buyers)
+    d = tuple(bids[i] / denom if i in active_set else 0.0 for i in range(len(bids)))
+    budget_active = tuple(mu <= p and bids[i] > BID_FLOOR for i in range(len(bids)))
+    s = tuple(s)
+    residual = kkt_residual(_Draft(d, s, mu, budget_active), bids, asks, avails, params)
+    return ClearingResult(d=d, s=s, mu=mu, buyer_budget_active=budget_active, kkt_residual=residual)
 
 
 def clear_market(
@@ -178,16 +182,16 @@ def clear_market(
     asks: tuple[float, ...] | list[float],
     avails: tuple[float, ...] | list[float],
     params: MarketParams,
-    tie_policy: TiePolicy = PROPORTIONAL,
 ) -> ClearingResult:
     """Exact clearing: merit-order dispatch against budget-capped demand.
 
     Demand below the floor price is constant at sum(b)/p, so the clearing
     price is either the lowest ask level whose cumulative availability covers
-    demand (that level's sellers are marginal and share the residual per
-    tie_policy), the interior solution sum(b)/Q on a constant-supply stretch,
-    or sum(b)/sum(a) when demand exceeds everything offered. Empty sides
-    yield a well-typed no-trade result, never an exception.
+    demand (that level's sellers are marginal and share the residual in
+    proportion to availability), the interior solution sum(b)/Q on a
+    constant-supply stretch, or sum(b)/sum(a) when demand exceeds everything
+    offered. Empty sides yield a well-typed no-trade result, never an
+    exception.
     """
     bids = tuple(float(b) for b in bids)
     asks = tuple(float(c) for c in asks)
@@ -242,27 +246,10 @@ def clear_market(
     for j in full:
         s[j] = avails[j]
     if marginal and residual > 0:
-        caps = [avails[j] for j in marginal]
-        if tie_policy.variant == "proportional":
-            group_avail = math.fsum(caps)
-            shares = [residual * cap / group_avail for cap in caps]
-        elif tie_policy.variant == "proximal":
-            if tie_policy.prev is None or len(tie_policy.prev) != len(asks):
-                raise ValueError("proximal tie policy needs one previous allocation per seller")
-            shares = _shift_projection([tie_policy.prev[j] for j in marginal], caps, residual)
-        else:  # pragma: no cover - Literal keeps this unreachable
-            raise ValueError(f"unknown tie policy {tie_policy.variant!r}")
-        for j, share in zip(marginal, shares):
-            s[j] = share
-
-    denom = max(mu, p)
-    active_set = set(active_buyers)
-    d = [bids[i] / denom if i in active_set else 0.0 for i in range(len(bids))]
-    budget_active = tuple(mu <= p and bids[i] > BID_FLOOR for i in range(len(bids)))
-    result = ClearingResult(
-        d=tuple(d), s=tuple(s), mu=mu, buyer_budget_active=budget_active, kkt_residual=0.0
-    )
-    return replace(result, kkt_residual=kkt_residual(result, bids, asks, avails, params))
+        group_avail = math.fsum(avails[j] for j in marginal)
+        for j in marginal:
+            s[j] = residual * avails[j] / group_avail
+    return _settle(bids, asks, avails, params, active_buyers, mu, s)
 
 
 def clear_market_proximal(
@@ -277,11 +264,13 @@ def clear_market_proximal(
 
     Solves the clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
     seller response s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is
-    continuous in the asks. The price solves demand == supply exactly: sort
-    once, bisect over breakpoints, O(N_s log N_s). Supply is nondecreasing and
-    demand nonincreasing in mu, so the first breakpoint in surplus brackets the
-    root, which is closed-form on that segment (linear below the floor, a
-    quadratic above it).
+    continuous in the asks. The price solves demand == supply exactly. Supply
+    is nondecreasing and demand nonincreasing in mu, so the first breakpoint
+    in surplus brackets the root, which is closed-form on that segment (linear
+    below the floor, a quadratic above it). The breakpoints are sorted once
+    and swept with a running slope sum(1/w_j) and intercept to guess that
+    breakpoint; the exact supply sum then confirms the guess and its left
+    neighbour, and only a wrong guess falls back to bisection: O(N_s log N_s).
     At a stationary point (s == prev_s) interior sellers force mu == c_j, so
     fixed points satisfy the exact clearing optimality system.
     """
@@ -316,11 +305,37 @@ def clear_market_proximal(
     def demand(mu: float) -> float:
         return total_bid / max(mu, p)
 
-    points: set[float] = {p}
+    # Seller j is linear in mu between its kinks c_j - w_j*prev_j (s_j = 0)
+    # and c_j + w_j*(a_j - prev_j) (s_j = a_j). Each event carries what it
+    # adds to the running supply line slope*mu + intercept; p only joins the
+    # grid.
+    events = [(p, 0.0, 0.0)]
     for pj, cj, wj, aj in rows:
-        points.add(cj - wj * pj)
-        points.add(cj + wj * (aj - pj))
-    grid = sorted(points)
+        base = pj - cj / wj
+        events.append((cj - wj * pj, 1.0 / wj, base))
+        events.append((cj + wj * (aj - pj), -1.0 / wj, aj - base))
+    events.sort(key=itemgetter(0))
+    grid = [events[0][0]]
+    for m, _, _ in events:
+        if m != grid[-1]:
+            grid.append(m)
+
+    # Guess the first breakpoint in surplus from the running line: a point is
+    # tested once all its events are in, when the next event lies beyond it
+    # (the sentinel at infinity tests the last one). Rounding in the running
+    # sums can misplace the guess, so it only orders the exact tests below.
+    events.append((math.inf, 0.0, 0.0))
+    guess = 0
+    m_guess = grid[0]
+    slope = intercept = 0.0
+    for m, d_slope, d_intercept in events:
+        if m > m_guess:
+            if slope * m_guess + intercept >= demand(m_guess):
+                break
+            guess += 1
+            m_guess = m
+        slope += d_slope
+        intercept += d_intercept
 
     def solve_segment(m0: float, m1: float, s0: float, s1: float) -> float:
         # Linear supply between breakpoints; demand constant below p.
@@ -345,19 +360,16 @@ def clear_market_proximal(
         return min(max(mu_root, m0), m1)
 
     # Each supply term is monotone in mu under IEEE rounding and fsum rounds
-    # correctly, so supply(m) >= demand(m) is monotone along the grid: bisect
-    # for the first breakpoint in surplus. lo ends one past the last deficit
-    # probe and hi on the first surplus probe, so the bracket's supplies are
-    # already known.
-    lo, hi = 0, len(grid)
-    s_lo = s_hi = 0.0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        s_mid = supply(grid[mid])
-        if s_mid >= demand(grid[mid]):
-            hi, s_hi = mid, s_mid
-        else:
-            lo, s_lo = mid + 1, s_mid
+    # correctly, so supply(m) >= demand(m) is monotone along the grid and the
+    # first breakpoint in surplus is exact whatever the guess. The search
+    # evaluates the supplies at both ends of the bracket it returns.
+    supplies: dict[int, float] = {}
+
+    def in_surplus(i: int) -> bool:
+        supplies[i] = supply(grid[i])
+        return supplies[i] >= demand(grid[i])
+
+    lo = first_passing(len(grid), guess, in_surplus)
     if lo == 0:
         mu = grid[0]  # already in surplus at the lowest breakpoint
     elif lo == len(grid):
@@ -367,19 +379,12 @@ def clear_market_proximal(
             raise NumericalFailure("regularized clearing could not bracket a price")
         mu = max(mu, grid[-1])
     else:
-        mu = solve_segment(grid[lo - 1], grid[lo], s_lo, s_hi)
+        mu = solve_segment(grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo])
 
     s = [0.0] * n_s
     for j, (pj, cj, wj, aj) in zip(active_sellers, rows):
         s[j] = min(max(pj + (mu - cj) / wj, 0.0), aj)
-    denom = max(mu, p)
-    active_set = set(active_buyers)
-    d = [bids[i] / denom if i in active_set else 0.0 for i in range(len(bids))]
-    budget_active = tuple(mu <= p and bids[i] > BID_FLOOR for i in range(len(bids)))
-    result = ClearingResult(
-        d=tuple(d), s=tuple(s), mu=mu, buyer_budget_active=budget_active, kkt_residual=0.0
-    )
-    return replace(result, kkt_residual=kkt_residual(result, bids, asks, avails, params))
+    return _settle(bids, asks, avails, params, active_buyers, mu, s)
 
 
 def clearing_objective(
@@ -399,7 +404,7 @@ def clearing_objective(
 
 
 def kkt_residual(
-    result: ClearingResult,
+    result: ClearingResult | _Draft,
     bids: tuple[float, ...] | list[float],
     asks: tuple[float, ...] | list[float],
     avails: tuple[float, ...] | list[float],
@@ -412,48 +417,68 @@ def kkt_residual(
     capped ones; asks vs mu by dispatch status), and complementary slackness.
     Price mismatches are normalized by max(mu, p), balance by max(1, total
     traded); bound violations are absolute, so a one-unit overdispatch
-    contributes at least 1.
+    contributes at least 1. result only needs the d, s, mu and
+    buyer_budget_active of a :class:`ClearingResult`.
     """
+    # A running max over the violations in a fixed order; `v > worst`
+    # replaces worst exactly when max() over the same list would. worst
+    # starts at 0 and never falls, so a term max(0, x) / q with q > 0 is
+    # written x / q: when x <= 0 it cannot replace worst either way.
     p = params.p
-    violations = [0.0]
+    worst = 0.0
     if result.mu is None:
-        violations.extend(abs(v) for v in result.d)
-        violations.extend(abs(v) for v in result.s)
-        return max(violations)
+        for v in result.d:
+            v = abs(v)
+            if v > worst:
+                worst = v
+        for v in result.s:
+            v = abs(v)
+            if v > worst:
+                worst = v
+        return worst
 
     mu = result.mu
     scale = max(mu, p)
+    alloc, capped = result.d, result.buyer_budget_active
     for i, b in enumerate(bids):
-        d = result.d[i]
-        violations.append(max(0.0, -d))
-        violations.append(max(0.0, p * d - b) / max(1.0, b))
+        d = alloc[i]
+        if -d > worst:
+            worst = -d
+        v = (p * d - b) / max(1.0, b)
+        if v > worst:
+            worst = v
         if b <= BID_FLOOR:
-            violations.append(abs(d))
-            continue
-        if d <= 0:
-            violations.append(1.0)
-            continue
-        unit_price = b / d
-        if result.buyer_budget_active[i]:
-            violations.append(abs(unit_price - p) / scale)
-            violations.append(max(0.0, mu - p) / scale)
+            v = abs(d)
+        elif d <= 0:
+            v = 1.0
+        elif capped[i]:
+            v = abs(b / d - p) / scale
+            if v > worst:
+                worst = v
+            v = (mu - p) / scale
         else:
-            violations.append(abs(unit_price - mu) / scale)
+            v = abs(b / d - mu) / scale
+        if v > worst:
+            worst = v
+    sold = result.s
     for j, (c, a) in enumerate(zip(asks, avails)):
-        s = result.s[j]
-        violations.append(max(0.0, -s))
-        violations.append(max(0.0, s - a))
-        if a <= 0:
-            violations.append(abs(s))
-            continue
+        s = sold[j]
+        if -s > worst:
+            worst = -s
+        v = s - a
+        if v > worst:
+            worst = v
         bound_tol = 1e-9 * max(1.0, a)
-        if s >= a - bound_tol:
-            violations.append(max(0.0, c - mu) / scale)
+        if a <= 0:
+            v = abs(s)
+        elif s >= a - bound_tol:
+            v = (c - mu) / scale
         elif s <= bound_tol:
-            violations.append(max(0.0, mu - c) / scale)
+            v = (mu - c) / scale
         else:
-            violations.append(abs(c - mu) / scale)
+            v = abs(c - mu) / scale
+        if v > worst:
+            worst = v
     total_d = math.fsum(result.d)
-    total_s = math.fsum(result.s)
-    violations.append(abs(total_d - total_s) / max(1.0, total_d))
-    return max(violations)
+    v = abs(total_d - math.fsum(result.s)) / max(1.0, total_d)
+    return v if v > worst else worst

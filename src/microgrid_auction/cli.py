@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Any
 
-from .clearing import PROPORTIONAL, ClearingResult, clear_market, proximal
+from .clearing import ClearingResult, clear_market
 from .engine import AuctionConfig, AuctionOutcome, run_auction
 from .experiments import (
     CaseStudyConfig,
@@ -119,7 +119,10 @@ def _build_parser() -> _Parser:
     clear.add_argument("--avails", required=True, help="comma-separated seller availabilities")
     clear.add_argument("--price-floor", type=float, default=0.25)
     clear.add_argument(
-        "--tie-policy", choices=("proportional", "proximal"), default="proportional"
+        "--tie-policy",
+        choices=("proportional",),
+        default="proportional",
+        help="how sellers tied at the price share: in proportion to availability",
     )
     clear.add_argument("--strict", action="store_true", help="exit 3 when no trade clears")
     _add_output_flags(clear)
@@ -275,8 +278,7 @@ def _cmd_clear(args: argparse.Namespace) -> int:
     if len(asks) != len(avails):
         raise UsageError(f"{len(asks)} asks vs {len(avails)} avails")
     params = MarketParams(p=args.price_floor)
-    policy = PROPORTIONAL if args.tie_policy == "proportional" else proximal((0.0,) * len(asks))
-    result = clear_market(bids, asks, avails, params, policy)
+    result = clear_market(bids, asks, avails, params)
     if args.format == "json":
         payload = {
             "mu": result.mu,

@@ -23,7 +23,6 @@ from typing import Literal
 
 from .clearing import (
     BID_FLOOR,
-    PROPORTIONAL,
     ClearingResult,
     clear_market,
     clear_market_proximal,
@@ -201,9 +200,7 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
             prev_s=state.prev_s, weights=state.prox_weights,
         )
     else:
-        result = clear_market(
-            state.bids, state.asks, state.avails, state.params, PROPORTIONAL
-        )
+        result = clear_market(state.bids, state.asks, state.avails, state.params)
 
     alpha = config.damping
     p = state.params.p

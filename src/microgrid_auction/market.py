@@ -1,9 +1,11 @@
-"""Market primitives: agent states, truthful bid/ask responses, payoffs.
+"""Market primitives: agent states, availability declaration, payoffs.
 
 Buyers value consumed energy d through u(d) = x*log(y*d + 1) and communicate a
 single scalar bid b (total money offered). Sellers value retained generation
 g - s through v(g - s) = x*log(y*(g - s) + 1) and communicate a scalar ask c
-(reserve price per unit). The controller never sees x or y.
+(reserve price per unit). The controller never sees x or y. The truthful
+re-quotes b = u'(d)*d and c = v'(g - s) are written once, in the engine's
+auction step.
 """
 
 from __future__ import annotations
@@ -109,33 +111,6 @@ class Payoffs:
     mc_revenue: float
 
 
-def buyer_utility(x: float, y: float, d: float) -> float:
-    """u(d) = x*log(y*d + 1); u(0) = 0."""
-    return LogUtility(x, y).value(d)
-
-
-def buyer_marginal(x: float, y: float, d: float) -> float:
-    """u'(d) = x*y / (y*d + 1)."""
-    return LogUtility(x, y).marginal(d)
-
-
-def seller_utility(x: float, y: float, g: float, s: float) -> float:
-    """v(g - s): utility of generation retained after selling s.
-
-    Raises ValueError outside 0 <= s <= g.
-    """
-    if s < 0 or s > g:
-        raise ValueError(f"sold energy must lie in [0, g={g}], got {s}")
-    return LogUtility(x, y).value(g - s)
-
-
-def seller_marginal(x: float, y: float, g: float, s: float) -> float:
-    """v'(g - s): marginal value of retained generation; increases with s."""
-    if s < 0 or s > g:
-        raise ValueError(f"sold energy must lie in [0, g={g}], got {s}")
-    return LogUtility(x, y).marginal(g - s)
-
-
 def declare_availability(seller: SellerState, params: MarketParams) -> float:
     """Energy a seller is willing to offer at the floor price.
 
@@ -145,30 +120,6 @@ def declare_availability(seller: SellerState, params: MarketParams) -> float:
     """
     retained = seller.utility.inverse_marginal(params.p)
     return min(max(seller.g - retained, 0.0), seller.g)
-
-
-def buyer_bid_update(buyer: BuyerState, d: float) -> float:
-    """Truthful bid response to an allocation: b = u'(d) * d.
-
-    Strictly increasing in d and bounded above by x.
-    """
-    if d < 0 or not math.isfinite(d):
-        raise ValueError(f"allocation must be finite and >= 0, got {d}")
-    return buyer.utility.marginal(d) * d
-
-
-def seller_ask_update(seller: SellerState, s: float) -> float:
-    """Truthful ask response to an allocation: c = v'(g - s).
-
-    Strictly increasing in s; equals the floor price exactly when an
-    interior-availability seller is fully dispatched. Raises ValueError when
-    s exceeds the declared availability.
-    """
-    if s < 0 or not math.isfinite(s):
-        raise ValueError(f"sold energy must be finite and >= 0, got {s}")
-    if s > seller.a * (1.0 + ALLOC_TOL) + ALLOC_TOL:
-        raise ValueError(f"sold energy {s} exceeds declared availability {seller.a}")
-    return seller.utility.marginal(seller.g - min(s, seller.g))
 
 
 def compute_payoffs(

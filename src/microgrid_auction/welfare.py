@@ -6,17 +6,20 @@ the same budget caps, availability bounds, and energy balance the auction
 enforces. The auction never consults this module; it exists so tests and
 experiments can measure how close the bid-driven outcome gets.
 
-The optimum's price is found exactly from sorted response breakpoints, with a
-closed-form root on the bracketing segment: O(N log N) per solve, no rescale
-of either side to force the balance.
+The optimum's price is found exactly from sorted response breakpoints: one
+sweep with a running A/mu + B guesses the bracketing segment, two exact excess
+sums confirm it (bisection takes over only if they disagree), and the root on
+that segment is closed-form: O(N log N) per solve, no rescale of either side
+to force the balance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .clearing import BID_FLOOR
+from .clearing import BID_FLOOR, first_passing
 from .market import BuyerState, MarketParams, SellerState
 
 _RANGE_TOL = 1e-9
@@ -94,9 +97,11 @@ def solve_welfare(
     The price search uses sorted response breakpoints and a closed-form root
     on the bracketing segment: O(N log N), no rescale. With log utility every
     response is x/mu - 1/y clipped to its bounds, with two kinks in mu, so
-    between consecutive kinks excess demand is A/mu + B. Excess demand is
-    nonincreasing in mu, so bisecting the sorted kinks finds the first one not
-    in excess demand, and mu = A/(-B) on the segment that ends there.
+    between consecutive kinks excess demand is A/mu + B. One sweep over the
+    sorted kinks, carrying A and B, guesses the first kink not in excess
+    demand. Excess demand is nonincreasing in mu, so the exact excess at the
+    guess and at the kink below it confirms it; only a wrong guess falls back
+    to bisection. Then mu = A/(-B) on the segment that ends there.
     """
     if len(bids) != len(buyers):
         raise ValueError(f"{len(bids)} bids vs {len(buyers)} buyers")
@@ -139,29 +144,54 @@ def solve_welfare(
     # zero above marginal(0). Seller j supplies g - max(x/mu - 1/y, 0) clipped
     # to [0, a]: zero below marginal(g), capped at min(a, g) above
     # marginal(g - min(a, g)). Rows hold both kinks, the utility and bounds.
+    # Between kinks excess demand is A/mu + B; each event carries what it adds
+    # to A and B as mu passes it. Below every kink all buyers demand their
+    # cap and all sellers supply 0, so B starts at the sum of the caps.
     buyer_rows = []
+    seller_rows = []
+    events = []
+    cap_sum = 0.0
     for i in active_b:
         u = buyers[i].utility
         cap = bids[i] / p
-        buyer_rows.append((u.marginal(cap), u.marginal(0.0), u, cap))
-    seller_rows = []
+        lower, upper = u.marginal(cap), u.marginal(0.0)
+        buyer_rows.append((lower, upper, u, cap))
+        cap_sum += cap
+        events.append((lower, u.x, -1.0 / u.y - cap))
+        events.append((upper, -u.x, 1.0 / u.y))
     for j in active_s:
         u, g = sellers[j].utility, sellers[j].g
         top = min(avails[j], g)
-        seller_rows.append((u.marginal(g), u.marginal(g - top), u, g, top))
-    kinks = {mu_lo, mu_hi}
-    for lower, upper, *_ in buyer_rows + seller_rows:
-        kinks.update(k for k in (lower, upper) if mu_lo < k < mu_hi)
-    grid = sorted(kinks)
+        lower, upper = u.marginal(g), u.marginal(g - top)
+        seller_rows.append((lower, upper, u, g, top))
+        events.append((lower, u.x, -g - 1.0 / u.y))
+        events.append((upper, -u.x, g + 1.0 / u.y - top))
+    events.sort(key=itemgetter(0))
+    grid = []
+    for m, _, _ in events:
+        if mu_lo <= m <= mu_hi and (not grid or m != grid[-1]):
+            grid.append(m)
 
-    # First kink not in excess demand; the fsum test is monotone in mu.
-    lo, hi = 0, len(grid)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if excess(grid[mid]) > 0:
-            lo = mid + 1
-        else:
-            hi = mid
+    # Guess the first kink not in excess demand from the running A/mu + B;
+    # the exact fsum test, monotone in mu, confirms the guess and its left
+    # neighbour, and bisects the rest of the grid only if they disagree.
+    # Events below mu_lo are in before the first test; the sentinel at
+    # infinity tests the last kink.
+    events.append((math.inf, 0.0, 0.0))
+    guess = 0
+    m_guess = grid[0]
+    run_a, run_b = 0.0, cap_sum
+    for m, d_a, d_b in events:
+        if m > m_guess:
+            if run_a / m_guess + run_b <= 0:
+                break
+            guess += 1
+            if m > mu_hi:
+                break
+            m_guess = m
+        run_a += d_a
+        run_b += d_b
+    lo = first_passing(len(grid), guess, lambda idx: not excess(grid[idx]) > 0)
     # Both ends are only reachable through rounding at the outermost kinks.
     if lo == 0:
         mu = grid[0]

@@ -3,8 +3,9 @@
 Deliberately different algorithms from the ones under test: the clearing
 objective is maximized with scipy's SLSQP from several starts, the
 regularized clearing price and the welfare price are found by linear scans
-over every kink of the response curves, and the welfare objective with a
-zooming grid search. Slow but trustworthy.
+over every kink of the response curves, the welfare objective with a
+zooming grid search, and the clearing optimality residual as the max of a
+list of every violation. Slow but trustworthy.
 """
 
 import math
@@ -125,6 +126,53 @@ def proximal_clearing_reference(
         mu = min(max(mu, m0), m1)
     s = tuple(response(j, mu) if avails[j] > 0 else 0.0 for j in range(len(avails)))
     return mu, s
+
+
+def kkt_residual_reference(result, bids, asks, avails, p: float) -> float:
+    """Maximum violation of the clearing optimality system, as a list max.
+
+    result is any object with d, s, mu (None for no trade) and
+    buyer_budget_active. Every violation is collected in a fixed order and
+    the list's max() returned: bound violations absolute, price mismatches
+    over max(mu, p), the energy balance over max(1, total demand), and buyers
+    bidding at most 1e-9 held to d = 0.
+    """
+    violations = [0.0]
+    if result.mu is None:
+        violations.extend(abs(v) for v in result.d)
+        violations.extend(abs(v) for v in result.s)
+        return max(violations)
+    mu = result.mu
+    scale = max(mu, p)
+    for i, b in enumerate(bids):
+        d = result.d[i]
+        violations.append(max(0.0, -d))
+        violations.append(max(0.0, p * d - b) / max(1.0, b))
+        if b <= 1e-9:
+            violations.append(abs(d))
+        elif d <= 0:
+            violations.append(1.0)
+        elif result.buyer_budget_active[i]:
+            violations.append(abs(b / d - p) / scale)
+            violations.append(max(0.0, mu - p) / scale)
+        else:
+            violations.append(abs(b / d - mu) / scale)
+    for j, (c, a) in enumerate(zip(asks, avails)):
+        s = result.s[j]
+        violations.append(max(0.0, -s))
+        violations.append(max(0.0, s - a))
+        bound_tol = 1e-9 * max(1.0, a)
+        if a <= 0:
+            violations.append(abs(s))
+        elif s >= a - bound_tol:
+            violations.append(max(0.0, c - mu) / scale)
+        elif s <= bound_tol:
+            violations.append(max(0.0, mu - c) / scale)
+        else:
+            violations.append(abs(c - mu) / scale)
+    total_d = math.fsum(result.d)
+    violations.append(abs(total_d - math.fsum(result.s)) / max(1.0, total_d))
+    return max(violations)
 
 
 def welfare_price_reference(

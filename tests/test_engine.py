@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from microgrid_auction.clearing import PROPORTIONAL, clear_market
+from microgrid_auction.clearing import clear_market
 from microgrid_auction.engine import (
     AuctionConfig,
     buyer_prices,
@@ -103,7 +103,7 @@ def test_individual_rationality_and_budget_balance_on_random_runs():
 def _deviation_payoff(outcome, sellers, j, perturbed):
     asks = list(outcome.asks)
     asks[j] = perturbed
-    redo = clear_market(outcome.bids, asks, outcome.avails, P, PROPORTIONAL)
+    redo = clear_market(outcome.bids, asks, outcome.avails, P)
     return _seller_payoff(sellers[j], perturbed, redo.s[j])
 
 
@@ -207,7 +207,7 @@ def test_outcome_quotes_are_the_final_clearing_inputs():
     assert outcome.asks == last.asks
     assert outcome.clearing.d == last.d
     assert outcome.clearing.s == last.s
-    replay = clear_market(outcome.bids, outcome.asks, outcome.avails, P, PROPORTIONAL)
+    replay = clear_market(outcome.bids, outcome.asks, outcome.avails, P)
     assert replay.mu == pytest.approx(outcome.clearing.mu, rel=1e-9)
     assert math.fsum(replay.s) == pytest.approx(math.fsum(outcome.clearing.s), rel=1e-9)
 

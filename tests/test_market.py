@@ -7,15 +7,10 @@ from microgrid_auction.market import (
     BuyerState,
     MarketParams,
     SellerState,
-    buyer_bid_update,
-    buyer_marginal,
-    buyer_utility,
     compute_payoffs,
     declare_availability,
-    seller_ask_update,
-    seller_marginal,
-    seller_utility,
 )
+from microgrid_auction.utility import LogUtility
 
 P = MarketParams()
 
@@ -38,27 +33,6 @@ def test_declare_availability_examples():
     assert declare_availability(SellerState(x=0.1, y=2, g=2), P) == pytest.approx(2.0)
 
 
-def test_bid_update_examples():
-    buyer = BuyerState(x=1, y=1)
-    assert buyer_bid_update(buyer, 1.0) == pytest.approx(0.5)
-    assert buyer_bid_update(buyer, 0.0) == 0.0
-
-
-def test_ask_update_is_marginal_retained_value():
-    seller = SellerState(x=1, y=1, g=4, a=1.0)
-    assert seller_ask_update(seller, 0.0) == pytest.approx(0.2)
-    assert seller_ask_update(seller, 1.0) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        seller_ask_update(seller, 1.5)
-
-
-def test_role_helpers_match_state_utilities():
-    assert buyer_utility(1.2, 0.8, 2.0) == pytest.approx(1.2 * math.log1p(1.6))
-    assert buyer_marginal(1.2, 0.8, 2.0) == pytest.approx(1.2 * 0.8 / 2.6)
-    assert seller_utility(1.2, 0.8, 3.0, 1.0) == pytest.approx(1.2 * math.log1p(1.6))
-    assert seller_marginal(1.2, 0.8, 3.0, 1.0) == pytest.approx(1.2 * 0.8 / 2.6)
-
-
 def test_compute_payoffs_settles_at_communicated_scalars():
     buyers = [BuyerState(x=1, y=1, b=0.5, d=1.0)]
     sellers = [SellerState(x=1, y=1, g=4, a=1.0, c=0.25, s=1.0)]
@@ -74,12 +48,13 @@ def test_availability_within_generation(x, y, g):
     assert 0.0 <= a <= g
     if 0.0 < a < g:
         # interior declarations sit exactly on the floor price
-        assert seller_marginal(x, y, g, a) == pytest.approx(P.p, rel=1e-9)
+        assert LogUtility(x, y).marginal(g - a) == pytest.approx(P.p, rel=1e-9)
 
 
 @given(x=coef, y=coef, d1=st.floats(min_value=0, max_value=50), d2=st.floats(min_value=0, max_value=50))
 def test_bid_update_monotone_in_allocation(x, y, d1, d2):
-    buyer = BuyerState(x=x, y=y)
+    # the engine's truthful re-quote b = u'(d) * d
+    u = LogUtility(x, y)
     lo, hi = sorted((d1, d2))
-    assert buyer_bid_update(buyer, lo) <= buyer_bid_update(buyer, hi) + 1e-15
-    assert buyer_bid_update(buyer, hi) <= x  # bids are bounded by the scale parameter
+    assert u.marginal(lo) * lo <= u.marginal(hi) * hi + 1e-15
+    assert u.marginal(hi) * hi <= x  # bids are bounded by the scale parameter

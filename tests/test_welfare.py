@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from microgrid_auction import welfare
 from microgrid_auction.clearing import BID_FLOOR, ClearingResult, clear_market, kkt_residual
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
 from microgrid_auction.welfare import (
@@ -254,6 +255,29 @@ def test_welfare_price_matches_linear_scan_reference(market):
     assert sol.no_trade == (mu is None)
     if mu is None:
         return
+    assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
+    total_d = math.fsum(sol.d_star)
+    assert abs(total_d - math.fsum(sol.s_star)) <= 1e-12 * max(1.0, total_d)
+
+
+@pytest.mark.parametrize(
+    "x_keen, x_flat, flat_bid",
+    [(0.323076923076923, 4e6, 0.123), (0.32307692307692304, 5e6, 0.3)],
+    ids=["guess above the bracket", "guess below the bracket"],
+)
+def test_welfare_price_when_the_sweep_misplaces_the_bracket(missed_guesses, x_keen, x_flat, flat_bid):
+    # The buyer with y = 1e-8 adds -1e8 to the running B and x_flat to A and
+    # takes both back below every kink of the grid, leaving rounding residue
+    # of about 1e-8. The keen buyer's demand meets the seller's capped supply
+    # of 1.5 at the seller's upper kink up to a few ulps, so the sweep
+    # guesses one kink off and the exact search must recover.
+    misses = missed_guesses(welfare)
+    buyers = [BuyerState(x_keen, 1.2), BuyerState(x_flat, 1e-8)]
+    sellers = [SellerState(0.3, 1.5, 3.0)]
+    bids, avails = (20.0, flat_bid), (1.5,)
+    sol = solve_welfare(buyers, sellers, bids, avails, P)
+    mu = welfare_price_reference(buyers, sellers, bids, avails, P.p)
+    assert misses == [True]
     assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
     total_d = math.fsum(sol.d_star)
     assert abs(total_d - math.fsum(sol.s_star)) <= 1e-12 * max(1.0, total_d)
