@@ -26,6 +26,7 @@ Two solvers live here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -37,6 +38,11 @@ BID_FLOOR = 1e-9
 
 #: Relative tolerance under which two asks count as one price level.
 TIE_REL_TOL = 1e-12
+
+# 0 <= x <= _FMAX holds exactly for the finite x >= 0: NaN fails every
+# comparison and the infinities fall outside, so one chained comparison
+# is the whole check.
+_FMAX = sys.float_info.max
 
 
 class NumericalFailure(RuntimeError):
@@ -81,12 +87,12 @@ def _validate_inputs(
     if len(asks) != len(avails):
         raise ValueError(f"{len(asks)} asks vs {len(avails)} availabilities")
     for b in bids:
-        if not math.isfinite(b) or b < 0:
+        if not 0.0 <= b <= _FMAX:
             raise ValueError(f"bids must be finite and >= 0, got {b}")
     for c, a in zip(asks, avails):
-        if not math.isfinite(a) or a < 0:
+        if not 0.0 <= a <= _FMAX:
             raise ValueError(f"availabilities must be finite and >= 0, got {a}")
-        if a > 0 and (not math.isfinite(c) or c <= 0):
+        if a > 0 and not 0.0 < c <= _FMAX:
             raise ValueError(f"asks of offering sellers must be positive, got {c}")
 
 
@@ -162,16 +168,14 @@ def _settle(
     asks: tuple[float, ...],
     avails: tuple[float, ...],
     params: MarketParams,
-    active_buyers: list[int],
     mu: float,
     s: list[float],
 ) -> ClearingResult:
     # Budget-capped demand at mu, then the optimality check on the result.
     p = params.p
     denom = max(mu, p)
-    active_set = set(active_buyers)
-    d = tuple(bids[i] / denom if i in active_set else 0.0 for i in range(len(bids)))
-    budget_active = tuple(mu <= p and bids[i] > BID_FLOOR for i in range(len(bids)))
+    d = tuple(b / denom if b > BID_FLOOR else 0.0 for b in bids)
+    budget_active = tuple(mu <= p and b > BID_FLOOR for b in bids)
     s = tuple(s)
     residual = kkt_residual(_Draft(d, s, mu, budget_active), bids, asks, avails, params)
     return ClearingResult(d=d, s=s, mu=mu, buyer_budget_active=budget_active, kkt_residual=residual)
@@ -193,18 +197,19 @@ def clear_market(
     offered. Empty sides yield a well-typed no-trade result, never an
     exception.
     """
-    bids = tuple(float(b) for b in bids)
-    asks = tuple(float(c) for c in asks)
-    avails = tuple(float(a) for a in avails)
+    bids = tuple(map(float, bids))
+    asks = tuple(map(float, asks))
+    avails = tuple(map(float, avails))
     _validate_inputs(bids, asks, avails)
     p = params.p
 
-    active_buyers = [i for i, b in enumerate(bids) if b > BID_FLOOR]
-    active_sellers = [j for j, a in enumerate(avails) if a > 0]
-    total_bid = math.fsum(bids[i] for i in active_buyers)
-    total_avail = math.fsum(avails[j] for j in active_sellers)
-    if not active_buyers or not active_sellers or total_bid <= 0 or total_avail <= 0:
+    # Every active bid exceeds BID_FLOOR > 0 and every active availability
+    # is positive, so a zero total is the same as an empty side.
+    total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+    total_avail = math.fsum(avails)
+    if total_bid <= 0 or total_avail <= 0:
         return _no_trade(len(bids), len(asks))
+    active_sellers = [j for j, a in enumerate(avails) if a > 0]
 
     # Group active sellers into price levels (ties within TIE_REL_TOL).
     order = sorted(active_sellers, key=lambda j: (asks[j], j))
@@ -249,7 +254,7 @@ def clear_market(
         group_avail = math.fsum(avails[j] for j in marginal)
         for j in marginal:
             s[j] = residual * avails[j] / group_avail
-    return _settle(bids, asks, avails, params, active_buyers, mu, s)
+    return _settle(bids, asks, avails, params, mu, s)
 
 
 def clear_market_proximal(
@@ -262,7 +267,11 @@ def clear_market_proximal(
 ) -> ClearingResult:
     """Clearing with seller allocations regularized toward prev_s.
 
-    Solves the clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
+    Every call converts its inputs with one map(float) pass each and checks
+    them, weights included, with one chained comparison per value, so NaN,
+    infinite and negative inputs raise ValueError before any work at little
+    cost to the engine, which calls this once per iteration. Solves the
+    clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
     seller response s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is
     continuous in the asks. The price solves demand == supply exactly. Supply
     is nondecreasing and demand nonincreasing in mu, so the first breakpoint
@@ -274,36 +283,37 @@ def clear_market_proximal(
     At a stationary point (s == prev_s) interior sellers force mu == c_j, so
     fixed points satisfy the exact clearing optimality system.
     """
-    bids = tuple(float(b) for b in bids)
-    asks = tuple(float(c) for c in asks)
-    avails = tuple(float(a) for a in avails)
+    bids = tuple(map(float, bids))
+    asks = tuple(map(float, asks))
+    avails = tuple(map(float, avails))
     _validate_inputs(bids, asks, avails)
     p = params.p
     n_s = len(asks)
     if isinstance(weights, (int, float)):
         weights = (float(weights),) * n_s
     else:
-        weights = tuple(float(w) for w in weights)
-    if len(weights) != n_s or any(not math.isfinite(w) or w <= 0 for w in weights):
+        weights = tuple(map(float, weights))
+    if len(weights) != n_s or not all(0.0 < w <= _FMAX for w in weights):
         raise ValueError("proximal weights must be positive, one per seller")
     if len(prev_s) != n_s:
         raise ValueError(f"{len(prev_s)} previous allocations vs {n_s} sellers")
-    prev = [min(max(float(v), 0.0), avails[j]) for j, v in enumerate(prev_s)]
+    # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller.
+    sellers = [
+        (min(max(v, 0.0), aj), cj, wj, aj)
+        for v, cj, wj, aj in zip(map(float, prev_s), asks, weights, avails)
+    ]
 
-    active_buyers = [i for i, b in enumerate(bids) if b > BID_FLOOR]
-    active_sellers = [j for j, a in enumerate(avails) if a > 0]
-    total_bid = math.fsum(bids[i] for i in active_buyers)
-    total_avail = math.fsum(avails[j] for j in active_sellers)
-    if not active_buyers or not active_sellers or total_bid <= 0 or total_avail <= 0:
+    # Every active bid exceeds BID_FLOOR > 0 and every active availability
+    # is positive, so a zero total is the same as an empty side.
+    total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+    total_avail = math.fsum(avails)
+    if total_bid <= 0 or total_avail <= 0:
         return _no_trade(len(bids), n_s)
 
-    rows = [(prev[j], asks[j], weights[j], avails[j]) for j in active_sellers]
+    rows = [row for row in sellers if row[3] > 0]
 
     def supply(mu: float) -> float:
         return math.fsum(min(max(pj + (mu - cj) / wj, 0.0), aj) for pj, cj, wj, aj in rows)
-
-    def demand(mu: float) -> float:
-        return total_bid / max(mu, p)
 
     # Seller j is linear in mu between its kinks c_j - w_j*prev_j (s_j = 0)
     # and c_j + w_j*(a_j - prev_j) (s_j = a_j). Each event carries what it
@@ -324,13 +334,16 @@ def clear_market_proximal(
     # tested once all its events are in, when the next event lies beyond it
     # (the sentinel at infinity tests the last one). Rounding in the running
     # sums can misplace the guess, so it only orders the exact tests below.
+    # Demand total_bid / max(m, p) is written out inline here and below:
+    # m if m >= p else p equals max(m, p) for every m but NaN, which no
+    # breakpoint of finite inputs is.
     events.append((math.inf, 0.0, 0.0))
     guess = 0
     m_guess = grid[0]
     slope = intercept = 0.0
     for m, d_slope, d_intercept in events:
         if m > m_guess:
-            if slope * m_guess + intercept >= demand(m_guess):
+            if slope * m_guess + intercept >= total_bid / (m_guess if m_guess >= p else p):
                 break
             guess += 1
             m_guess = m
@@ -366,8 +379,9 @@ def clear_market_proximal(
     supplies: dict[int, float] = {}
 
     def in_surplus(i: int) -> bool:
-        supplies[i] = supply(grid[i])
-        return supplies[i] >= demand(grid[i])
+        m = grid[i]
+        supplies[i] = supply(m)
+        return supplies[i] >= total_bid / (m if m >= p else p)
 
     lo = first_passing(len(grid), guess, in_surplus)
     if lo == 0:
@@ -381,10 +395,11 @@ def clear_market_proximal(
     else:
         mu = solve_segment(grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo])
 
-    s = [0.0] * n_s
-    for j, (pj, cj, wj, aj) in zip(active_sellers, rows):
-        s[j] = min(max(pj + (mu - cj) / wj, 0.0), aj)
-    return _settle(bids, asks, avails, params, active_buyers, mu, s)
+    s = [
+        min(max(pj + (mu - cj) / wj, 0.0), aj) if aj > 0 else 0.0
+        for pj, cj, wj, aj in sellers
+    ]
+    return _settle(bids, asks, avails, params, mu, s)
 
 
 def clearing_objective(
@@ -423,7 +438,9 @@ def kkt_residual(
     # A running max over the violations in a fixed order; `v > worst`
     # replaces worst exactly when max() over the same list would. worst
     # starts at 0 and never falls, so a term max(0, x) / q with q > 0 is
-    # written x / q: when x <= 0 it cannot replace worst either way.
+    # written x / q: when x <= 0 it cannot replace worst either way. The
+    # walks zip each quote with its field strictly, so fields of another
+    # length raise instead of being cut short.
     p = params.p
     worst = 0.0
     if result.mu is None:
@@ -439,9 +456,7 @@ def kkt_residual(
 
     mu = result.mu
     scale = max(mu, p)
-    alloc, capped = result.d, result.buyer_budget_active
-    for i, b in enumerate(bids):
-        d = alloc[i]
+    for b, d, capped in zip(bids, result.d, result.buyer_budget_active, strict=True):
         if -d > worst:
             worst = -d
         v = (p * d - b) / max(1.0, b)
@@ -451,7 +466,7 @@ def kkt_residual(
             v = abs(d)
         elif d <= 0:
             v = 1.0
-        elif capped[i]:
+        elif capped:
             v = abs(b / d - p) / scale
             if v > worst:
                 worst = v
@@ -460,9 +475,7 @@ def kkt_residual(
             v = abs(b / d - mu) / scale
         if v > worst:
             worst = v
-    sold = result.s
-    for j, (c, a) in enumerate(zip(asks, avails)):
-        s = sold[j]
+    for c, a, s in zip(asks, avails, result.s, strict=True):
         if -s > worst:
             worst = -s
         v = s - a

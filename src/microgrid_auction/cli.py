@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -326,11 +327,21 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite_number(text: str) -> float:
+    # json reads NaN, Infinity and overflowing literals such as 1e999; the
+    # auction command never writes them, so a file holding one did not come
+    # from it.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_outcome(path: str) -> AuctionOutcome:
     """Rebuild an outcome from the JSON the auction command writes."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         clearing = ClearingResult(
             d=tuple(float(v) for v in raw["d"]),
             s=tuple(float(v) for v in raw["s"]),
@@ -354,7 +365,7 @@ def _load_outcome(path: str) -> AuctionOutcome:
             converged=bool(raw["converged"]),
             trace=(),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path} is not an outcome file: {exc}") from exc
 
 

@@ -203,37 +203,43 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         result = clear_market(state.bids, state.asks, state.avails, state.params)
 
     alpha = config.damping
+    keep = 1 - alpha
     p = state.params.p
 
-    new_bids = list(state.bids)
-    parked = list(state.parked)
-    for i, buyer in enumerate(state.buyers):
-        if parked[i]:
-            new_bids[i] = 0.0
-            continue
-        d = result.d[i]
-        target = buyer.utility.marginal(d) * d
-        b = (1 - alpha) * state.bids[i] + alpha * target
-        if b < config.bid_floor:
+    new_bids = []
+    parked = []
+    for buyer, b, is_parked, d in zip(state.buyers, state.bids, state.parked, result.d):
+        if is_parked:
             b = 0.0
-            parked[i] = True
-        new_bids[i] = b
+        else:
+            target = buyer.utility.marginal(d) * d
+            b = keep * b + alpha * target
+            if b < config.bid_floor:
+                b = 0.0
+                is_parked = True
+        new_bids.append(b)
+        parked.append(is_parked)
 
-    new_asks = list(state.asks)
-    targets = [0.0] * len(state.sellers)
-    weights = list(state.prox_weights)
-    ema = list(state.curv_ema)
-    for j, seller in enumerate(state.sellers):
-        s = result.s[j]
+    adaptive = config.adaptive_prox
+    new_asks = []
+    targets = []
+    weights = []
+    ema = []
+    for seller, c, a, s, prev, last, w, e in zip(
+        state.sellers, state.asks, state.avails, result.s,
+        state.prev_s, state.last_targets, state.prox_weights, state.curv_ema,
+    ):
         target = seller.utility.marginal(max(seller.g - s, 0.0))
-        targets[j] = target
-        new_asks[j] = min((1 - alpha) * state.asks[j] + alpha * target, p)
-        if config.adaptive_prox and state.avails[j] > 0:
-            ds = s - state.prev_s[j]
-            if abs(ds) > 1e-12 * max(1.0, state.avails[j]):
-                slope = abs(target - state.last_targets[j]) / abs(ds)
-                ema[j] = 0.5 * ema[j] + 0.5 * slope
-                weights[j] = min(max(2.0 * ema[j], _PROX_WEIGHT_MIN), _PROX_WEIGHT_MAX)
+        targets.append(target)
+        new_asks.append(min(keep * c + alpha * target, p))
+        if adaptive and a > 0:
+            ds = s - prev
+            if abs(ds) > 1e-12 * max(1.0, a):
+                slope = abs(target - last) / abs(ds)
+                e = 0.5 * e + 0.5 * slope
+                w = min(max(2.0 * e, _PROX_WEIGHT_MIN), _PROX_WEIGHT_MAX)
+        weights.append(w)
+        ema.append(e)
 
     return AuctionState(
         buyers=state.buyers,
@@ -252,24 +258,26 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     )
 
 
-def _relative_change(old: tuple[float, ...], new: tuple[float, ...]) -> float:
-    worst = 0.0
-    for a, b in zip(old, new):
-        worst = max(worst, abs(b - a) / max(abs(a), 1e-12))
-    return worst
-
-
 def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig) -> bool:
+    """Whether the step from before to after meets all three stopping tests.
+
+    The clearing's residual must be within inner_kkt_tol, every quote must
+    have moved by at most tol_rel relative to its old value (floored at
+    1e-12), and every allocation by at most tol_rel * max(1, a_j). Each test
+    stops at the first agent that fails it.
+    """
     result = after.clearing
     assert result is not None
     if result.kkt_residual > config.inner_kkt_tol:
         return False
-    if _relative_change(before.bids, after.bids) > config.tol_rel:
-        return False
-    if _relative_change(before.asks, after.asks) > config.tol_rel:
-        return False
-    for j, a in enumerate(after.avails):
-        if abs(result.s[j] - before.prev_s[j]) > config.tol_rel * max(1.0, a):
+    tol = config.tol_rel
+    for old, new in ((before.bids, after.bids), (before.asks, after.asks)):
+        for a, b in zip(old, new):
+            # A division on purpose: tol * max(abs(a), 1e-12) rounds differently.
+            if abs(b - a) / max(abs(a), 1e-12) > tol:
+                return False
+    for s, prev, a in zip(result.s, before.prev_s, after.avails):
+        if abs(s - prev) > tol * max(1.0, a):
             return False
     return True
 

@@ -84,6 +84,58 @@ def test_input_validation():
         clear_market((1.0,), (0.2, 0.3), (1.0,), P)
 
 
+_PROX_INPUTS = {
+    "bids": (1.0, 0.5),
+    "asks": (0.2, 0.3),
+    "avails": (2.0, 1.0),
+    "prev_s": (0.0, 0.5),
+    "weights": 0.5,
+}
+
+_BAD_PROX_INPUTS = [
+    ("bids", (math.nan, 0.5), "bids must be finite and >= 0, got nan"),
+    ("bids", (1.0, math.inf), "bids must be finite and >= 0, got inf"),
+    ("bids", (-math.inf, 0.5), "bids must be finite and >= 0, got -inf"),
+    ("bids", (1.0, -1.0), "bids must be finite and >= 0, got -1.0"),
+    ("asks", (math.nan, 0.3), "asks of offering sellers must be positive, got nan"),
+    ("asks", (0.2, math.inf), "asks of offering sellers must be positive, got inf"),
+    ("asks", (0.0, 0.3), "asks of offering sellers must be positive, got 0.0"),
+    ("asks", (0.2, -1.0), "asks of offering sellers must be positive, got -1.0"),
+    ("avails", (math.nan, 1.0), "availabilities must be finite and >= 0, got nan"),
+    ("avails", (2.0, math.inf), "availabilities must be finite and >= 0, got inf"),
+    ("avails", (-1.0, 1.0), "availabilities must be finite and >= 0, got -1.0"),
+    ("avails", (2.0,), "2 asks vs 1 availabilities"),
+    ("prev_s", (0.0,), "1 previous allocations vs 2 sellers"),
+    ("weights", (0.5,), "proximal weights must be positive, one per seller"),
+] + [
+    ("weights", weights, "proximal weights must be positive, one per seller")
+    for w in (math.nan, math.inf, 0.0, -1.0)
+    for weights in (w, (0.5, w))
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    _BAD_PROX_INPUTS,
+    ids=[f"{name}={value}" for name, value, _ in _BAD_PROX_INPUTS],
+)
+def test_proximal_input_validation(name, value, message):
+    inputs = {**_PROX_INPUTS, name: value}
+    with pytest.raises(ValueError) as err:
+        clear_market_proximal(
+            inputs["bids"], inputs["asks"], inputs["avails"], P,
+            prev_s=inputs["prev_s"], weights=inputs["weights"],
+        )
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ask", [0.0, math.nan])
+def test_proximal_accepts_any_ask_of_a_seller_with_nothing_to_offer(ask):
+    result = clear_market_proximal((1.0,), (ask, 0.2), (0.0, 2.0), P, prev_s=(0.0, 0.0))
+    assert result.s[0] == 0.0
+    assert result.mu is not None and result.s[1] > 0.0
+
+
 def test_determinism_bit_identical():
     bids = (0.7, 1.3, 0.2)
     asks = (0.11, 0.11, 0.19)

@@ -194,12 +194,15 @@ def test_redistribute_saved_outcome_chain(capsys, tmp_path):
     # outcome paired with the wrong market size is a usage error
     code, _ = run_cli(capsys, ["redistribute", "--outcome", str(outcome_path)])
     assert code == 4
-    outcome_path.write_text("{not json")
-    code, _ = run_cli(
-        capsys,
-        ["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)],
-    )
-    assert code == 4
+    # json.load reads NaN and Infinity tokens unless the loader refuses them,
+    # and an integer too large for a float overflows only on conversion
+    nan_outcome = json.dumps({**saved, "bids": [math.nan, *saved["bids"][1:]], "kkt_residual": math.nan})
+    huge_outcome = json.dumps({**saved, "bids": [10**400, *saved["bids"][1:]]})
+    for text in ("{not json", nan_outcome, huge_outcome):
+        outcome_path.write_text(text)
+        code = main(["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)])
+        assert code == 4
+        assert f"{outcome_path} is not an outcome file" in capsys.readouterr().err
 
 
 def test_experiment_command(capsys):

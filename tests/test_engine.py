@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,6 +10,7 @@ from microgrid_auction.engine import (
     buyer_prices,
     run_auction,
 )
+from microgrid_auction.experiments import mix_seed
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
 
 P = MarketParams()
@@ -282,3 +284,64 @@ def test_determinism_across_runs():
     assert first.asks == second.asks
     assert first.clearing == second.clearing
     assert first.iterations == second.iterations
+
+
+def _corpus_draw(rng, nb, ns):
+    """Draw order and ranges of the acceptance corpus and the large bench markets."""
+    buyers = [BuyerState(rng.uniform(0.5, 1.2), rng.uniform(1.2, 1.8)) for _ in range(nb)]
+    sellers = [
+        SellerState(rng.uniform(0.1, 0.4), rng.uniform(1.2, 1.8), rng.uniform(2.0, 5.0))
+        for _ in range(ns)
+    ]
+    return buyers, sellers
+
+
+def _corpus_market(k):
+    rng = random.Random(mix_seed(0xC0, k))
+    nb = rng.randint(1, 30)
+    ns = rng.randint(1, 30)
+    return _corpus_draw(rng, nb, ns)
+
+
+@pytest.mark.parametrize(
+    "market, iterations, converged, digest",
+    [
+        pytest.param(
+            lambda: _corpus_market(0), 29, True,
+            "3530a12240a05f0f6e93788df9782a526cb02a894a18c6969eaff56e695d48a1",
+            id="corpus k=0",
+        ),
+        pytest.param(
+            lambda: _corpus_market(1), 43, True,
+            "9484cc0bb34f8b4ec232e013adf11b0ece015b1153d0f79b159c538248aa3bb1",
+            id="corpus k=1",
+        ),
+        pytest.param(
+            lambda: _corpus_market(2), 40, True,
+            "bcd753c65464f055a4185ccea9dbf4b880b8e7b05baf9e3d62816585899a542a",
+            id="corpus k=2",
+        ),
+        pytest.param(
+            lambda: _corpus_market(36), 2500, False,
+            "1021cb0f5f18f7d6f98281d6f1f9b4e76cc2ae86119db8f5ea6ae30687526a31",
+            id="corpus k=36 hits max_iters",
+        ),
+        pytest.param(
+            lambda: _corpus_draw(random.Random(mix_seed(0x1A5E, 0, 0)), 300, 150), 51, True,
+            "957ceaf63c049e7d0dae990bd69f565d0b3911fdcc7c70bd9fd04de277675356",
+            id="large (300, 150) seed=0 m=0",
+        ),
+    ],
+)
+def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
+    """A change that only speeds the engine up must leave every bit of these
+    outcomes as it is; the digests were recorded before any such change."""
+    buyers, sellers = market()
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    clearing = outcome.clearing
+    assert (outcome.iterations, outcome.converged) == (iterations, converged)
+    key = (
+        outcome.iterations, outcome.converged, clearing.mu, clearing.d, clearing.s,
+        outcome.bids, outcome.asks,
+    )
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
