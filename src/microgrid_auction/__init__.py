@@ -4,8 +4,6 @@ from .clearing import (
     BID_FLOOR,
     ClearingResult,
     NumericalFailure,
-    aggregate_demand,
-    aggregate_supply,
     clear_market,
     clear_market_proximal,
     clearing_objective,
@@ -17,7 +15,6 @@ from .engine import (
     AuctionState,
     IterationRecord,
     auction_step,
-    buyer_prices,
     init_auction,
     run_auction,
 )

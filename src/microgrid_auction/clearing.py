@@ -106,38 +106,6 @@ def _no_trade(n_buyers: int, n_sellers: int) -> ClearingResult:
     )
 
 
-def aggregate_demand(bids: tuple[float, ...] | list[float], params: MarketParams, mu: float) -> float:
-    """Total buyer demand at price mu: sum of min(b/mu, b/p)."""
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"price must be positive and finite, got {mu}")
-    denom = max(mu, params.p)
-    return math.fsum(b / denom for b in bids)
-
-
-def aggregate_supply(
-    asks: tuple[float, ...] | list[float],
-    avails: tuple[float, ...] | list[float],
-    mu: float,
-) -> tuple[float, float]:
-    """Merit-order supply correspondence at price mu.
-
-    Returns (low, high): low counts availability with asks strictly below mu,
-    high additionally counts asks tied at mu (within TIE_REL_TOL relative).
-    """
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"price must be positive and finite, got {mu}")
-    low = 0.0
-    tied = 0.0
-    for c, a in zip(asks, avails):
-        if a <= 0:
-            continue
-        if abs(c - mu) <= TIE_REL_TOL * max(c, mu):
-            tied += a
-        elif c < mu:
-            low += a
-    return low, low + tied
-
-
 def first_passing(n: int, guess: int, passes: Callable[[int], bool]) -> int:
     """Smallest i in [0, n) with passes(i), or n when none does.
 
@@ -268,9 +236,10 @@ def clear_market_proximal(
     """Clearing with seller allocations regularized toward prev_s.
 
     Every call converts its inputs with one map(float) pass each and checks
-    them, weights included, with one chained comparison per value, so NaN,
-    infinite and negative inputs raise ValueError before any work at little
-    cost to the engine, which calls this once per iteration. Solves the
+    them, weights and prev_s included, with one chained comparison per value,
+    so NaN, infinite and negative inputs raise ValueError before any work at
+    little cost to the engine, which calls this once per iteration (a finite
+    prev_s_j outside [0, a_j] is clipped, not refused). Solves the
     clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
     seller response s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is
     continuous in the asks. The price solves demand == supply exactly. Supply
@@ -295,12 +264,16 @@ def clear_market_proximal(
         weights = tuple(map(float, weights))
     if len(weights) != n_s or not all(0.0 < w <= _FMAX for w in weights):
         raise ValueError("proximal weights must be positive, one per seller")
+    prev_s = tuple(map(float, prev_s))
     if len(prev_s) != n_s:
         raise ValueError(f"{len(prev_s)} previous allocations vs {n_s} sellers")
+    for v in prev_s:
+        if not -_FMAX <= v <= _FMAX:
+            raise ValueError(f"previous allocations must be finite, got {v}")
     # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller.
     sellers = [
         (min(max(v, 0.0), aj), cj, wj, aj)
-        for v, cj, wj, aj in zip(map(float, prev_s), asks, weights, avails)
+        for v, cj, wj, aj in zip(prev_s, asks, weights, avails)
     ]
 
     # Every active bid exceeds BID_FLOOR > 0 and every active availability

@@ -13,6 +13,18 @@ on such a tie, so damping alone oscillates there; the regularized step is
 continuous, has the same fixed points, and converges geometrically. Its
 weights are adapted per seller from the observed ask/allocation slopes, which
 uses only quoted information.
+
+Damping alone converges slowly where a buyer's bid decays geometrically at a
+rate near 1 (its choke price x*y sits just above the clearing price). So on
+every fourth step each active buyer extrapolates its own last three bids
+b0, b1, b2 with Aitken's delta-squared step, the one-step case of Anderson
+acceleration: with r = (b2 - b1)/(b1 - b0) in (0, 0.999), the bid jumps to
+b2 + (b2 - b1)*r/(1 - r), the limit of a geometric sequence with ratio r.
+The jump may at most halve the bid, so extrapolation alone never parks a
+buyer (parking is permanent, and a jump toward zero from a transient bid
+would park buyers that belong in the market); a bid set too low climbs back
+under damping. The step uses nothing but the buyer's own quotes, and
+sellers never extrapolate.
 """
 
 from __future__ import annotations
@@ -40,6 +52,11 @@ from .welfare import social_welfare
 
 _PROX_WEIGHT_MIN = 1e-4
 _PROX_WEIGHT_MAX = 1e4
+
+# Buyer bid extrapolation; see the module docstring and _extrapolate.
+_EXTRAPOLATION_PERIOD = 4
+_EXTRAPOLATION_MAX_RATIO = 0.999
+_EXTRAPOLATION_MIN_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -105,7 +122,8 @@ class AuctionState:
     bids/asks are the quotes to clear next. prev_s anchors the proximal
     clearing and carries the previous allocations; last_targets and curv_ema
     drive the per-seller weight adaptation. clearing holds the result of the
-    most recent step, i.e. the clearing of the PREVIOUS state's quotes.
+    most recent step, i.e. the clearing of the PREVIOUS state's quotes, and
+    prev_bids the bids that state cleared (empty before the first step).
     """
 
     buyers: tuple[BuyerState, ...]
@@ -121,6 +139,7 @@ class AuctionState:
     last_targets: tuple[float, ...]
     iteration: int = 0
     clearing: ClearingResult | None = None
+    prev_bids: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -192,8 +211,28 @@ def _initial_state(
     )
 
 
+def _extrapolate(b0: float, b1: float, b2: float) -> float:
+    """Aitken's delta-squared step on one buyer's bids b0, b1, b2, safeguarded.
+
+    Returns b2 itself unless the step ratio r = (b2 - b1)/(b1 - b0) lies in
+    (0, _EXTRAPOLATION_MAX_RATIO); otherwise the limit of the geometric
+    sequence with ratio r, but at least _EXTRAPOLATION_MIN_SHARE of b2.
+    """
+    if b1 == b0:
+        return b2
+    r = (b2 - b1) / (b1 - b0)
+    if not 0.0 < r < _EXTRAPOLATION_MAX_RATIO:
+        return b2
+    return max(b2 + (b2 - b1) * r / (1 - r), b2 * _EXTRAPOLATION_MIN_SHARE)
+
+
 def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
-    """Clear the current quotes, then damp every agent toward its re-quote."""
+    """Clear the current quotes, then damp every agent toward its re-quote.
+
+    On every _EXTRAPOLATION_PERIOD-th step each active buyer's damped bid is
+    extrapolated (see _extrapolate) from its two previous bids before the
+    floor test, once prev_bids is known.
+    """
     if config.tie_policy == "proximal":
         result = clear_market_proximal(
             state.bids, state.asks, state.avails, state.params,
@@ -206,14 +245,19 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     keep = 1 - alpha
     p = state.params.p
 
+    extrapolate = bool(state.prev_bids) and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0
     new_bids = []
     parked = []
-    for buyer, b, is_parked, d in zip(state.buyers, state.bids, state.parked, result.d):
+    for buyer, b, b0, is_parked, d in zip(
+        state.buyers, state.bids, state.prev_bids if extrapolate else state.bids,
+        state.parked, result.d,
+    ):
         if is_parked:
             b = 0.0
         else:
             target = buyer.utility.marginal(d) * d
-            b = keep * b + alpha * target
+            damped = keep * b + alpha * target
+            b = _extrapolate(b0, b, damped) if extrapolate else damped
             if b < config.bid_floor:
                 b = 0.0
                 is_parked = True
@@ -255,6 +299,7 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         last_targets=tuple(targets),
         iteration=state.iteration + 1,
         clearing=result,
+        prev_bids=state.bids,
     )
 
 
@@ -356,12 +401,3 @@ def run_auction(
             return _settle(state, result, nxt.iteration, False, trace, config)
         state = nxt
 
-
-def buyer_prices(outcome: AuctionOutcome, threshold: float | None = None) -> tuple[float | None, ...]:
-    """Per-unit prices b_i/d_i; None marks buyers below the served threshold."""
-    if threshold is None:
-        return outcome.unit_prices
-    prices: list[float | None] = []
-    for bid, d in zip(outcome.bids, outcome.clearing.d):
-        prices.append(bid / d if d > threshold else None)
-    return tuple(prices)

@@ -24,7 +24,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .engine import AuctionConfig, AuctionOutcome, buyer_prices, run_auction
+from .engine import AuctionConfig, AuctionOutcome, run_auction
 from .fairness import redistribute
 from .market import BuyerState, MarketParams, SellerState
 from .scenario import ParameterRanges
@@ -309,7 +309,7 @@ def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
         outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
         verify_outcome(outcome, buyers, sellers)
         red = redistribute(outcome, buyers, sellers)
-        prices = buyer_prices(outcome)
+        prices = outcome.unit_prices
         clearing = outcome.clearing
         for i, buyer in enumerate(buyers):
             records.append(

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from microgrid_auction.clearing import clear_market, clearing_objective
-from microgrid_auction.engine import AuctionConfig, buyer_prices, run_auction
+from microgrid_auction.engine import AuctionConfig, run_auction
 from microgrid_auction.experiments import (
     exp_case_study,
     exp_payoff_sweep,
@@ -53,9 +53,10 @@ def corpus():
         outcome = run_auction(buyers, sellers, P, config)
         runs.append((outcome, buyers, sellers))
     converged = sum(1 for outcome, _, _ in runs if outcome.converged)
-    # a handful of demand-heavy single-seller markets decay too slowly to
-    # finish; the converged share must stay overwhelming for C3/C4 to bite
-    assert converged >= 950
+    # 993 converge; of the 7 that hit the cap, 6 also fail to converge
+    # within 20000 rounds at tol_rel=1e-12 without extrapolation. The gate
+    # sits just under the measured count so C3/C4 cover nearly every market.
+    assert converged >= 990
     return runs
 
 
@@ -198,7 +199,7 @@ def test_c07_low_demand_price_pinning():
         # the criterion's premise: supply strictly exceeds capped demand
         if math.fsum(outcome.avails) <= math.fsum(b / P.p for b in outcome.bids):
             continue
-        prices = [c for c in buyer_prices(outcome) if c is not None]
+        prices = [c for c in outcome.unit_prices if c is not None]
         assert prices
         for price in prices:
             assert price == pytest.approx(P.p, abs=1e-3)

@@ -9,8 +9,6 @@ from microgrid_auction import clearing
 from microgrid_auction.clearing import (
     BID_FLOOR,
     ClearingResult,
-    aggregate_demand,
-    aggregate_supply,
     clear_market,
     clear_market_proximal,
     clearing_objective,
@@ -29,20 +27,6 @@ avail_values = st.floats(min_value=0.05, max_value=6.0)
 
 def seller_lists(max_size=6):
     return st.lists(st.tuples(ask_values, avail_values), min_size=1, max_size=max_size)
-
-
-def test_aggregate_demand_examples():
-    assert aggregate_demand((1.0,), P, mu=0.5) == pytest.approx(2.0)
-    assert aggregate_demand((1.0,), P, mu=0.2) == pytest.approx(4.0)
-    assert aggregate_demand((), P, mu=1.0) == 0.0
-    with pytest.raises(ValueError):
-        aggregate_demand((1.0,), P, mu=0.0)
-
-
-def test_aggregate_supply_examples():
-    assert aggregate_supply((0.1, 0.3), (1.0, 1.0), mu=0.5) == (2.0, 2.0)
-    assert aggregate_supply((0.2,), (10.0,), mu=0.2) == (0.0, 10.0)
-    assert aggregate_supply((0.3,), (5.0,), mu=0.1) == (0.0, 0.0)
 
 
 def test_clear_market_single_seller_interior():
@@ -106,6 +90,9 @@ _BAD_PROX_INPUTS = [
     ("avails", (-1.0, 1.0), "availabilities must be finite and >= 0, got -1.0"),
     ("avails", (2.0,), "2 asks vs 1 availabilities"),
     ("prev_s", (0.0,), "1 previous allocations vs 2 sellers"),
+    ("prev_s", (math.nan, 0.0), "previous allocations must be finite, got nan"),
+    ("prev_s", (0.0, math.inf), "previous allocations must be finite, got inf"),
+    ("prev_s", (-math.inf, 0.0), "previous allocations must be finite, got -inf"),
     ("weights", (0.5,), "proximal weights must be positive, one per seller"),
 ] + [
     ("weights", weights, "proximal weights must be positive, one per seller")
@@ -127,6 +114,18 @@ def test_proximal_input_validation(name, value, message):
             prev_s=inputs["prev_s"], weights=inputs["weights"],
         )
     assert str(err.value) == message
+
+
+def test_proximal_clips_finite_previous_allocations_to_the_availability():
+    inputs = {**_PROX_INPUTS, "prev_s": (-1.0, 5.0)}
+    clipped = {**_PROX_INPUTS, "prev_s": (0.0, 1.0)}
+    results = [
+        clear_market_proximal(
+            i["bids"], i["asks"], i["avails"], P, prev_s=i["prev_s"], weights=i["weights"]
+        )
+        for i in (inputs, clipped)
+    ]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("ask", [0.0, math.nan])
@@ -245,33 +244,6 @@ def test_clearing_feasibility_and_optimality(bids, sellers):
         collected = math.fsum(bids[i] for i in range(len(bids)) if result.d[i] > 0)
         reimbursed = math.fsum(c * s for c, s in zip(asks, result.s))
         assert collected - reimbursed >= -1e-9
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    bids=bid_lists,
-    mu1=st.floats(min_value=0.01, max_value=2.0),
-    mu2=st.floats(min_value=0.01, max_value=2.0),
-)
-def test_aggregate_demand_nonincreasing(bids, mu1, mu2):
-    lo, hi = sorted((mu1, mu2))
-    assert aggregate_demand(bids, P, lo) >= aggregate_demand(bids, P, hi) - 1e-12
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    sellers=seller_lists(),
-    mu1=st.floats(min_value=0.01, max_value=2.0),
-    mu2=st.floats(min_value=0.01, max_value=2.0),
-)
-def test_aggregate_supply_nondecreasing(sellers, mu1, mu2):
-    asks = tuple(ask for ask, _ in sellers)
-    avails = tuple(avail for _, avail in sellers)
-    lo, hi = sorted((mu1, mu2))
-    low_lo, high_lo = aggregate_supply(asks, avails, lo)
-    low_hi, high_hi = aggregate_supply(asks, avails, hi)
-    assert low_lo <= low_hi + 1e-12
-    assert high_lo <= high_hi + 1e-12
 
 
 @settings(deadline=None, max_examples=100)

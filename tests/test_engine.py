@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
 import math
 import random
 
 import pytest
 
+from microgrid_auction import engine
 from microgrid_auction.clearing import clear_market
 from microgrid_auction.engine import (
     AuctionConfig,
-    buyer_prices,
+    auction_step,
     run_auction,
 )
 from microgrid_auction.experiments import mix_seed
@@ -241,15 +243,75 @@ def test_tie_policies_reach_equivalent_fixed_points():
         assert b1 == pytest.approx(b2, rel=1e-4, abs=1e-9)
 
 
-def test_buyer_prices_threshold():
-    buyers = [BuyerState(0.2, 1.0), BuyerState(1.0, 1.0)]
-    sellers = [SellerState(0.2, 1.0, 4.0)]
-    outcome = run_auction(buyers, sellers, P, CFG)
-    prices = buyer_prices(outcome)
-    assert prices[0] is None
-    assert prices[1] == pytest.approx(outcome.bids[1] / outcome.clearing.d[1])
-    huge = buyer_prices(outcome, threshold=1e6)
-    assert huge == (None, None)
+def test_extrapolation_lands_a_geometric_sequence_on_its_limit():
+    for limit, scale, ratio in ((0.3, 0.2, 0.9), (0.3, -0.2, 0.5), (0.3, 0.1, 0.998)):
+        b0, b1, b2 = (limit + scale * ratio**n for n in range(3))
+        assert engine._extrapolate(b0, b1, b2) == pytest.approx(limit, rel=1e-9)
+
+
+def test_extrapolation_at_most_halves_a_bid():
+    # limits 0.0385 and below zero: the jump stops at half the damped bid
+    assert engine._extrapolate(1.0, 0.5, 0.26) == 0.13
+    assert engine._extrapolate(1.0, 0.6, 0.3) == 0.15
+
+
+@pytest.mark.parametrize(
+    "bids",
+    [
+        (1.0, 0.5, 0.7),  # r < 0: oscillating
+        (1.0, 0.5, 0.5),  # r = 0
+        (0.5, 0.5, 0.4),  # b1 = b0: no ratio
+        (1.0, 0.9, 0.8),  # r = 1: no finite limit
+        (1.0, 0.5, 0.0005),  # r = 0.999
+        (1.0, 0.9, 0.7),  # r = 2: diverging
+    ],
+)
+def test_extrapolation_skips_ratios_outside_its_window(bids):
+    assert engine._extrapolate(*bids) == bids[2]
+
+
+def _extrapolation_market():
+    # buyer 0 is priced out and parked from the start
+    buyers = [BuyerState(0.2, 1.0), BuyerState(1.0, 1.0), BuyerState(0.9, 1.5)]
+    sellers = [SellerState(0.2, 1.0, 4.0), SellerState(0.3, 1.4, 3.0)]
+    return buyers, sellers
+
+
+def test_buyers_extrapolate_on_every_fourth_step_only():
+    buyers, sellers = _extrapolation_market()
+    state = engine._initial_state(buyers, sellers, P, CFG)
+    assert state.prev_bids == () and state.parked[0]
+    jumps = 0
+    while state.iteration < 12:
+        nxt = auction_step(state, CFG)
+        plain = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+        assert nxt.asks == plain.asks
+        assert nxt.prev_bids == state.bids
+        if state.iteration % 4 != 3:
+            assert nxt.bids == plain.bids
+        else:
+            expected = tuple(
+                0.0 if parked else engine._extrapolate(b0, b1, b2)
+                for parked, b0, b1, b2 in zip(state.parked, state.prev_bids, state.bids, plain.bids)
+            )
+            assert nxt.bids == expected
+            jumps += nxt.bids != plain.bids
+        state = nxt
+    assert jumps == 3
+
+
+def test_parked_buyers_never_extrapolate():
+    buyers, sellers = _extrapolation_market()
+    state = engine._initial_state(buyers, sellers, P, CFG)
+    for _ in range(3):
+        state = auction_step(state, CFG)
+    assert state.parked[0] and (state.iteration + 1) % 4 == 0
+    # quotes that would re-quote and extrapolate if the buyer were active
+    state = dataclasses.replace(
+        state, bids=(0.2,) + state.bids[1:], prev_bids=(0.3,) + state.prev_bids[1:]
+    )
+    nxt = auction_step(state, CFG)
+    assert nxt.bids[0] == 0.0 and nxt.parked[0]
 
 
 def test_unconverged_run_is_flagged():
@@ -307,35 +369,36 @@ def _corpus_market(k):
     "market, iterations, converged, digest",
     [
         pytest.param(
-            lambda: _corpus_market(0), 29, True,
-            "3530a12240a05f0f6e93788df9782a526cb02a894a18c6969eaff56e695d48a1",
+            lambda: _corpus_market(0), 23, True,
+            "5e55e80b6623fe3d088b27fbb4657b107d0cc286f054ec67adb0782c01b02503",
             id="corpus k=0",
         ),
         pytest.param(
-            lambda: _corpus_market(1), 43, True,
-            "9484cc0bb34f8b4ec232e013adf11b0ece015b1153d0f79b159c538248aa3bb1",
+            lambda: _corpus_market(1), 39, True,
+            "8121dc957b530573d278582d6d1f20823744c0bf3d1b88b5a6b6c1aad559b591",
             id="corpus k=1",
         ),
         pytest.param(
-            lambda: _corpus_market(2), 40, True,
-            "bcd753c65464f055a4185ccea9dbf4b880b8e7b05baf9e3d62816585899a542a",
+            lambda: _corpus_market(2), 36, True,
+            "2163863e1df78ec3f30f39c298c1c9b7e721695c9a3c554b99ae498ea8de9119",
             id="corpus k=2",
         ),
         pytest.param(
-            lambda: _corpus_market(36), 2500, False,
-            "1021cb0f5f18f7d6f98281d6f1f9b4e76cc2ae86119db8f5ea6ae30687526a31",
-            id="corpus k=36 hits max_iters",
+            lambda: _corpus_market(209), 2500, False,
+            "b5f0e9ad42a501169176dd1157e371f0730a74fd09d79c323428dab9070bdef7",
+            id="corpus k=209 hits max_iters",
         ),
         pytest.param(
-            lambda: _corpus_draw(random.Random(mix_seed(0x1A5E, 0, 0)), 300, 150), 51, True,
-            "957ceaf63c049e7d0dae990bd69f565d0b3911fdcc7c70bd9fd04de277675356",
+            lambda: _corpus_draw(random.Random(mix_seed(0x1A5E, 0, 0)), 300, 150), 23, True,
+            "a2638819b5b46f394a5ac4214911780e3c52360833bdbf8ad78374dcdf3c73db",
             id="large (300, 150) seed=0 m=0",
         ),
     ],
 )
 def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     """A change that only speeds the engine up must leave every bit of these
-    outcomes as it is; the digests were recorded before any such change."""
+    outcomes as it is. The digests were recorded when buyers began to
+    extrapolate their bids (which changed every outcome on purpose)."""
     buyers, sellers = market()
     outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
     clearing = outcome.clearing
@@ -345,3 +408,29 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
         outcome.bids, outcome.asks,
     )
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+# mu and the zero-bid buyers of the engine before buyers extrapolated, run
+# to tol_rel=1e-12, inner_kkt_tol=1e-9 and max_iters=20000 on corpus markets
+# that used to hit max_iters=2500. k=851 pins the halving bound: letting a
+# jump reach zero whenever the buyer's choke price x*y is at most its unit
+# price b/d parks buyer 18 there for good and moves mu by 4.5e-4.
+_REFERENCE = {
+    36: (0.7512946176696678, {6, 7}),
+    56: (1.330499513360878, {1, 2, 4, 6, 7, 9, 11, 15, 16, 18, 20, 22}),
+    77: (0.9596252948664511, {0, 5, 13, 16}),
+    90: (1.013089701633317, {0, 2, 7, 9}),
+    144: (0.9575819091633678, {0, 1, 13}),
+    249: (0.7554415037182095, {8, 10}),
+    851: (0.9036212466713663, {1, 5, 8, 9, 12, 15, 17, 20}),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_REFERENCE), ids=lambda k: f"corpus k={k}")
+def test_formerly_stuck_markets_converge_to_the_reference(k):
+    mu, zero_bids = _REFERENCE[k]
+    buyers, sellers = _corpus_market(k)
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    assert outcome.converged
+    assert {i for i, b in enumerate(outcome.bids) if b == 0.0} == zero_bids
+    assert math.isclose(outcome.clearing.mu, mu, rel_tol=2e-6)
