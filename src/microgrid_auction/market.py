@@ -11,6 +11,7 @@ auction step.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,21 +124,35 @@ def declare_availability(seller: SellerState, params: MarketParams) -> float:
 
 
 def compute_payoffs(
-    buyers: list[BuyerState] | tuple[BuyerState, ...],
-    sellers: list[SellerState] | tuple[SellerState, ...],
+    buyers: Sequence[BuyerState],
+    sellers: Sequence[SellerState],
     params: MarketParams,
+    *,
+    bids: Sequence[float] | None = None,
+    d: Sequence[float] | None = None,
+    asks: Sequence[float] | None = None,
+    s: Sequence[float] | None = None,
 ) -> Payoffs:
     """Settle one clearing at the communicated scalars.
 
     Buyers pay their full bid: pi_i = u(d_i) - b_i. Sellers are reimbursed at
     their own ask: pi_j = v(g_j - s_j) + c_j * s_j. The controller keeps the
     difference, mc_revenue = sum(b) - sum(c * s), which is nonnegative at any
-    clearing solution.
+    clearing solution. bids, d, asks and s default to the agents' own b, d, c
+    and s fields; the engine passes its final quotes and clearing instead of
+    rebuilding every agent.
     """
     del params  # payoffs depend only on communicated scalars and allocations
-    buyer_pi = tuple(b.utility.value(b.d) - b.b for b in buyers)
-    seller_pi = tuple(
-        s.utility.value(max(s.g - s.s, 0.0)) + s.c * s.s for s in sellers
+    bids = [buyer.b for buyer in buyers] if bids is None else bids
+    d = [buyer.d for buyer in buyers] if d is None else d
+    asks = [seller.c for seller in sellers] if asks is None else asks
+    s = [seller.s for seller in sellers] if s is None else s
+    buyer_pi = tuple(
+        buyer.utility.value(q) - b for buyer, b, q in zip(buyers, bids, d)
     )
-    revenue = math.fsum(b.b for b in buyers) - math.fsum(s.c * s.s for s in sellers)
+    seller_pi = tuple(
+        seller.utility.value(max(seller.g - q, 0.0)) + c * q
+        for seller, c, q in zip(sellers, asks, s)
+    )
+    revenue = math.fsum(bids) - math.fsum(c * q for c, q in zip(asks, s))
     return Payoffs(buyer_pi, seller_pi, revenue)

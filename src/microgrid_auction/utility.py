@@ -9,7 +9,12 @@ x/m - 1/y clipped to bounds, so its price has a closed form between kinks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+# 0 <= q <= _FMAX holds exactly for the finite q >= 0 (-0.0 included): NaN
+# fails every comparison and +inf exceeds the largest finite float.
+_FMAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -31,16 +36,16 @@ class LogUtility:
             raise ValueError(f"utility shape y must be positive and finite, got {self.y}")
 
     def value(self, q: float) -> float:
-        if q < 0 or not math.isfinite(q):
+        if not 0.0 <= q <= _FMAX:
             raise ValueError(f"quantity must be finite and >= 0, got {q}")
         return self.x * math.log1p(self.y * q)
 
     def marginal(self, q: float) -> float:
-        if q < 0 or not math.isfinite(q):
+        if not 0.0 <= q <= _FMAX:
             raise ValueError(f"quantity must be finite and >= 0, got {q}")
         return self.x * self.y / (self.y * q + 1.0)
 
     def inverse_marginal(self, m: float) -> float:
-        if m <= 0 or not math.isfinite(m):
+        if not 0.0 < m <= _FMAX:
             raise ValueError(f"marginal value must be positive and finite, got {m}")
         return max(self.x / m - 1.0 / self.y, 0.0)

@@ -3,7 +3,8 @@
 Deliberately different algorithms from the ones under test: the clearing
 objective is maximized with scipy's SLSQP from several starts, the
 regularized clearing price and the welfare price are found by linear scans
-over every kink of the response curves, the welfare objective with a
+over every kink of the response curves, the sold-out auction's fixed point
+by a scan over the buyers' choke prices, the welfare objective with a
 zooming grid search, and the clearing optimality residual as the max of a
 list of every violation. Slow but trustworthy.
 """
@@ -243,6 +244,34 @@ def welfare_price_reference(
     if math.fsum(demand(mu)) <= 0 or math.fsum(supply(mu)) <= 0:
         return None
     return mu
+
+
+def saturated_market_reference(
+    buyers: list[BuyerState] | tuple[BuyerState, ...],
+    total_avail: float,
+) -> tuple[float, set[int]]:
+    """Fixed point of the auction when every seller is sold out, by a scan.
+
+    With total availability A sold, each buyer gets d = b/mu, and its bid is
+    stationary at b = u'(d)*d exactly when b = x - mu/y, which is positive
+    only for a choke price x*y above mu; every other buyer bids 0. mu solves
+    sum(max(x - mu/y, 0)) = mu*A. The buyers are visited by decreasing
+    choke price: with the first k bidding, mu = sum(x)/(A + sum(1/y)), and
+    the first k for which the next choke price lies at or below that mu is
+    the answer. Returns (mu, the indices of the zero bids).
+    """
+    if not buyers or total_avail <= 0:
+        raise ValueError("need buyers and a positive total availability")
+    order = sorted(range(len(buyers)), key=lambda i: buyers[i].x * buyers[i].y, reverse=True)
+    for k in range(1, len(order) + 1):
+        active = order[:k]
+        mu = math.fsum(buyers[i].x for i in active) / (
+            total_avail + math.fsum(1.0 / buyers[i].y for i in active)
+        )
+        following = buyers[order[k]].x * buyers[order[k]].y if k < len(order) else 0.0
+        if following <= mu:
+            return mu, set(order[k:])
+    raise AssertionError("unreachable: the last k always qualifies")
 
 
 def best_welfare_by_grid(

@@ -15,6 +15,8 @@ from microgrid_auction.engine import (
 from microgrid_auction.experiments import mix_seed
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
 
+from oracles import saturated_market_reference
+
 P = MarketParams()
 CFG = AuctionConfig(max_iters=2000)
 
@@ -270,6 +272,31 @@ def test_extrapolation_skips_ratios_outside_its_window(bids):
     assert engine._extrapolate(*bids) == bids[2]
 
 
+def _settled_bids(ratio):
+    """Three bids of a geometric sequence toward 0.3 and allocations that
+    clear the first two at one unit price, 0.8."""
+    b0, b1, b2 = (0.3 + 0.2 * ratio**n for n in range(3))
+    return b0, b1, b2, b0 / 0.8, b1 / 0.8
+
+
+def test_settled_unit_price_widens_the_ratio_window():
+    b0, b1, b2, d0, d1 = _settled_bids(0.9995)
+    assert engine._extrapolate(b0, b1, b2, d0, d1) == pytest.approx(0.3, rel=1e-6)
+    # the same ratio without a settled unit price (here 1e-7 apart) stays
+    # outside the window
+    assert engine._extrapolate(b0, b1, b2) == b2
+    assert engine._extrapolate(b0, b1, b2, d0 * (1 + 1e-7), d1) == b2
+    # no allocation on either side: no unit price to compare
+    assert engine._extrapolate(b0, b1, b2, 0.0, d1) == b2
+    assert engine._extrapolate(b0, b1, b2, d0, 0.0) == b2
+
+
+@pytest.mark.parametrize("ratio", [0.999991, 1.0, 1.5, -0.5])
+def test_settled_window_stops_below_0_99999(ratio):
+    b0, b1, b2, d0, d1 = _settled_bids(ratio)
+    assert engine._extrapolate(b0, b1, b2, d0, d1) == b2
+
+
 def _extrapolation_market():
     # buyer 0 is priced out and parked from the start
     buyers = [BuyerState(0.2, 1.0), BuyerState(1.0, 1.0), BuyerState(0.9, 1.5)]
@@ -312,6 +339,39 @@ def test_parked_buyers_never_extrapolate():
     )
     nxt = auction_step(state, CFG)
     assert nxt.bids[0] == 0.0 and nxt.parked[0]
+
+
+def _wide_jump_state():
+    """A corpus k=209 state one step before a buyer jumps only because its
+    unit price has settled, and that buyer's index."""
+    buyers, sellers = _corpus_market(209)
+    state = engine._initial_state(buyers, sellers, P, CFG)
+    while state.iteration < 100:
+        nxt = auction_step(state, CFG)
+        if (state.iteration + 1) % 4 == 0:
+            plain = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+            for i, (b0, b1, b2) in enumerate(zip(state.prev_bids, state.bids, plain.bids)):
+                if nxt.bids[i] != plain.bids[i] and engine._extrapolate(b0, b1, b2) == b2:
+                    return state, i
+        state = nxt
+    raise AssertionError("no buyer jumped on a settled unit price in 100 steps")
+
+
+def test_step_compares_unit_prices_of_the_last_two_clearings():
+    state, i = _wide_jump_state()
+    nxt = auction_step(state, CFG)
+    plain = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+    d0, d1 = state.clearing.d[i], nxt.clearing.d[i]
+    assert d0 > 0.0 and d1 > 0.0
+    expected = engine._extrapolate(state.prev_bids[i], state.bids[i], plain.bids[i], d0, d1)
+    assert nxt.bids[i] == expected != plain.bids[i]
+
+
+def test_parked_buyers_never_extrapolate_on_a_settled_price():
+    state, i = _wide_jump_state()
+    parked = state.parked[:i] + (True,) + state.parked[i + 1:]
+    nxt = auction_step(dataclasses.replace(state, parked=parked), CFG)
+    assert nxt.bids[i] == 0.0 and nxt.parked[i]
 
 
 def test_unconverged_run_is_flagged():
@@ -384,9 +444,14 @@ def _corpus_market(k):
             id="corpus k=2",
         ),
         pytest.param(
-            lambda: _corpus_market(209), 2500, False,
-            "b5f0e9ad42a501169176dd1157e371f0730a74fd09d79c323428dab9070bdef7",
-            id="corpus k=209 hits max_iters",
+            lambda: _corpus_market(209), 177, True,
+            "e03946f7898c1b3ef2c2ba8af2166e53e6974d3f0f34e66ea5c94c6cecc5bdbc",
+            id="corpus k=209",
+        ),
+        pytest.param(
+            lambda: _corpus_market(209), 100, False,
+            "02ad2b855101afbbd00007e6385485148f66a81ba1a4bd3ec0f22675404a1168",
+            id="corpus k=209 hits max_iters=100",
         ),
         pytest.param(
             lambda: _corpus_draw(random.Random(mix_seed(0x1A5E, 0, 0)), 300, 150), 23, True,
@@ -398,9 +463,15 @@ def _corpus_market(k):
 def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     """A change that only speeds the engine up must leave every bit of these
     outcomes as it is. The digests were recorded when buyers began to
-    extrapolate their bids (which changed every outcome on purpose)."""
+    extrapolate their bids (which changed every outcome on purpose); k=209's
+    when a settled unit price began to widen the ratio window, which took it
+    from 2500 capped rounds to 177. An unconverged case runs with max_iters
+    set to its pinned iteration count."""
     buyers, sellers = market()
-    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    max_iters = 2500 if converged else iterations
+    outcome = run_auction(
+        buyers, sellers, P, AuctionConfig(max_iters=max_iters, record_trace=False)
+    )
     clearing = outcome.clearing
     assert (outcome.iterations, outcome.converged) == (iterations, converged)
     key = (
@@ -434,3 +505,31 @@ def test_formerly_stuck_markets_converge_to_the_reference(k):
     assert outcome.converged
     assert {i for i, b in enumerate(outcome.bids) if b == 0.0} == zero_bids
     assert math.isclose(outcome.clearing.mu, mu, rel_tol=2e-6)
+
+
+def test_saturated_reference_on_hand_solved_markets():
+    # one buyer: x - mu/y = mu*A gives mu = x/(A + 1/y)
+    assert saturated_market_reference([BuyerState(1.0, 1.0)], 1.0) == (0.5, set())
+    # a choke price x*y = 0.3 below that mu leaves the second buyer out
+    mu, zero_bids = saturated_market_reference([BuyerState(1.0, 1.0), BuyerState(0.3, 1.0)], 1.0)
+    assert (mu, zero_bids) == (0.5, {1})
+    # both bid: mu = (1 + 0.9)/(1.5 + 1 + 0.5), below both choke prices 1 and 1.8
+    mu, zero_bids = saturated_market_reference([BuyerState(1.0, 1.0), BuyerState(0.9, 2.0)], 1.5)
+    assert mu == pytest.approx(1.9 / 3.0, rel=1e-15) and zero_bids == set()
+
+
+# Corpus markets with 1 to 4 sellers that used to hit max_iters=2500 while
+# one buyer's bid crept toward its limit at a rate of 0.9993 to 0.99996.
+_SOLD_OUT = (209, 227, 297, 312, 319, 576, 739)
+
+
+@pytest.mark.parametrize("k", _SOLD_OUT, ids=lambda k: f"corpus k={k}")
+def test_sold_out_markets_converge_to_the_saturated_fixed_point(k):
+    buyers, sellers = _corpus_market(k)
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    assert outcome.converged
+    for s, a in zip(outcome.clearing.s, outcome.avails):
+        assert math.isclose(s, a, rel_tol=1e-12)
+    mu, zero_bids = saturated_market_reference(buyers, math.fsum(outcome.avails))
+    assert {i for i, b in enumerate(outcome.bids) if b == 0.0} == zero_bids
+    assert math.isclose(outcome.clearing.mu, mu, rel_tol=1e-6)

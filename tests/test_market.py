@@ -58,3 +58,15 @@ def test_bid_update_monotone_in_allocation(x, y, d1, d2):
     lo, hi = sorted((d1, d2))
     assert u.marginal(lo) * lo <= u.marginal(hi) * hi + 1e-15
     assert u.marginal(hi) * hi <= x  # bids are bounded by the scale parameter
+
+
+def test_compute_payoffs_settles_given_quotes_like_rebuilt_agents():
+    buyers = [BuyerState(x=1.2, y=1.5), BuyerState(x=0.7, y=1.3)]
+    sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
+    bids, d, asks, s = (0.41, 0.0), (0.9, 0.0), (0.17, 0.23), (0.9, 0.0)
+    rebuilt = compute_payoffs(
+        [BuyerState(x=u.x, y=u.y, b=b, d=q) for u, b, q in zip(buyers, bids, d)],
+        [SellerState(x=v.x, y=v.y, g=v.g, a=v.g, c=c, s=q) for v, c, q in zip(sellers, asks, s)],
+        P,
+    )
+    assert compute_payoffs(buyers, sellers, P, bids=bids, d=d, asks=asks, s=s) == rebuilt

@@ -52,3 +52,24 @@ def test_value_nonnegative_and_increasing(x, y, q):
     u = LogUtility(x=x, y=y)
     assert u.value(q) >= 0.0
     assert u.value(q + 1.0) > u.value(q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -1.0])
+def test_quantities_must_be_finite_and_nonnegative(bad):
+    u = LogUtility(x=1.0, y=2.0)
+    with pytest.raises(ValueError, match="quantity must be finite and >= 0"):
+        u.value(bad)
+    with pytest.raises(ValueError, match="quantity must be finite and >= 0"):
+        u.marginal(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+def test_marginal_values_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="marginal value must be positive and finite"):
+        LogUtility(x=1.0, y=2.0).inverse_marginal(bad)
+
+
+def test_negative_zero_is_a_valid_quantity():
+    u = LogUtility(x=1.0, y=2.0)
+    assert u.value(-0.0) == 0.0
+    assert u.marginal(-0.0) == 2.0
