@@ -23,17 +23,7 @@ from typing import Any
 
 from .clearing import ClearingResult, clear_market
 from .engine import AuctionConfig, AuctionOutcome, run_auction
-from .experiments import (
-    CaseStudyConfig,
-    EfficiencyConfig,
-    ExperimentReport,
-    PayoffSweepConfig,
-    WelfareFairnessConfig,
-    exp_case_study,
-    exp_efficiency,
-    exp_payoff_sweep,
-    exp_welfare_fairness,
-)
+from .experiments import STUDIES
 from .fairness import RedistributionResult, redistribute
 from .market import MarketParams, Payoffs
 from .scenario import (
@@ -75,15 +65,14 @@ def _parse_floats(text: str, name: str) -> tuple[float, ...]:
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--damping", type=float, default=0.5, help="quote update step in (0, 1]")
-    sub.add_argument("--tol", type=float, default=1e-6, help="relative stationarity tolerance")
-    sub.add_argument("--max-iters", type=int, default=2000, help="iteration cap")
+    defaults = AuctionConfig()
     sub.add_argument(
-        "--tie-policy",
-        choices=("proportional", "proximal"),
-        default="proximal",
-        help="inner clearing solver",
+        "--damping", type=float, default=defaults.damping, help="quote update step in (0, 1]"
     )
+    sub.add_argument(
+        "--tol", type=float, default=defaults.tol_rel, help="relative stationarity tolerance"
+    )
+    sub.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iteration cap")
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -119,12 +108,6 @@ def _build_parser() -> _Parser:
     clear.add_argument("--asks", required=True, help="comma-separated seller asks")
     clear.add_argument("--avails", required=True, help="comma-separated seller availabilities")
     clear.add_argument("--price-floor", type=float, default=0.25)
-    clear.add_argument(
-        "--tie-policy",
-        choices=("proportional",),
-        default="proportional",
-        help="how sellers tied at the price share: in proportion to availability",
-    )
     clear.add_argument("--strict", action="store_true", help="exit 3 when no trade clears")
     _add_output_flags(clear)
     clear.set_defaults(handler=_cmd_clear)
@@ -154,7 +137,7 @@ def _build_parser() -> _Parser:
     experiment = commands.add_parser("experiment", help="run a canned study")
     experiment.add_argument(
         "name",
-        choices=("sweep", "fairness", "efficiency", "case"),
+        choices=tuple(STUDIES),
         help="sweep: payoff trends over market size; fairness: welfare and "
         "fairness; efficiency: welfare-gap decay; case: two-market case study",
     )
@@ -307,7 +290,6 @@ def _cmd_auction(args: argparse.Namespace) -> int:
         damping=args.damping,
         tol_rel=args.tol,
         max_iters=args.max_iters,
-        tie_policy=args.tie_policy,
         record_trace=args.trace_out is not None,
     )
     outcome = run_auction(scenario.buyers, scenario.sellers, scenario.params, config)
@@ -386,22 +368,9 @@ def _cmd_redistribute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_study(name: str, seed: int | None) -> ExperimentReport:
-    if name == "sweep":
-        cfg = PayoffSweepConfig() if seed is None else PayoffSweepConfig(seed=seed)
-        return exp_payoff_sweep(cfg)
-    if name == "fairness":
-        cfg = WelfareFairnessConfig() if seed is None else WelfareFairnessConfig(seed=seed)
-        return exp_welfare_fairness(cfg)
-    if name == "efficiency":
-        cfg = EfficiencyConfig() if seed is None else EfficiencyConfig(seed=seed)
-        return exp_efficiency(cfg)
-    cfg = CaseStudyConfig() if seed is None else CaseStudyConfig(seed=seed)
-    return exp_case_study(cfg)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    report = _run_study(args.name, args.seed)
+    config_class, runner = STUDIES[args.name]
+    report = runner(config_class() if args.seed is None else config_class(seed=args.seed))
     _write(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     return EXIT_OK
 

@@ -35,14 +35,12 @@ never extrapolate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 from .clearing import (
+    _FMAX,
     BID_FLOOR,
     ClearingResult,
-    clear_market,
     clear_market_proximal,
     clearing_objective,
 )
@@ -56,8 +54,12 @@ from .market import (
 )
 from .welfare import social_welfare
 
+# Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX].
+_PROX_WEIGHT = 0.5
 _PROX_WEIGHT_MIN = 1e-4
 _PROX_WEIGHT_MAX = 1e4
+# Allocations at or below this count as not served in unit_prices.
+_REPORT_THRESHOLD = 1e-6
 
 # Buyer bid extrapolation; see the module docstring and _extrapolate.
 _EXTRAPOLATION_PERIOD = 4
@@ -76,39 +78,26 @@ class AuctionConfig:
     damping blends old and target quotes (1 = undamped). Convergence needs
     three things within tol_rel: stationary bids and asks, stationary seller
     allocations, and a clearing whose optimality residual is below
-    inner_kkt_tol. tie_policy picks the inner solver: "proximal" is the
-    regularized clearing described in the module docstring, "proportional"
-    is exact clearing with availability-proportional tie splits. Bids
-    decaying below bid_floor park the buyer (frozen at zero, never re-enters);
-    allocations below report_threshold count as not served in price reports.
+    inner_kkt_tol. A run that has not converged after max_iters clearings
+    stops there, flagged unconverged. record_trace keeps one IterationRecord
+    per clearing.
     """
 
     damping: float = 0.5
     tol_rel: float = 1e-6
-    max_iters: int = 500
-    tie_policy: Literal["proximal", "proportional"] = "proximal"
+    max_iters: int = 2000
     inner_kkt_tol: float = 1e-6
-    prox_weight: float = 0.5
-    adaptive_prox: bool = True
     record_trace: bool = True
-    bid_floor: float = BID_FLOOR
-    report_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0 < self.damping <= 1:
             raise ValueError(f"damping must be in (0, 1], got {self.damping}")
-        if self.tol_rel <= 0:
-            raise ValueError(f"tol_rel must be positive, got {self.tol_rel}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tie_policy not in ("proximal", "proportional"):
-            raise ValueError(f"unknown tie policy {self.tie_policy!r}")
-        if self.inner_kkt_tol <= 0:
-            raise ValueError(f"inner_kkt_tol must be positive, got {self.inner_kkt_tol}")
-        if self.prox_weight <= 0:
-            raise ValueError(f"prox_weight must be positive, got {self.prox_weight}")
-        if self.bid_floor < 0 or self.report_threshold < 0:
-            raise ValueError("bid_floor and report_threshold must be >= 0")
+        for name in ("tol_rel", "inner_kkt_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value <= _FMAX:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +186,6 @@ def _initial_state(
     buyers: list[BuyerState] | tuple[BuyerState, ...],
     sellers: list[SellerState] | tuple[SellerState, ...],
     params: MarketParams,
-    config: AuctionConfig,
 ) -> AuctionState:
     bids, asks, avails = init_auction(buyers, sellers, params)
     n_s = len(sellers)
@@ -215,8 +203,8 @@ def _initial_state(
         avails=avails,
         parked=parked,
         prev_s=(0.0,) * n_s,
-        prox_weights=(config.prox_weight,) * n_s,
-        curv_ema=(config.prox_weight / 2.0,) * n_s,
+        prox_weights=(_PROX_WEIGHT,) * n_s,
+        curv_ema=(_PROX_WEIGHT / 2.0,) * n_s,
         last_targets=asks,
     )
 
@@ -253,13 +241,10 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     allocations they cleared to before the floor test, once prev_bids is
     known.
     """
-    if config.tie_policy == "proximal":
-        result = clear_market_proximal(
-            state.bids, state.asks, state.avails, state.params,
-            prev_s=state.prev_s, weights=state.prox_weights,
-        )
-    else:
-        result = clear_market(state.bids, state.asks, state.avails, state.params)
+    result = clear_market_proximal(
+        state.bids, state.asks, state.avails, state.params,
+        prev_s=state.prev_s, weights=state.prox_weights,
+    )
 
     alpha = config.damping
     keep = 1 - alpha
@@ -282,13 +267,12 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
             target = buyer.utility.marginal(d) * d
             damped = keep * b + alpha * target
             b = _extrapolate(b0, b, damped, d0, d) if extrapolate else damped
-            if b < config.bid_floor:
+            if b < BID_FLOOR:
                 b = 0.0
                 is_parked = True
         new_bids.append(b)
         parked.append(is_parked)
 
-    adaptive = config.adaptive_prox
     new_asks = []
     targets = []
     weights = []
@@ -300,7 +284,7 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         target = seller.utility.marginal(max(seller.g - s, 0.0))
         targets.append(target)
         new_asks.append(min(keep * c + alpha * target, p))
-        if adaptive and a > 0:
+        if a > 0:
             ds = s - prev
             if abs(ds) > 1e-12 * max(1.0, a):
                 slope = abs(target - last) / abs(ds)
@@ -357,15 +341,14 @@ def _settle(
     iterations: int,
     converged: bool,
     trace: list[IterationRecord],
-    config: AuctionConfig,
 ) -> AuctionOutcome:
     payoffs = compute_payoffs(
-        state_before.buyers, state_before.sellers, state_before.params,
-        bids=state_before.bids, d=result.d, asks=state_before.asks, s=result.s,
+        state_before.buyers, state_before.sellers,
+        state_before.bids, result.d, state_before.asks, result.s,
     )
     prices: list[float | None] = []
     for i, d in enumerate(result.d):
-        if d > config.report_threshold:
+        if d > _REPORT_THRESHOLD:
             prices.append(state_before.bids[i] / d)
         else:
             prices.append(None)
@@ -395,7 +378,7 @@ def run_auction(
     cleared. A run that hits max_iters still returns an outcome, flagged
     converged=False. The trace (when recorded) has one entry per clearing.
     """
-    state = _initial_state(buyers, sellers, params, config)
+    state = _initial_state(buyers, sellers, params)
     trace: list[IterationRecord] = []
     while True:
         nxt = auction_step(state, config)
@@ -415,8 +398,8 @@ def run_auction(
                 )
             )
         if _stationary(state, nxt, config):
-            return _settle(state, result, nxt.iteration, True, trace, config)
+            return _settle(state, result, nxt.iteration, True, trace)
         if nxt.iteration >= config.max_iters:
-            return _settle(state, result, nxt.iteration, False, trace, config)
+            return _settle(state, result, nxt.iteration, False, trace)
         state = nxt
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .engine import AuctionConfig, AuctionOutcome, run_auction
 from .fairness import redistribute
@@ -486,3 +486,12 @@ def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:
             }
         )
     return ExperimentReport("efficiency", asdict(cfg), tuple(records), {"final": finals})
+
+
+#: Study name -> (config class, runner); the experiment command's choices.
+STUDIES: dict[str, tuple[type, Callable[..., ExperimentReport]]] = {
+    "sweep": (PayoffSweepConfig, exp_payoff_sweep),
+    "fairness": (WelfareFairnessConfig, exp_welfare_fairness),
+    "efficiency": (EfficiencyConfig, exp_efficiency),
+    "case": (CaseStudyConfig, exp_case_study),
+}

@@ -62,6 +62,14 @@ def corpus():
     return runs
 
 
+def test_library_default_cap_covers_the_corpus(corpus):
+    # The fixture runs with max_iters=2500; every market must also finish
+    # within the default AuctionConfig's cap (the README's example config).
+    cap = AuctionConfig().max_iters
+    slowest = max(outcome.iterations for outcome, _, _ in corpus)
+    assert slowest <= cap, f"slowest corpus market takes {slowest} rounds, cap {cap}"
+
+
 def test_c01_water_fill_golden():
     avails = (2.177, 2.022, 2.196, 1.889, 0.254)
     start = time.perf_counter()

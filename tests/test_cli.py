@@ -103,6 +103,15 @@ def test_auction_exit_codes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_auction_rejects_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    code = main(["auction", "--seed", "1", "--buyers", "4", "--sellers", "3", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "tol_rel must be positive and finite" in captured.err
+
+
 def test_auction_trace_csv(capsys, tmp_path):
     trace_path = tmp_path / "trace.csv"
     code, out = run_cli(

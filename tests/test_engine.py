@@ -232,19 +232,6 @@ def test_trace_recording_toggle():
     assert silent.bids == with_trace.bids
 
 
-def test_tie_policies_reach_equivalent_fixed_points():
-    rng = random.Random(99)
-    buyers, sellers = _mixed_market(rng, 4, 3)
-    prox = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2000))
-    prop = run_auction(
-        buyers, sellers, P, AuctionConfig(max_iters=2000, tie_policy="proportional")
-    )
-    assert prox.converged and prop.converged
-    assert prox.clearing.mu == pytest.approx(prop.clearing.mu, rel=1e-4)
-    for b1, b2 in zip(prox.bids, prop.bids):
-        assert b1 == pytest.approx(b2, rel=1e-4, abs=1e-9)
-
-
 def test_extrapolation_lands_a_geometric_sequence_on_its_limit():
     for limit, scale, ratio in ((0.3, 0.2, 0.9), (0.3, -0.2, 0.5), (0.3, 0.1, 0.998)):
         b0, b1, b2 = (limit + scale * ratio**n for n in range(3))
@@ -306,7 +293,7 @@ def _extrapolation_market():
 
 def test_buyers_extrapolate_on_every_fourth_step_only():
     buyers, sellers = _extrapolation_market()
-    state = engine._initial_state(buyers, sellers, P, CFG)
+    state = engine._initial_state(buyers, sellers, P)
     assert state.prev_bids == () and state.parked[0]
     jumps = 0
     while state.iteration < 12:
@@ -329,7 +316,7 @@ def test_buyers_extrapolate_on_every_fourth_step_only():
 
 def test_parked_buyers_never_extrapolate():
     buyers, sellers = _extrapolation_market()
-    state = engine._initial_state(buyers, sellers, P, CFG)
+    state = engine._initial_state(buyers, sellers, P)
     for _ in range(3):
         state = auction_step(state, CFG)
     assert state.parked[0] and (state.iteration + 1) % 4 == 0
@@ -345,7 +332,7 @@ def _wide_jump_state():
     """A corpus k=209 state one step before a buyer jumps only because its
     unit price has settled, and that buyer's index."""
     buyers, sellers = _corpus_market(209)
-    state = engine._initial_state(buyers, sellers, P, CFG)
+    state = engine._initial_state(buyers, sellers, P)
     while state.iteration < 100:
         nxt = auction_step(state, CFG)
         if (state.iteration + 1) % 4 == 0:
@@ -391,10 +378,21 @@ def test_config_validation():
         AuctionConfig(tol_rel=0.0)
     with pytest.raises(ValueError):
         AuctionConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        AuctionConfig(tie_policy="midpoint")
-    with pytest.raises(ValueError):
-        AuctionConfig(prox_weight=0.0)
+
+
+def test_config_rejects_a_nan_iteration_cap():
+    # iteration >= nan is always false, so a NaN cap would never stop a run
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        AuctionConfig(max_iters=math.nan)
+
+
+@pytest.mark.parametrize("field", ["tol_rel", "inner_kkt_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_config_rejects_tolerances_that_are_not_positive_and_finite(field, value):
+    # every "> tol" stopping test is false against NaN, so a NaN tolerance
+    # would report convergence after one clearing
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        AuctionConfig(**{field: value})
 
 
 def test_determinism_across_runs():

@@ -34,12 +34,40 @@ def test_declare_availability_examples():
 
 
 def test_compute_payoffs_settles_at_communicated_scalars():
-    buyers = [BuyerState(x=1, y=1, b=0.5, d=1.0)]
-    sellers = [SellerState(x=1, y=1, g=4, a=1.0, c=0.25, s=1.0)]
-    payoffs = compute_payoffs(buyers, sellers, P)
+    buyers = [BuyerState(x=1, y=1)]
+    sellers = [SellerState(x=1, y=1, g=4)]
+    payoffs = compute_payoffs(buyers, sellers, (0.5,), (1.0,), (0.25,), (1.0,))
     assert payoffs.buyer_payoffs[0] == pytest.approx(math.log(2) - 0.5)
     assert payoffs.seller_payoffs[0] == pytest.approx(math.log(4) + 0.25)
     assert payoffs.mc_revenue == pytest.approx(0.25)
+
+    # two agents a side, one of each with nothing allocated
+    buyers = [BuyerState(x=1.2, y=1.5), BuyerState(x=0.7, y=1.3)]
+    sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
+    payoffs = compute_payoffs(buyers, sellers, (0.41, 0.0), (0.9, 0.0), (0.17, 0.23), (0.9, 0.0))
+    assert payoffs.buyer_payoffs[0] == pytest.approx(1.2 * math.log(1 + 1.5 * 0.9) - 0.41)
+    assert payoffs.buyer_payoffs[1] == 0.0
+    assert payoffs.seller_payoffs[0] == pytest.approx(0.2 * math.log(1 + 1.4 * 2.1) + 0.17 * 0.9)
+    # a seller that sells nothing keeps exactly its walk-away value
+    assert payoffs.seller_payoffs[1] == sellers[1].utility.value(2.5)
+    assert payoffs.mc_revenue == pytest.approx(0.41 - 0.17 * 0.9)
+
+
+@pytest.mark.parametrize(
+    "bids, d, asks, s",
+    [
+        ((0.41,), (0.9, 0.0), (0.17, 0.23), (0.9, 0.0)),
+        ((0.41, 0.0), (0.9,), (0.17, 0.23), (0.9, 0.0)),
+        ((0.41, 0.0), (0.9, 0.0), (0.17, 0.23, 0.1), (0.9, 0.0, 0.0)),
+        ((0.41, 0.0), (0.9, 0.0), (0.17, 0.23), (0.9,)),
+    ],
+    ids=["short bids", "short d", "extra seller quote", "short s"],
+)
+def test_compute_payoffs_rejects_quotes_of_another_length(bids, d, asks, s):
+    buyers = [BuyerState(x=1.2, y=1.5), BuyerState(x=0.7, y=1.3)]
+    sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
+    with pytest.raises(ValueError):
+        compute_payoffs(buyers, sellers, bids, d, asks, s)
 
 
 @given(x=coef, y=coef, g=gen)
@@ -58,15 +86,3 @@ def test_bid_update_monotone_in_allocation(x, y, d1, d2):
     lo, hi = sorted((d1, d2))
     assert u.marginal(lo) * lo <= u.marginal(hi) * hi + 1e-15
     assert u.marginal(hi) * hi <= x  # bids are bounded by the scale parameter
-
-
-def test_compute_payoffs_settles_given_quotes_like_rebuilt_agents():
-    buyers = [BuyerState(x=1.2, y=1.5), BuyerState(x=0.7, y=1.3)]
-    sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
-    bids, d, asks, s = (0.41, 0.0), (0.9, 0.0), (0.17, 0.23), (0.9, 0.0)
-    rebuilt = compute_payoffs(
-        [BuyerState(x=u.x, y=u.y, b=b, d=q) for u, b, q in zip(buyers, bids, d)],
-        [SellerState(x=v.x, y=v.y, g=v.g, a=v.g, c=c, s=q) for v, c, q in zip(sellers, asks, s)],
-        P,
-    )
-    assert compute_payoffs(buyers, sellers, P, bids=bids, d=d, asks=asks, s=s) == rebuilt
