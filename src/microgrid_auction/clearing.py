@@ -15,7 +15,7 @@ Two solvers live here:
   a small proximal penalty pulling seller allocations toward their previous
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
-  in near-tied asks and damping alone cannot stabilize that. Its price search
+  in near-tied asks and re-quoting alone cannot stabilize that. Its price search
   sorts the supply breakpoints once and walks them with a running slope and
   intercept to guess the bracketing segment, then confirms the guess with the
   exact O(N_s) supply sum at the segment's two ends (bisecting the rest of

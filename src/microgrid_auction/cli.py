@@ -16,16 +16,14 @@ Exit codes: 0 success, 2 auction did not converge, 3 no trade under
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from typing import Any
 
-from .clearing import ClearingResult, clear_market
+from .clearing import clear_market
 from .engine import AuctionConfig, AuctionOutcome, run_auction
 from .experiments import STUDIES
 from .fairness import RedistributionResult, redistribute
-from .market import MarketParams, Payoffs
+from .market import MarketParams
 from .scenario import (
     ParameterRanges,
     Scenario,
@@ -33,7 +31,7 @@ from .scenario import (
     load_scenario,
     scenario_to_json,
 )
-from .serialize import dumps, to_csv
+from .serialize import dumps, load_outcome, outcome_payload, to_csv
 
 TRACE_HEADER = ("iter", "agent_kind", "agent_id", "bid_or_ask", "alloc", "mu", "phi", "theta")
 
@@ -66,9 +64,6 @@ def _parse_floats(text: str, name: str) -> tuple[float, ...]:
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     defaults = AuctionConfig()
-    sub.add_argument(
-        "--damping", type=float, default=defaults.damping, help="quote update step in (0, 1]"
-    )
     sub.add_argument(
         "--tol", type=float, default=defaults.tol_rel, help="relative stationarity tolerance"
     )
@@ -191,39 +186,6 @@ def _load_market(args: argparse.Namespace) -> Scenario:
     )
 
 
-def _outcome_payload(
-    outcome: AuctionOutcome, red: RedistributionResult | None = None
-) -> dict[str, Any]:
-    clearing = outcome.clearing
-    payload: dict[str, Any] = {
-        "converged": outcome.converged,
-        "iterations": outcome.iterations,
-        "mu": clearing.mu,
-        "p": outcome.params.p,
-        "bids": list(outcome.bids),
-        "asks": list(outcome.asks),
-        "avails": list(outcome.avails),
-        "d": list(clearing.d),
-        "s": list(clearing.s),
-        "budget_active": list(clearing.buyer_budget_active),
-        "kkt_residual": clearing.kkt_residual,
-        "unit_prices": list(outcome.unit_prices),
-        "payoffs": {
-            "buyers": list(outcome.payoffs.buyer_payoffs),
-            "sellers": list(outcome.payoffs.seller_payoffs),
-            "mc_revenue": outcome.payoffs.mc_revenue,
-        },
-    }
-    if red is not None:
-        payload["redistribution"] = {
-            "s_r": list(red.s_r),
-            "c_r": red.c_r,
-            "K": red.K,
-            "kappa_F": red.kappa_F,
-        }
-    return payload
-
-
 def _outcome_csv(outcome: AuctionOutcome, red: RedistributionResult | None = None) -> str:
     clearing = outcome.clearing
     header = ["agent_kind", "agent_id", "quote", "alloc", "unit_price", "alloc_redistributed"]
@@ -287,7 +249,6 @@ def _cmd_clear(args: argparse.Namespace) -> int:
 def _cmd_auction(args: argparse.Namespace) -> int:
     scenario = _load_market(args)
     config = AuctionConfig(
-        damping=args.damping,
         tol_rel=args.tol,
         max_iters=args.max_iters,
         record_trace=args.trace_out is not None,
@@ -299,7 +260,7 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     if args.trace_out is not None:
         _write(_trace_csv(outcome), args.trace_out)
     if args.format == "json":
-        _write(dumps(_outcome_payload(outcome, red)), args.out)
+        _write(dumps(outcome_payload(outcome, red)), args.out)
     else:
         _write(_outcome_csv(outcome, red), args.out)
     if args.strict and outcome.clearing.no_trade:
@@ -309,56 +270,14 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _finite_number(text: str) -> float:
-    # json reads NaN, Infinity and overflowing literals such as 1e999; the
-    # auction command never writes them, so a file holding one did not come
-    # from it.
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
-def _load_outcome(path: str) -> AuctionOutcome:
-    """Rebuild an outcome from the JSON the auction command writes."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-        clearing = ClearingResult(
-            d=tuple(float(v) for v in raw["d"]),
-            s=tuple(float(v) for v in raw["s"]),
-            mu=None if raw["mu"] is None else float(raw["mu"]),
-            buyer_budget_active=tuple(bool(v) for v in raw["budget_active"]),
-            kkt_residual=float(raw["kkt_residual"]),
-        )
-        return AuctionOutcome(
-            clearing=clearing,
-            bids=tuple(float(v) for v in raw["bids"]),
-            asks=tuple(float(v) for v in raw["asks"]),
-            avails=tuple(float(v) for v in raw["avails"]),
-            params=MarketParams(p=float(raw["p"])),
-            unit_prices=tuple(None if v is None else float(v) for v in raw["unit_prices"]),
-            payoffs=Payoffs(
-                buyer_payoffs=tuple(float(v) for v in raw["payoffs"]["buyers"]),
-                seller_payoffs=tuple(float(v) for v in raw["payoffs"]["sellers"]),
-                mc_revenue=float(raw["payoffs"]["mc_revenue"]),
-            ),
-            iterations=int(raw["iterations"]),
-            converged=bool(raw["converged"]),
-            trace=(),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{path} is not an outcome file: {exc}") from exc
-
-
 def _cmd_redistribute(args: argparse.Namespace) -> int:
     if args.outcome is None:
         return _cmd_auction(args)
-    outcome = _load_outcome(args.outcome)
+    outcome = load_outcome(args.outcome)
     scenario = _load_market(args)
     red = redistribute(outcome, scenario.buyers, scenario.sellers)
     if args.format == "json":
-        _write(dumps(_outcome_payload(outcome, red)), args.out)
+        _write(dumps(outcome_payload(outcome, red)), args.out)
     else:
         _write(_outcome_csv(outcome, red), args.out)
     if args.strict and outcome.clearing.no_trade:

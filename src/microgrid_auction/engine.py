@@ -1,21 +1,32 @@
 """Iterative double-auction engine.
 
 The controller repeatedly clears the market from the current bids and asks,
-reports allocations back, and lets each agent re-quote: buyers bid their
-marginal spend u'(d)*d, sellers ask the marginal value v'(g - s) of the last
-unit they would give up, both with damping. The controller never sees a
-utility function, only the quoted scalars.
+reports allocations back, and lets each agent re-quote its truthful target:
+buyers bid their marginal spend u'(d)*d, sellers ask the marginal value
+v'(g - s) of the last unit they would give up, capped at p. No quote is
+damped. The controller never sees a utility function, only the quoted
+scalars.
 
 The inner clearing regularizes seller allocations toward the previous
 iterate (see clear_market_proximal). Exact all-or-nothing clearing is
 discontinuous where asks tie, and at low demand the equilibrium sits exactly
-on such a tie, so damping alone oscillates there; the regularized step is
+on such a tie, so re-quoting alone oscillates there; the regularized step is
 continuous, has the same fixed points, and converges geometrically. Its
 weights are adapted per seller from the observed ask/allocation slopes, which
 uses only quoted information.
 
-Damping alone converges slowly where a buyer's bid decays geometrically at a
-rate near 1 (its choke price x*y sits just above the clearing price). So on
+That clearing, a proximal step in the sense of Parikh and Boyd (Proximal
+Algorithms, 2014), is the only regularizer. Blending each ask with its
+previous value at a step alpha would cap the rate: for an interior seller
+at a fixed price, the linearized (ask, allocation) step then has determinant exactly
+1 - alpha whatever the proximal weight w, so the error ratio per round is at
+least sqrt(1 - alpha) (0.707 at alpha = 0.5). Undamped, its eigenvalues are
+0 and 1 - kappa/w, where kappa is the slope of the seller's marginal value;
+the adapted weight w is about 2*kappa, which puts the second near 0.5. An
+undamped buyer's own map contracts at mu/(x*y) < 1.
+
+That rate is near 1 where a buyer's choke price x*y sits just above the
+clearing price, and the bid decays geometrically for many rounds. So on
 every fourth step each active buyer extrapolates its own last three bids
 b0, b1, b2 with Aitken's delta-squared step, the one-step case of Anderson
 acceleration: with r = (b2 - b1)/(b1 - b0) in (0, 0.999), the bid jumps to
@@ -23,23 +34,13 @@ b2 + (b2 - b1)*r/(1 - r), the limit of a geometric sequence with ratio r.
 The jump may at most halve the bid, so extrapolation alone never parks a
 buyer (parking is permanent, and a jump toward zero from a transient bid
 would park buyers that belong in the market); a bid set too low climbs back
-under damping. Where every seller is sold out, the price has long stopped
-moving while one buyer's bid still creeps at a rate of 0.9993 to 0.99996.
-So once a buyer's unit price b/d agrees with the one at the previous
-clearing to 1e-8 relative, its window widens to r < 0.99999; on a price
-that still moves, so wide a window overshoots (ungated, it slows 24 of the
-1000 acceptance-corpus markets, one from 117 rounds to 2317).
-
-Sellers extrapolate their own last three asks on the same steps, with the
-same step and the narrow window, but only while their re-quote target
-v'(g - s) is unchanged bit for bit since the previous clearing. A sold-out
-seller's allocation, and so its target T, stops moving within a few rounds,
-yet its damped ask would close only the share `damping` of the gap to T per
-round. With T fixed, the asks c0, c1 and c2 = (1 - damping)*c1 + damping*T
-form an exactly geometric sequence, and the step lands on T in one jump.
-While the target still moves, a jump would chase a transient (ungated, the
-benchmark's 300 corpus markets take 15,240 rounds instead of 12,416). Each
-agent's step reads nothing but its own quotes, targets and allocations.
+on the next re-quote. Where every seller is sold out, the price has long
+stopped moving while one buyer's bid still creeps at a rate near 1. So once
+a buyer's unit price b/d agrees with the one at the previous clearing to
+1e-8 relative, its window widens to r < 0.99999; on a price that still
+moves, so wide a window overshoots. Each buyer's step reads nothing but its
+own bids and allocations. Sellers need no such step: a seller whose target
+holds still asks it in the next round.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ _PROX_WEIGHT_MAX = 1e4
 # Allocations at or below this count as not served in unit_prices.
 _REPORT_THRESHOLD = 1e-6
 
-# Bid and ask extrapolation; see the module docstring and _extrapolate.
+# Bid extrapolation; see the module docstring and _extrapolate.
 _EXTRAPOLATION_PERIOD = 4
 _EXTRAPOLATION_MAX_RATIO = 0.999
 _EXTRAPOLATION_MIN_SHARE = 0.5
@@ -84,23 +85,20 @@ _SETTLED_PRICE_TOL = 1e-8
 class AuctionConfig:
     """Engine knobs.
 
-    damping blends old and target quotes (1 = undamped). Convergence needs
-    three things within tol_rel: stationary bids and asks, stationary seller
-    allocations, and a clearing whose optimality residual is below
-    inner_kkt_tol. A run that has not converged after max_iters clearings
-    stops there, flagged unconverged. record_trace keeps one IterationRecord
-    per clearing.
+    Every agent re-quotes its undamped target each round, so there is no
+    step size to set. Convergence needs three things within tol_rel:
+    stationary bids and asks, stationary seller allocations, and a clearing
+    whose optimality residual is below inner_kkt_tol. A run that has not
+    converged after max_iters clearings stops there, flagged unconverged.
+    record_trace keeps one IterationRecord per clearing.
     """
 
-    damping: float = 0.5
     tol_rel: float = 1e-6
     max_iters: int = 2000
     inner_kkt_tol: float = 1e-6
     record_trace: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
         # inf and 2.5 pass ">= 1" (inf never stops a run), and True is an int
         max_iters = self.max_iters
         if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
@@ -133,8 +131,8 @@ class AuctionState:
     clearing and carries the previous allocations; last_targets and curv_ema
     drive the per-seller weight adaptation. clearing holds the result of the
     most recent step, i.e. the clearing of the PREVIOUS state's quotes, and
-    prev_bids/prev_asks the quotes that state cleared (empty before the
-    first step); extrapolation reads them.
+    prev_bids the bids that state cleared (empty before the first step);
+    extrapolation reads them.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -151,7 +149,6 @@ class AuctionState:
     iteration: int = 0
     clearing: ClearingResult | None = None
     prev_bids: tuple[float, ...] = ()
-    prev_asks: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,15 +222,13 @@ def _initial_state(
 def _extrapolate(
     b0: float, b1: float, b2: float, d0: float = 0.0, d1: float = 0.0
 ) -> float:
-    """Aitken's delta-squared step on one agent's quotes b0, b1, b2, safeguarded.
+    """Aitken's delta-squared step on one buyer's bids b0, b1, b2, safeguarded.
 
-    b0, b1, b2 are a buyer's last two bids and its damped new bid, or a
-    seller's asks in the same roles. Returns b2 itself unless the step ratio
-    r = (b2 - b1)/(b1 - b0) lies in (0, _EXTRAPOLATION_MAX_RATIO); otherwise
-    the limit of the geometric sequence with ratio r, but at least
-    _EXTRAPOLATION_MIN_SHARE of b2.
-    d0 and d1 are the allocations that a buyer's b0 and b1 cleared to (a
-    seller passes none, so its window never widens). When both are
+    b0, b1, b2 are the buyer's last two bids and its re-quoted new bid.
+    Returns b2 itself unless the step ratio r = (b2 - b1)/(b1 - b0) lies in
+    (0, _EXTRAPOLATION_MAX_RATIO); otherwise the limit of the geometric
+    sequence with ratio r, but at least _EXTRAPOLATION_MIN_SHARE of b2.
+    d0 and d1 are the allocations that b0 and b1 cleared to. When both are
     positive and the unit prices b0/d0 and b1/d1 agree within
     _SETTLED_PRICE_TOL relative, the window widens to r < _SETTLED_MAX_RATIO.
     """
@@ -250,22 +245,20 @@ def _extrapolate(
 
 
 def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
-    """Clear the current quotes, then damp every agent toward its re-quote.
+    """Clear the current quotes, then let every agent re-quote its target.
 
-    On every _EXTRAPOLATION_PERIOD-th step, once prev_bids is known, each
-    active buyer's damped bid is extrapolated (see _extrapolate) from its two
-    previous bids and the two allocations they cleared to, before the floor
-    test. On the same steps a seller whose target equals its last one
-    (last_targets) extrapolates its damped ask from its two previous asks,
-    before the clamp to p.
+    A buyer bids u'(d)*d and a seller asks min(v'(g - s), p). On every
+    _EXTRAPOLATION_PERIOD-th step, once prev_bids is known, each active
+    buyer's new bid is extrapolated (see _extrapolate) from its two previous
+    bids and the two allocations they cleared to, before the floor test.
+    No setting of config reaches the step; it keeps the signature that
+    run_auction and the benchmark's tracer call.
     """
     result = clear_market_proximal(
         state.bids, state.asks, state.avails, state.params,
         prev_s=state.prev_s, weights=state.prox_weights,
     )
 
-    alpha = config.damping
-    keep = 1 - alpha
     p = state.params.p
 
     extrapolate = bool(state.prev_bids) and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0
@@ -283,29 +276,24 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
             b = 0.0
         else:
             target = buyer.utility.marginal(d) * d
-            damped = keep * b + alpha * target
-            b = _extrapolate(b0, b, damped, d0, d) if extrapolate else damped
+            b = _extrapolate(b0, b, target, d0, d) if extrapolate else target
             if b < BID_FLOOR:
                 b = 0.0
                 is_parked = True
         new_bids.append(b)
         parked.append(is_parked)
 
-    prev_asks = state.prev_asks if extrapolate else state.asks
     new_asks = []
     targets = []
     weights = []
     ema = []
-    for seller, c, c0, a, s, prev, last, w, e in zip(
-        state.sellers, state.asks, prev_asks, state.avails, result.s,
+    for seller, a, s, prev, last, w, e in zip(
+        state.sellers, state.avails, result.s,
         state.prev_s, state.last_targets, state.prox_weights, state.curv_ema,
     ):
         target = seller.utility.marginal(max(seller.g - s, 0.0))
         targets.append(target)
-        ask = keep * c + alpha * target
-        if extrapolate and target == last:
-            ask = _extrapolate(c0, c, ask)
-        new_asks.append(min(ask, p))
+        new_asks.append(min(target, p))
         if a > 0:
             ds = s - prev
             if abs(ds) > 1e-12 * max(1.0, a):
@@ -330,7 +318,6 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         iteration=state.iteration + 1,
         clearing=result,
         prev_bids=state.bids,
-        prev_asks=state.asks,
     )
 
 

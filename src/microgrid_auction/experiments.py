@@ -204,7 +204,6 @@ class PayoffSweepConfig:
         default_factory=lambda: ParameterRanges(seller_x=(0.3, 0.7), seller_y=(1.2, 1.8))
     )
     params: MarketParams = field(default_factory=MarketParams)
-    damping: float = 0.5
     tol_rel: float = 1e-6
     max_iters: int = 2500
 
@@ -212,9 +211,7 @@ class PayoffSweepConfig:
 def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentReport:
     """Mean payoffs per (seller count, buyer count) cell, plus trends."""
     cfg = config or PayoffSweepConfig()
-    run_cfg = AuctionConfig(
-        damping=cfg.damping, tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False
-    )
+    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     nb_max = max(cfg.buyer_counts)
     sums: dict[tuple[int, int], list[float]] = {}
     unconverged = 0
@@ -286,7 +283,6 @@ class CaseStudyConfig:
         default_factory=lambda: ParameterRanges(seller_x=(0.1, 0.4))
     )
     params: MarketParams = field(default_factory=MarketParams)
-    damping: float = 0.5
     tol_rel: float = 1e-6
     max_iters: int = 3000
 
@@ -294,9 +290,7 @@ class CaseStudyConfig:
 def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
     """Per-agent quotes, allocations, and prices, before and after fairness."""
     cfg = config or CaseStudyConfig()
-    run_cfg = AuctionConfig(
-        damping=cfg.damping, tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False
-    )
+    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 1))
     sellers = _draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
     buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 2))
@@ -380,7 +374,6 @@ class WelfareFairnessConfig:
         default_factory=lambda: ParameterRanges(seller_x=(0.1, 0.4))
     )
     params: MarketParams = field(default_factory=MarketParams)
-    damping: float = 0.5
     tol_rel: float = 1e-6
     max_iters: int = 3000
 
@@ -388,9 +381,7 @@ class WelfareFairnessConfig:
 def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> ExperimentReport:
     """Welfare with no trade, with trade, and after redistribution, per cell."""
     cfg = config or WelfareFairnessConfig()
-    run_cfg = AuctionConfig(
-        damping=cfg.damping, tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False
-    )
+    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     records = []
     for nb in cfg.buyer_counts:
         seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, cfg.n_sellers))
@@ -438,7 +429,6 @@ class EfficiencyConfig:
         default_factory=lambda: ParameterRanges(seller_x=(0.1, 0.4))
     )
     params: MarketParams = field(default_factory=MarketParams)
-    damping: float = 0.5
     tol_rel: float = 1e-6
     max_iters: int = 3000
 
@@ -452,9 +442,7 @@ def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:
     on the table.
     """
     cfg = config or EfficiencyConfig()
-    run_cfg = AuctionConfig(
-        damping=cfg.damping, tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=True
-    )
+    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=True)
     records = []
     finals = []
     for ns, nb in cfg.sizes:

@@ -1,15 +1,24 @@
-"""Deterministic JSON and CSV emission.
+"""Deterministic JSON and CSV emission, and the auction outcome file.
 
 Reports must be byte-identical across runs and platforms, so floats are
 always printed with repr-equivalent 17 significant digits and dictionaries
 are emitted in insertion order. The stdlib json module cannot customize
-float formatting, hence the small recursive emitter here.
+float formatting, hence the small recursive emitter here. outcome_payload
+and load_outcome write and read the outcome JSON of the auction command.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+from .clearing import ClearingResult
+from .engine import AuctionOutcome
+from .market import MarketParams, Payoffs
+
+if TYPE_CHECKING:
+    from .fairness import RedistributionResult
 
 
 def format_float(value: float) -> str:
@@ -105,3 +114,103 @@ def to_csv(header: list[str] | tuple[str, ...], rows: list[Any]) -> str:
                 raise ValueError(f"row width {len(row)} vs header width {len(header)}")
             lines.append(",".join(csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def outcome_payload(
+    outcome: AuctionOutcome, red: RedistributionResult | None = None
+) -> dict[str, Any]:
+    """The outcome as a JSON-ready dict, with the redistribution when given."""
+    clearing = outcome.clearing
+    payload: dict[str, Any] = {
+        "converged": outcome.converged,
+        "iterations": outcome.iterations,
+        "mu": clearing.mu,
+        "p": outcome.params.p,
+        "bids": list(outcome.bids),
+        "asks": list(outcome.asks),
+        "avails": list(outcome.avails),
+        "d": list(clearing.d),
+        "s": list(clearing.s),
+        "budget_active": list(clearing.buyer_budget_active),
+        "kkt_residual": clearing.kkt_residual,
+        "unit_prices": list(outcome.unit_prices),
+        "payoffs": {
+            "buyers": list(outcome.payoffs.buyer_payoffs),
+            "sellers": list(outcome.payoffs.seller_payoffs),
+            "mc_revenue": outcome.payoffs.mc_revenue,
+        },
+    }
+    if red is not None:
+        payload["redistribution"] = {
+            "s_r": list(red.s_r),
+            "c_r": red.c_r,
+            "K": red.K,
+            "kappa_F": red.kappa_F,
+        }
+    return payload
+
+
+def _finite_number(text: str) -> float:
+    # json reads NaN, Infinity and overflowing literals such as 1e999; the
+    # auction command never writes them, so a file holding one did not come
+    # from it.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _same_length(lists: dict[str, tuple[Any, ...]]) -> None:
+    if len({len(values) for values in lists.values()}) > 1:
+        counts = ", ".join(f"{len(values)} {name}" for name, values in lists.items())
+        raise ValueError(f"per-agent lists disagree in length: {counts}")
+
+
+def load_outcome(path: str) -> AuctionOutcome:
+    """Rebuild an outcome from the JSON that outcome_payload writes.
+
+    Raises ValueError naming the path when the file is not such an outcome,
+    including when one side's per-agent lists disagree in length.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        clearing = ClearingResult(
+            d=tuple(float(v) for v in raw["d"]),
+            s=tuple(float(v) for v in raw["s"]),
+            mu=None if raw["mu"] is None else float(raw["mu"]),
+            buyer_budget_active=tuple(bool(v) for v in raw["budget_active"]),
+            kkt_residual=float(raw["kkt_residual"]),
+        )
+        outcome = AuctionOutcome(
+            clearing=clearing,
+            bids=tuple(float(v) for v in raw["bids"]),
+            asks=tuple(float(v) for v in raw["asks"]),
+            avails=tuple(float(v) for v in raw["avails"]),
+            params=MarketParams(p=float(raw["p"])),
+            unit_prices=tuple(None if v is None else float(v) for v in raw["unit_prices"]),
+            payoffs=Payoffs(
+                buyer_payoffs=tuple(float(v) for v in raw["payoffs"]["buyers"]),
+                seller_payoffs=tuple(float(v) for v in raw["payoffs"]["sellers"]),
+                mc_revenue=float(raw["payoffs"]["mc_revenue"]),
+            ),
+            iterations=int(raw["iterations"]),
+            converged=bool(raw["converged"]),
+            trace=(),
+        )
+        _same_length({
+            "bids": outcome.bids,
+            "d": clearing.d,
+            "budget_active": clearing.buyer_budget_active,
+            "unit_prices": outcome.unit_prices,
+            "payoffs.buyers": outcome.payoffs.buyer_payoffs,
+        })
+        _same_length({
+            "asks": outcome.asks,
+            "avails": outcome.avails,
+            "s": clearing.s,
+            "payoffs.sellers": outcome.payoffs.seller_payoffs,
+        })
+        return outcome
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path} is not an outcome file: {exc}") from exc

@@ -53,7 +53,7 @@ def corpus():
         outcome = run_auction(buyers, sellers, P, config)
         runs.append((outcome, buyers, sellers))
     converged = sum(1 for outcome, _, _ in runs if outcome.converged)
-    # Every market converges (the slowest, k=424, in 677 rounds), so C3
+    # Every market converges (the slowest, k=576, in 153 rounds), so C3
     # and C4 cover the whole corpus. Seven of them (all sellers sold out)
     # used to hit the cap until a settled unit price widened the buyers'
     # extrapolation window; the unaccelerated engine at tol_rel=1e-12

@@ -112,6 +112,16 @@ def test_auction_rejects_a_tolerance_that_is_not_positive_and_finite(capsys, tol
     assert "tol_rel must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["auction", "redistribute"])
+def test_damping_flag_is_gone(capsys, command):
+    # every agent re-quotes its undamped target, so there is no step to set
+    code = main([command, "--seed", "1", "--buyers", "4", "--sellers", "3", "--damping", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "--damping" in captured.err
+
+
 def test_auction_trace_csv(capsys, tmp_path):
     trace_path = tmp_path / "trace.csv"
     code, out = run_cli(
@@ -212,6 +222,35 @@ def test_redistribute_saved_outcome_chain(capsys, tmp_path):
         code = main(["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)])
         assert code == 4
         assert f"{outcome_path} is not an outcome file" in capsys.readouterr().err
+
+
+_PER_AGENT_KEYS = (
+    ("bids",), ("d",), ("budget_active",), ("unit_prices",), ("payoffs", "buyers"),
+    ("asks",), ("avails",), ("s",), ("payoffs", "sellers"),
+)
+
+
+@pytest.mark.parametrize("key", _PER_AGENT_KEYS, ids=".".join)
+def test_redistribute_rejects_per_agent_lists_of_unequal_length(capsys, tmp_path, key):
+    # one list a buyer or seller short: before, a short bids list was echoed
+    # back with exit 0 and a short avails list failed inside redistribution
+    scenario_path = tmp_path / "market.json"
+    outcome_path = tmp_path / "outcome.json"
+    main(["scenario", "gen", "--seed", "5", "--buyers", "4", "--sellers", "3", "--out", str(scenario_path)])
+    main(["auction", "--scenario", str(scenario_path), "--out", str(outcome_path)])
+    capsys.readouterr()
+    saved = json.loads(outcome_path.read_text())
+    *parents, last = key
+    holder = saved
+    for name in parents:
+        holder = holder[name]
+    holder[last] = holder[last][:-1]
+    outcome_path.write_text(json.dumps(saved))
+    code = main(["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"{outcome_path} is not an outcome file: per-agent lists disagree in length" in captured.err
 
 
 def test_experiment_command(capsys):

@@ -3,7 +3,16 @@ import math
 
 from hypothesis import given, strategies as st
 
-from microgrid_auction.serialize import csv_cell, dumps, format_float, to_csv
+from microgrid_auction.engine import run_auction
+from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.serialize import (
+    csv_cell,
+    dumps,
+    format_float,
+    load_outcome,
+    outcome_payload,
+    to_csv,
+)
 
 
 def test_floats_print_17_significant_digits():
@@ -68,3 +77,15 @@ def test_to_csv_dict_and_sequence_rows():
     header = ("a", "b")
     text = to_csv(header, [{"a": 1, "b": None}, [2.5, "x"]])
     assert text == "a,b\n1,\n2.5,x\n"
+
+
+def test_outcome_file_round_trips_byte_for_byte(tmp_path):
+    # buyer 0 is priced out, so its unit price is null
+    buyers = [BuyerState(0.2, 1.0), BuyerState(1.0, 1.0), BuyerState(0.9, 1.5)]
+    sellers = [SellerState(0.2, 1.0, 4.0), SellerState(0.3, 1.4, 3.0)]
+    outcome = run_auction(buyers, sellers, MarketParams())
+    assert outcome.unit_prices[0] is None
+    text = dumps(outcome_payload(outcome))
+    path = tmp_path / "outcome.json"
+    path.write_text(text, encoding="utf-8")
+    assert dumps(outcome_payload(load_outcome(str(path)))) == text
