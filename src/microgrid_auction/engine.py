@@ -21,9 +21,12 @@ previous value at a step alpha would cap the rate: for an interior seller
 at a fixed price, the linearized (ask, allocation) step then has determinant exactly
 1 - alpha whatever the proximal weight w, so the error ratio per round is at
 least sqrt(1 - alpha) (0.707 at alpha = 0.5). Undamped, its eigenvalues are
-0 and 1 - kappa/w, where kappa is the slope of the seller's marginal value;
-the adapted weight w is about 2*kappa, which puts the second near 0.5. An
-undamped buyer's own map contracts at mu/(x*y) < 1.
+0 and 1 - kappa/w, where kappa is the slope of the seller's marginal value.
+Each seller's w is set to its running estimate of kappa, which puts the
+second eigenvalue near 0: the proximal Newton step (Lee, Sun and Saunders,
+SIAM J. Optim. 24(3), 2014). It diverges only if the estimate falls below
+kappa/2, where |1 - kappa/w| reaches 1. An undamped buyer's own map
+contracts at mu/(x*y) < 1.
 
 That rate is near 1 where a buyer's choke price x*y sits just above the
 clearing price, and the bid decays geometrically for many rounds. So on
@@ -64,8 +67,11 @@ from .market import (
 )
 from .welfare import social_welfare
 
-# Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX].
+# Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to
+# _PROX_WEIGHT_FACTOR times the seller's curvature estimate; at 1 that is
+# the proximal Newton weight (see the module docstring).
 _PROX_WEIGHT = 0.5
+_PROX_WEIGHT_FACTOR = 1.0
 _PROX_WEIGHT_MIN = 1e-4
 _PROX_WEIGHT_MAX = 1e4
 # Allocations at or below this count as not served in unit_prices.
@@ -299,7 +305,7 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
             if abs(ds) > 1e-12 * max(1.0, a):
                 slope = abs(target - last) / abs(ds)
                 e = 0.5 * e + 0.5 * slope
-                w = min(max(2.0 * e, _PROX_WEIGHT_MIN), _PROX_WEIGHT_MAX)
+                w = min(max(_PROX_WEIGHT_FACTOR * e, _PROX_WEIGHT_MIN), _PROX_WEIGHT_MAX)
         weights.append(w)
         ema.append(e)
 

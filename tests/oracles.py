@@ -3,10 +3,11 @@
 Deliberately different algorithms from the ones under test: the clearing
 objective is maximized with scipy's SLSQP from several starts, the
 regularized clearing price and the welfare price are found by linear scans
-over every kink of the response curves, the sold-out auction's fixed point
-by a scan over the buyers' choke prices, the welfare objective with a
-zooming grid search, and the clearing optimality residual as the max of a
-list of every violation. Slow but trustworthy.
+over every kink of the response curves, the auction's equilibrium by a scan
+over the buyers' choke prices when every seller is sold out and by plain
+bisection otherwise, the welfare objective with a zooming grid search, and
+the clearing optimality residual as the max of a list of every violation.
+Slow but trustworthy.
 """
 
 import math
@@ -246,32 +247,83 @@ def welfare_price_reference(
     return mu
 
 
-def saturated_market_reference(
+def equilibrium_reference(
     buyers: list[BuyerState] | tuple[BuyerState, ...],
-    total_avail: float,
-) -> tuple[float, set[int]]:
-    """Fixed point of the auction when every seller is sold out, by a scan.
+    sellers: list[SellerState] | tuple[SellerState, ...],
+    p: float,
+) -> tuple[float, list[float], list[float], list[float], list[float]] | None:
+    """The auction's fixed point as a competitive equilibrium with floor p.
 
-    With total availability A sold, each buyer gets d = b/mu, and its bid is
-    stationary at b = u'(d)*d exactly when b = x - mu/y, which is positive
-    only for a choke price x*y above mu; every other buyer bids 0. mu solves
+    Every formula is written out from x, y and g. A buyer facing
+    pi = max(mu, p) demands d = max(x/pi - 1/y, 0) and bids b = pi*d. A
+    seller offers a = clamp(g - (x/p - 1/y), 0, g), sells
+    s = clamp(g - (x/mu - 1/y), 0, a) and asks c = min(x*y/(y*(g - s) + 1), p).
+
+    When the demand at pi = p covers the total offer A, every seller is
+    sold out and mu >= p: each bidding buyer's b = x - mu/y, so mu solves
     sum(max(x - mu/y, 0)) = mu*A. The buyers are visited by decreasing
-    choke price: with the first k bidding, mu = sum(x)/(A + sum(1/y)), and
-    the first k for which the next choke price lies at or below that mu is
-    the answer. Returns (mu, the indices of the zero bids).
+    choke price x*y: with the first k bidding, mu = sum(x)/(A + sum(1/y)),
+    and the first k for which the next choke price lies at or below that mu
+    is the answer. Otherwise mu <= p solves sum(s(mu)) = demand at p, which
+    plain bisection finds. Returns (mu, d, s, bids, asks), or None when
+    nothing is demanded at p or nothing is offered.
     """
-    if not buyers or total_avail <= 0:
-        raise ValueError("need buyers and a positive total availability")
-    order = sorted(range(len(buyers)), key=lambda i: buyers[i].x * buyers[i].y, reverse=True)
-    for k in range(1, len(order) + 1):
-        active = order[:k]
-        mu = math.fsum(buyers[i].x for i in active) / (
-            total_avail + math.fsum(1.0 / buyers[i].y for i in active)
-        )
-        following = buyers[order[k]].x * buyers[order[k]].y if k < len(order) else 0.0
-        if following <= mu:
-            return mu, set(order[k:])
-    raise AssertionError("unreachable: the last k always qualifies")
+    avails = [min(max(s.g - (s.x / p - 1.0 / s.y), 0.0), s.g) for s in sellers]
+    total_avail = math.fsum(avails)
+    demand_at_p = math.fsum(max(b.x / p - 1.0 / b.y, 0.0) for b in buyers)
+    if demand_at_p <= 0 or total_avail <= 0:
+        return None
+
+    def sold(mu: float) -> list[float]:
+        return [
+            min(max(s.g - (s.x / mu - 1.0 / s.y), 0.0), a) for s, a in zip(sellers, avails)
+        ]
+
+    if demand_at_p >= total_avail:
+        order = sorted(buyers, key=lambda b: b.x * b.y, reverse=True)
+        for k in range(1, len(order) + 1):
+            mu = math.fsum(b.x for b in order[:k]) / (
+                total_avail + math.fsum(1.0 / b.y for b in order[:k])
+            )
+            if k == len(order) or order[k].x * order[k].y <= mu:
+                break
+    else:
+        lo, hi = 0.0, p
+        while True:
+            mu = 0.5 * (lo + hi)
+            if not lo < mu < hi:
+                break
+            if math.fsum(sold(mu)) < demand_at_p:
+                lo = mu
+            else:
+                hi = mu
+    pi = max(mu, p)
+    d = [max(b.x / pi - 1.0 / b.y, 0.0) for b in buyers]
+    s = sold(mu)
+    bids = [pi * q for q in d]
+    asks = [min(v.x * v.y / (v.y * (v.g - q) + 1.0), p) for v, q in zip(sellers, s)]
+    return mu, d, s, bids, asks
+
+
+def equilibrium_gaps(outcome, reference) -> tuple[set[int], float, float, float]:
+    """How far a trading auction outcome stops from equilibrium_reference.
+
+    outcome is any object with bids, asks and a clearing holding mu, d and
+    s; reference is equilibrium_reference's result for the same market.
+    Returns the buyers whose bid is zero on one side only, the relative mu
+    gap, the worst allocation gap |q - q_ref| / max(1, q_ref) over every d
+    and s, and the worst relative ask gap.
+    """
+    mu, d, s, bids, asks = reference
+    clearing = outcome.clearing
+    zero_bids = {i for i, b in enumerate(outcome.bids) if b == 0.0}
+    mismatch = zero_bids ^ {i for i, b in enumerate(bids) if b == 0.0}
+    alloc = max(
+        abs(q - ref) / max(1.0, ref)
+        for q, ref in zip((*clearing.d, *clearing.s), (*d, *s), strict=True)
+    )
+    ask = max(abs(c - ref) / ref for c, ref in zip(outcome.asks, asks, strict=True))
+    return mismatch, abs(clearing.mu - mu) / mu, alloc, ask
 
 
 def best_welfare_by_grid(

@@ -23,7 +23,12 @@ from microgrid_auction.fairness import uniform_reprice, water_fill
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
 from microgrid_auction.welfare import social_welfare, solve_welfare
 
-from oracles import best_clearing_objective, best_welfare_by_grid
+from oracles import (
+    best_clearing_objective,
+    best_welfare_by_grid,
+    equilibrium_gaps,
+    equilibrium_reference,
+)
 
 P = MarketParams()
 
@@ -42,7 +47,8 @@ def _draw_market(rng, nb, ns, buyer_x=(0.5, 1.2), seller_x=(0.1, 0.4)):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """1000 auctions across N_b, N_s in [1, 30], shared by C3, C4, and C10."""
+    """1000 auctions across N_b, N_s in [1, 30], shared by C3, C4, C10 and
+    the equilibrium-reference gates."""
     config = AuctionConfig(max_iters=2500, record_trace=False)
     runs = []
     for k in range(CORPUS_SIZE):
@@ -53,11 +59,12 @@ def corpus():
         outcome = run_auction(buyers, sellers, P, config)
         runs.append((outcome, buyers, sellers))
     converged = sum(1 for outcome, _, _ in runs if outcome.converged)
-    # Every market converges (the slowest, k=576, in 153 rounds), so C3
-    # and C4 cover the whole corpus. Seven of them (all sellers sold out)
-    # used to hit the cap until a settled unit price widened the buyers'
-    # extrapolation window; the unaccelerated engine at tol_rel=1e-12
-    # still fails on six of them within 20000 rounds.
+    # Every market converges, in a median of 12 rounds and the slowest
+    # (k=576, bound by one buyer's creeping bid) in 153, so C3, C4 and the
+    # equilibrium gates cover the whole corpus. Seven of them (all sellers
+    # sold out) used to hit the cap until a settled unit price widened the
+    # buyers' extrapolation window; the unaccelerated engine at
+    # tol_rel=1e-12 still fails on six of them within 20000 rounds.
     assert converged == CORPUS_SIZE
     return runs
 
@@ -68,6 +75,47 @@ def test_library_default_cap_covers_the_corpus(corpus):
     cap = AuctionConfig().max_iters
     slowest = max(outcome.iterations for outcome, _, _ in corpus)
     assert slowest <= cap, f"slowest corpus market takes {slowest} rounds, cap {cap}"
+
+
+@pytest.fixture(scope="module")
+def corpus_references(corpus):
+    return [equilibrium_reference(buyers, sellers, P.p) for _, buyers, sellers in corpus]
+
+
+def test_corpus_matches_the_equilibrium_reference(corpus, corpus_references):
+    """Every corpus auction stops at the independent equilibrium: the same
+    no-trade verdict and zero bids, mu within tol_rel and every allocation
+    within 5e-6 * max(1, reference). Both bounds sit just above the worst
+    gaps measured when the gate was added, 6.65e-7 and 4.67e-6; they are
+    never to be loosened."""
+    worst_mu = worst_alloc = 0.0
+    for k, ((outcome, _, _), reference) in enumerate(zip(corpus, corpus_references)):
+        assert outcome.clearing.no_trade == (reference is None), f"k={k}"
+        if reference is None:
+            continue
+        zero_bid_mismatch, mu_gap, alloc_gap, _ = equilibrium_gaps(outcome, reference)
+        assert not zero_bid_mismatch, f"k={k}: buyers {sorted(zero_bid_mismatch)}"
+        assert mu_gap <= 1e-6, f"k={k}: mu {mu_gap:.3e} off"
+        assert alloc_gap <= 5e-6, f"k={k}: allocation {alloc_gap:.3e} off"
+        worst_mu = max(worst_mu, mu_gap)
+        worst_alloc = max(worst_alloc, alloc_gap)
+    print(f"equilibrium gates: worst mu {worst_mu:.2e}, worst allocation {worst_alloc:.2e}")
+
+
+def test_asks_stop_within_tol_rel_of_the_reference(corpus, corpus_references):
+    """The asks stop on the size of their last step, not on their distance
+    to the fixed point. With each seller's proximal weight at its curvature
+    estimate, an interior seller's error almost vanishes in one round, so
+    its last step bounds that distance; with the weight at twice the
+    estimate, 344 corpus markets stopped with an ask beyond tol_rel."""
+    worst = 0.0
+    for k, ((outcome, _, _), reference) in enumerate(zip(corpus, corpus_references)):
+        if reference is None:
+            continue
+        ask_gap = equilibrium_gaps(outcome, reference)[3]
+        assert ask_gap <= 1e-6, f"k={k}: ask {ask_gap:.3e} off"
+        worst = max(worst, ask_gap)
+    print(f"asks: worst {worst:.2e} relative to the equilibrium reference")
 
 
 def test_c01_water_fill_golden():

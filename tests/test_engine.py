@@ -15,7 +15,7 @@ from microgrid_auction.engine import (
 from microgrid_auction.experiments import mix_seed
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
 
-from oracles import saturated_market_reference
+from oracles import equilibrium_gaps, equilibrium_reference
 
 P = MarketParams()
 CFG = AuctionConfig(max_iters=2000)
@@ -178,8 +178,8 @@ def test_no_seller_gains_by_underbidding():
     assert checked >= 30
 
 
-def test_full_damping_step_is_the_undamped_update():
-    # the engine no longer damps, so its default step is the undamped update
+def test_every_agent_requotes_its_target_outright():
+    # each round's quotes are the targets at the previous clearing, undamped
     buyers = [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)]
     sellers = [SellerState(0.2, 1.3, 3.0), SellerState(0.3, 1.5, 4.0)]
     outcome = run_auction(buyers, sellers, P, CFG)
@@ -191,6 +191,31 @@ def test_full_damping_step_is_the_undamped_update():
     for j, seller in enumerate(sellers):
         target = min(seller.utility.marginal(seller.g - first.s[j]), P.p)
         assert second.asks[j] == pytest.approx(target, rel=1e-12)
+
+
+def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
+    """When an offering seller's allocation moves, its curvature estimate
+    averages in the observed slope |change of ask target| / |change of
+    allocation|, and its proximal weight becomes that estimate, clamped to
+    [1e-4, 1e4]. A seller whose allocation held still keeps both."""
+    buyers, sellers = _corpus_market(2)
+    state = engine._initial_state(buyers, sellers, P)
+    moved = 0
+    while state.iteration < 8:
+        nxt = auction_step(state, CFG)
+        for j, seller in enumerate(sellers):
+            a, s, ds = state.avails[j], nxt.prev_s[j], nxt.prev_s[j] - state.prev_s[j]
+            if a > 0 and abs(ds) > 1e-12 * max(1.0, a):
+                target = seller.utility.marginal(max(seller.g - s, 0.0))
+                slope = abs(target - state.last_targets[j]) / abs(ds)
+                assert nxt.curv_ema[j] == 0.5 * state.curv_ema[j] + 0.5 * slope
+                assert nxt.prox_weights[j] == min(max(nxt.curv_ema[j], 1e-4), 1e4)
+                moved += 1
+            else:
+                assert nxt.curv_ema[j] == state.curv_ema[j]
+                assert nxt.prox_weights[j] == state.prox_weights[j]
+        state = nxt
+    assert moved >= 20
 
 
 def test_asks_never_exceed_the_retail_price():
@@ -362,14 +387,25 @@ def test_parked_buyers_never_extrapolate_on_a_settled_price():
     assert nxt.bids[i] == 0.0 and nxt.parked[i]
 
 
-def test_sold_out_sellers_ask_their_retained_marginal_value():
+@pytest.fixture(scope="module")
+def large_markets():
+    """The 36 large-market benchmark markets of seeds 0-2, run to convergence,
+    as (buyers, sellers, outcome)."""
+    config = AuctionConfig(max_iters=2500, record_trace=False)
+    runs = []
+    for seed in range(3):
+        for m in range(12):
+            buyers, sellers = _large_market(m, seed)
+            runs.append((buyers, sellers, run_auction(buyers, sellers, P, config)))
+    return runs
+
+
+def test_sold_out_sellers_ask_their_retained_marginal_value(large_markets):
     """At convergence a sold-out seller's ask is its fixed point
     min(v'(g - a), p), not an ask still creeping toward it. Checked on the
-    12 large-market benchmark markets of seed 0."""
+    36 large-market benchmark markets of seeds 0-2."""
     checked = 0
-    for m in range(12):
-        buyers, sellers = _large_market(m)
-        outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    for buyers, sellers, outcome in large_markets:
         assert outcome.converged
         for seller, c, s, a in zip(sellers, outcome.asks, outcome.clearing.s, outcome.avails):
             if s == a > 0:
@@ -377,6 +413,21 @@ def test_sold_out_sellers_ask_their_retained_marginal_value():
                 assert math.isclose(c, expected, rel_tol=1e-12)
                 checked += 1
     assert checked >= 1000
+
+
+def test_large_markets_match_the_equilibrium_reference(large_markets):
+    """The corpus gates of the acceptance suite, asks included, on the 36
+    large-market benchmark markets of seeds 0-2: the same zero bids, mu and
+    every ask within tol_rel, every allocation within 5e-6 * max(1,
+    reference). The bounds are never to be loosened."""
+    for n, (buyers, sellers, outcome) in enumerate(large_markets):
+        reference = equilibrium_reference(buyers, sellers, P.p)
+        assert reference is not None and not outcome.clearing.no_trade
+        zero_bid_mismatch, mu_gap, alloc_gap, ask_gap = equilibrium_gaps(outcome, reference)
+        assert not zero_bid_mismatch, f"market {n}: buyers {sorted(zero_bid_mismatch)}"
+        assert mu_gap <= 1e-6, f"market {n}: mu {mu_gap:.3e} off"
+        assert alloc_gap <= 5e-6, f"market {n}: allocation {alloc_gap:.3e} off"
+        assert ask_gap <= 1e-6, f"market {n}: ask {ask_gap:.3e} off"
 
 
 def test_unconverged_run_is_flagged():
@@ -453,18 +504,18 @@ def _large_market(m, seed=0):
     "market, iterations, converged, digest",
     [
         pytest.param(
-            lambda: _corpus_market(0), 11, True,
-            "46cb77de5255604a32d75d0a9bccd76bac0e645d409ab6f145bcf83516995cba",
+            lambda: _corpus_market(0), 9, True,
+            "81a6014a76a6cb7712bf32bbef3be6f1b3f62a0c78669a2d25c56560c8bb1105",
             id="corpus k=0",
         ),
         pytest.param(
-            lambda: _corpus_market(1), 22, True,
-            "563e17b571cfb94a8f70211b433c8dcfe0770f959595f7e7b5371c2f8d596076",
+            lambda: _corpus_market(1), 12, True,
+            "b1ed69b996011d45a510779c7d52f7ced766eda2c2dc8254f2fe6af5dbbb3875",
             id="corpus k=1",
         ),
         pytest.param(
-            lambda: _corpus_market(2), 23, True,
-            "7674af7842ad6efe85e6522d5798c62b6ecd5a3fd7fe770820e2f77f716ab44b",
+            lambda: _corpus_market(2), 11, True,
+            "297ffde42525a74213d1704fab398da4245b6e447d8224511eef81ff99a92799",
             id="corpus k=2",
         ),
         pytest.param(
@@ -479,19 +530,21 @@ def _large_market(m, seed=0):
         ),
         pytest.param(
             lambda: _large_market(0), 13, True,
-            "abbeadc21c49a8ef3d7d2c1d865824561c4803bbf7210ef75ca2f0b2ac77b08c",
+            "204814b0ffc1264091f307e81a0d48e59dc312231a3f1dd02698ff60e8423c96",
             id="large (300, 150) seed=0 m=0",
         ),
     ],
 )
 def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     """A change that only speeds the engine up must leave every bit of these
-    outcomes as it is. Every digest was last recorded when the quotes stopped
-    being damped (each agent now re-quotes its target outright), a behaviour
-    change that moved all six on purpose: k=0 went from 14 rounds to 11, k=1
-    from 39 to 22, k=2 from 36 to 23, k=209 from 177 to 137 and the large
-    market from 17 to 13; k=209 still has not converged after 100 rounds. An
-    unconverged case runs with max_iters set to its pinned iteration count."""
+    outcomes as it is. Four digests were last recorded when each seller's
+    proximal weight went from twice its curvature estimate to the estimate
+    itself, a behaviour change that moved them on purpose: k=0 went from 11
+    rounds to 9, k=1 from 22 to 12, k=2 from 23 to 11, and the large market
+    stayed at 13 rounds with other final quotes. Both k=209 cases, bound by
+    a buyer's creeping bid, did not move: 137 rounds, and not converged
+    after 100. An unconverged case runs with max_iters set to its pinned
+    iteration count."""
     buyers, sellers = market()
     max_iters = 2500 if converged else iterations
     outcome = run_auction(
@@ -506,70 +559,76 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
 
-# mu and the zero-bid buyers of the engine before buyers extrapolated, run
-# to tol_rel=1e-12, inner_kkt_tol=1e-9 and max_iters=20000 on corpus markets
-# that used to hit max_iters=2500. k=851 pins the halving bound: letting a
-# jump reach zero whenever the buyer's choke price x*y is at most its unit
-# price b/d parks buyer 18 there for good and moves mu by 4.5e-4.
-_REFERENCE = {
-    36: (0.7512946176696678, {6, 7}),
-    56: (1.330499513360878, {1, 2, 4, 6, 7, 9, 11, 15, 16, 18, 20, 22}),
-    77: (0.9596252948664511, {0, 5, 13, 16}),
-    90: (1.013089701633317, {0, 2, 7, 9}),
-    144: (0.9575819091633678, {0, 1, 13}),
-    249: (0.7554415037182095, {8, 10}),
-    851: (0.9036212466713663, {1, 5, 8, 9, 12, 15, 17, 20}),
-}
+# Corpus markets that used to hit max_iters=2500 before buyers extrapolated.
+# k=851 pins the halving bound: letting a jump reach zero whenever the
+# buyer's choke price x*y is at most its unit price b/d parks buyer 18 there
+# for good and moves mu by 4.5e-4.
+_FORMERLY_STUCK = (36, 56, 77, 90, 144, 249, 851)
 
 
-@pytest.mark.parametrize("k", sorted(_REFERENCE), ids=lambda k: f"corpus k={k}")
+@pytest.mark.parametrize("k", _FORMERLY_STUCK, ids=lambda k: f"corpus k={k}")
 def test_formerly_stuck_markets_converge_to_the_reference(k):
-    mu, zero_bids = _REFERENCE[k]
     buyers, sellers = _corpus_market(k)
     outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
     assert outcome.converged
-    assert {i for i, b in enumerate(outcome.bids) if b == 0.0} == zero_bids
-    assert math.isclose(outcome.clearing.mu, mu, rel_tol=2e-6)
+    zero_bid_mismatch, mu_gap, _, _ = equilibrium_gaps(
+        outcome, equilibrium_reference(buyers, sellers, P.p)
+    )
+    assert not zero_bid_mismatch
+    assert mu_gap <= 1e-6
 
 
-# Asks of the engine before quotes were undamped (each round blended half
-# way toward its target), without extrapolation, run to tol_rel=1e-12,
-# inner_kkt_tol=1e-9 and max_iters=20000; both took 80 rounds.
-_REFERENCE_ASKS = {
-    2: (
-        0.09568445155525326, 0.05974490393543978, 0.05974490393544049,
-        0.11780916096028221, 0.05974490393544815, 0.06847958532892659,
-    ),
-    870: (
-        0.044604444644965324, 0.06604313461422862, 0.12463594575394138,
-        0.0446044446449642, 0.04460444464491152, 0.0681699026328827,
-        0.08483112085088207, 0.044604444644976024, 0.05917192504553778,
-        0.04460444464490115,
-    ),
-}
-
-
-@pytest.mark.parametrize("k", sorted(_REFERENCE_ASKS), ids=lambda k: f"corpus k={k}")
-def test_asks_stop_within_2e_6_of_the_reference(k):
-    """The asks stop on the size of their last step, not on their distance
-    to the fixed point. Damped, an interior seller's ask crept toward it
-    slowly enough to stop 3.74e-6 (k=870) and 3.46e-6 (k=2) relative off."""
-    buyers, sellers = _corpus_market(k)
-    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
-    assert outcome.converged
-    for got, want in zip(outcome.asks, _REFERENCE_ASKS[k], strict=True):
-        assert abs(got - want) <= 2e-6 * want
+def _sold_out_seller(total_avail):
+    # v'(q) = 0.25/(q + 1) reaches the floor p = 0.25 only at q = 0, so the
+    # seller offers everything it generates and, sold out, asks p
+    return SellerState(0.25, 1.0, total_avail)
 
 
 def test_saturated_reference_on_hand_solved_markets():
-    # one buyer: x - mu/y = mu*A gives mu = x/(A + 1/y)
-    assert saturated_market_reference([BuyerState(1.0, 1.0)], 1.0) == (0.5, set())
+    # demand at p exceeds the offer, so mu >= p solves
+    # sum(max(x - mu/y, 0)) = mu*A; one buyer: mu = x/(A + 1/y)
+    assert equilibrium_reference([BuyerState(1.0, 1.0)], [_sold_out_seller(1.0)], P.p) == (
+        0.5, [1.0], [1.0], [0.5], [0.25]
+    )
     # a choke price x*y = 0.3 below that mu leaves the second buyer out
-    mu, zero_bids = saturated_market_reference([BuyerState(1.0, 1.0), BuyerState(0.3, 1.0)], 1.0)
-    assert (mu, zero_bids) == (0.5, {1})
+    mu, d, s, bids, asks = equilibrium_reference(
+        [BuyerState(1.0, 1.0), BuyerState(0.3, 1.0)], [_sold_out_seller(1.0)], P.p
+    )
+    assert (mu, d, bids) == (0.5, [1.0, 0.0], [0.5, 0.0])
     # both bid: mu = (1 + 0.9)/(1.5 + 1 + 0.5), below both choke prices 1 and 1.8
-    mu, zero_bids = saturated_market_reference([BuyerState(1.0, 1.0), BuyerState(0.9, 2.0)], 1.5)
-    assert mu == pytest.approx(1.9 / 3.0, rel=1e-15) and zero_bids == set()
+    mu, d, s, bids, asks = equilibrium_reference(
+        [BuyerState(1.0, 1.0), BuyerState(0.9, 2.0)], [_sold_out_seller(1.5)], P.p
+    )
+    assert mu == pytest.approx(1.9 / 3.0, rel=1e-15)
+    assert d == pytest.approx([1.1 / 1.9, 1.75 / 1.9], rel=1e-14)
+    assert s == [1.5] and asks == [0.25]
+
+
+def test_equilibrium_reference_below_the_floor_on_a_hand_solved_market():
+    # At p = 0.25 buyer 0 demands 1/p - 1 = 3 and buyer 1, choke price 0.2,
+    # nothing; both pay p. Seller 0 offers 8 - (1/p - 1) = 5 > 3, so mu <= p
+    # solves 8 - (1/mu - 1) = 3: mu = 1/6, and seller 0 asks v'(5) = 1/6.
+    # Seller 1 offers 1 - (0.4/p - 1) = 0.4 but sells nothing at mu = 1/6,
+    # because its cheapest marginal value v'(1) = 0.2 lies above it.
+    buyers = [BuyerState(1.0, 1.0), BuyerState(0.2, 1.0)]
+    sellers = [SellerState(1.0, 1.0, 8.0), SellerState(0.4, 1.0, 1.0)]
+    reference = equilibrium_reference(buyers, sellers, P.p)
+    mu, d, s, bids, asks = reference
+    assert mu == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert d == [3.0, 0.0] and bids == [0.75, 0.0]
+    assert s == pytest.approx([3.0, 0.0], abs=1e-14) and s[1] == 0.0
+    assert asks == pytest.approx([1.0 / 6.0, 0.2], rel=1e-14)
+    outcome = run_auction(buyers, sellers, P, CFG)
+    assert outcome.converged
+    zero_bid_mismatch, *gaps = equilibrium_gaps(outcome, reference)
+    assert not zero_bid_mismatch and max(gaps) <= 1e-6
+
+
+def test_equilibrium_reference_sees_no_trade_without_demand_or_offer():
+    # no buyer's choke price x*y exceeds p = 0.25
+    assert equilibrium_reference([BuyerState(0.2, 1.0)], [_sold_out_seller(1.0)], P.p) is None
+    # the seller's marginal value at full stock, 1/(1 + 1) = 0.5, exceeds p
+    assert equilibrium_reference([BuyerState(1.0, 1.0)], [SellerState(1.0, 1.0, 1.0)], P.p) is None
 
 
 # Corpus markets with 1 to 4 sellers that used to hit max_iters=2500 while
@@ -584,6 +643,8 @@ def test_sold_out_markets_converge_to_the_saturated_fixed_point(k):
     assert outcome.converged
     for s, a in zip(outcome.clearing.s, outcome.avails):
         assert math.isclose(s, a, rel_tol=1e-12)
-    mu, zero_bids = saturated_market_reference(buyers, math.fsum(outcome.avails))
-    assert {i for i, b in enumerate(outcome.bids) if b == 0.0} == zero_bids
-    assert math.isclose(outcome.clearing.mu, mu, rel_tol=1e-6)
+    reference = equilibrium_reference(buyers, sellers, P.p)
+    assert reference[2] == list(outcome.avails)
+    zero_bid_mismatch, mu_gap, _, _ = equilibrium_gaps(outcome, reference)
+    assert not zero_bid_mismatch
+    assert mu_gap <= 1e-6
