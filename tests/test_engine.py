@@ -578,6 +578,37 @@ def test_formerly_stuck_markets_converge_to_the_reference(k):
     assert mu_gap <= 1e-6
 
 
+# Asks of the engine before quotes were undamped (each round blended half
+# way toward its target), without extrapolation, run to tol_rel=1e-12,
+# inner_kkt_tol=1e-9 and max_iters=20000; both took 80 rounds.
+_REFERENCE_ASKS = {
+    2: (
+        0.09568445155525326, 0.05974490393543978, 0.05974490393544049,
+        0.11780916096028221, 0.05974490393544815, 0.06847958532892659,
+    ),
+    870: (
+        0.044604444644965324, 0.06604313461422862, 0.12463594575394138,
+        0.0446044446449642, 0.04460444464491152, 0.0681699026328827,
+        0.08483112085088207, 0.044604444644976024, 0.05917192504553778,
+        0.04460444464490115,
+    ),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_REFERENCE_ASKS), ids=lambda k: f"corpus k={k}")
+def test_asks_stop_within_2e_6_of_the_reference(k):
+    """The asks stop on the size of their last step, not on their distance
+    to the fixed point. Damped, an interior seller's ask crept toward it
+    slowly enough to stop 3.74e-6 (k=870) and 3.46e-6 (k=2) relative off.
+    The corpus-wide check against the equilibrium oracle is in
+    test_acceptance; these two pin recorded asks independent of it."""
+    buyers, sellers = _corpus_market(k)
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    assert outcome.converged
+    for got, want in zip(outcome.asks, _REFERENCE_ASKS[k], strict=True):
+        assert abs(got - want) <= 2e-6 * want
+
+
 def _sold_out_seller(total_avail):
     # v'(q) = 0.25/(q + 1) reaches the floor p = 0.25 only at q = 0, so the
     # seller offers everything it generates and, sold out, asks p
