@@ -15,7 +15,6 @@ from .engine import (
     AuctionState,
     IterationRecord,
     auction_step,
-    init_auction,
     run_auction,
 )
 from .experiments import (
@@ -48,6 +47,7 @@ from .market import (
     SellerState,
     compute_payoffs,
     declare_availability,
+    social_welfare,
 )
 from .scenario import (
     ParameterRanges,
@@ -59,6 +59,6 @@ from .scenario import (
     scenario_to_json,
 )
 from .utility import LogUtility
-from .welfare import WelfareSolution, efficiency_gap, social_welfare, solve_welfare
+from .welfare import WelfareSolution, efficiency_gap, solve_welfare
 
 __version__ = "0.1.0"

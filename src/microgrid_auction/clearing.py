@@ -242,13 +242,16 @@ def clear_market_proximal(
     prev_s_j outside [0, a_j] is clipped, not refused). Solves the
     clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
     seller response s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is
-    continuous in the asks. The price solves demand == supply exactly. Supply
-    is nondecreasing and demand nonincreasing in mu, so the first breakpoint
-    in surplus brackets the root, which is closed-form on that segment (linear
-    below the floor, a quadratic above it). The breakpoints are sorted once
-    and swept with a running slope sum(1/w_j) and intercept to guess that
-    breakpoint; the exact supply sum then confirms the guess and its left
-    neighbour, and only a wrong guess falls back to bisection: O(N_s log N_s).
+    continuous in the asks; it is written once and gives both the exact
+    supply sums and the allocations. The price solves demand == supply
+    exactly. Supply is nondecreasing and demand nonincreasing in mu, so the
+    first breakpoint in surplus brackets the root. The breakpoints are sorted
+    once and swept with a running slope sum(1/w_j) and intercept to guess
+    that breakpoint; the exact supply sum then confirms the guess and its
+    left neighbour, and only a wrong guess falls back to bisection:
+    O(N_s log N_s). Supply is linear on the bracketing segment, so the root
+    is closed-form in the two exact sums at its ends (linear below the floor,
+    a quadratic above it).
     At a stationary point (s == prev_s) interior sellers force mu == c_j, so
     fixed points satisfy the exact clearing optimality system.
     """
@@ -283,20 +286,23 @@ def clear_market_proximal(
     if total_bid <= 0 or total_avail <= 0:
         return _no_trade(len(bids), n_s)
 
-    rows = [row for row in sellers if row[3] > 0]
-
-    def supply(mu: float) -> float:
-        return math.fsum(min(max(pj + (mu - cj) / wj, 0.0), aj) for pj, cj, wj, aj in rows)
+    def allocations(mu: float) -> list[float]:
+        # A seller with nothing to offer sells nothing, whatever its ask.
+        return [
+            min(max(pj + (mu - cj) / wj, 0.0), aj) if aj > 0 else 0.0
+            for pj, cj, wj, aj in sellers
+        ]
 
     # Seller j is linear in mu between its kinks c_j - w_j*prev_j (s_j = 0)
     # and c_j + w_j*(a_j - prev_j) (s_j = a_j). Each event carries what it
     # adds to the running supply line slope*mu + intercept; p only joins the
     # grid.
     events = [(p, 0.0, 0.0)]
-    for pj, cj, wj, aj in rows:
-        base = pj - cj / wj
-        events.append((cj - wj * pj, 1.0 / wj, base))
-        events.append((cj + wj * (aj - pj), -1.0 / wj, aj - base))
+    for pj, cj, wj, aj in sellers:
+        if aj > 0:
+            base = pj - cj / wj
+            events.append((cj - wj * pj, 1.0 / wj, base))
+            events.append((cj + wj * (aj - pj), -1.0 / wj, aj - base))
     events.sort(key=itemgetter(0))
     grid = [events[0][0]]
     for m, _, _ in events:
@@ -325,8 +331,6 @@ def clear_market_proximal(
 
     def solve_segment(m0: float, m1: float, s0: float, s1: float) -> float:
         # Linear supply between breakpoints; demand constant below p.
-        if m1 <= m0:
-            return m0
         k = (s1 - s0) / (m1 - m0)
         if m1 <= p:
             if k <= 0:
@@ -353,7 +357,7 @@ def clear_market_proximal(
 
     def in_surplus(i: int) -> bool:
         m = grid[i]
-        supplies[i] = supply(m)
+        supplies[i] = math.fsum(allocations(m))
         return supplies[i] >= total_bid / (m if m >= p else p)
 
     lo = first_passing(len(grid), guess, in_surplus)
@@ -368,11 +372,7 @@ def clear_market_proximal(
     else:
         mu = solve_segment(grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo])
 
-    s = [
-        min(max(pj + (mu - cj) / wj, 0.0), aj) if aj > 0 else 0.0
-        for pj, cj, wj, aj in sellers
-    ]
-    return _settle(bids, asks, avails, params, mu, s)
+    return _settle(bids, asks, avails, params, mu, allocations(mu))
 
 
 def clearing_objective(

@@ -246,6 +246,21 @@ def _cmd_clear(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report_outcome(
+    args: argparse.Namespace, outcome: AuctionOutcome, red: RedistributionResult | None
+) -> int:
+    """Write an outcome in the requested format and return its exit code."""
+    if args.format == "json":
+        _write(dumps(outcome_payload(outcome, red)), args.out)
+    else:
+        _write(_outcome_csv(outcome, red), args.out)
+    if args.strict and outcome.clearing.no_trade:
+        return EXIT_NO_TRADE
+    if not outcome.converged:
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
+
+
 def _cmd_auction(args: argparse.Namespace) -> int:
     scenario = _load_market(args)
     config = AuctionConfig(
@@ -259,15 +274,7 @@ def _cmd_auction(args: argparse.Namespace) -> int:
         red = redistribute(outcome, scenario.buyers, scenario.sellers)
     if args.trace_out is not None:
         _write(_trace_csv(outcome), args.trace_out)
-    if args.format == "json":
-        _write(dumps(outcome_payload(outcome, red)), args.out)
-    else:
-        _write(_outcome_csv(outcome, red), args.out)
-    if args.strict and outcome.clearing.no_trade:
-        return EXIT_NO_TRADE
-    if not outcome.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _report_outcome(args, outcome, red)
 
 
 def _cmd_redistribute(args: argparse.Namespace) -> int:
@@ -276,15 +283,7 @@ def _cmd_redistribute(args: argparse.Namespace) -> int:
     outcome = load_outcome(args.outcome)
     scenario = _load_market(args)
     red = redistribute(outcome, scenario.buyers, scenario.sellers)
-    if args.format == "json":
-        _write(dumps(outcome_payload(outcome, red)), args.out)
-    else:
-        _write(_outcome_csv(outcome, red), args.out)
-    if args.strict and outcome.clearing.no_trade:
-        return EXIT_NO_TRADE
-    if not outcome.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _report_outcome(args, outcome, red)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

@@ -64,8 +64,8 @@ from .market import (
     SellerState,
     compute_payoffs,
     declare_availability,
+    social_welfare,
 )
-from .welfare import social_welfare
 
 # Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to
 # _PROX_WEIGHT_FACTOR times the seller's curvature estimate; at 1 that is
@@ -138,7 +138,9 @@ class AuctionState:
     drive the per-seller weight adaptation. clearing holds the result of the
     most recent step, i.e. the clearing of the PREVIOUS state's quotes, and
     prev_bids the bids that state cleared (empty before the first step);
-    extrapolation reads them.
+    extrapolation reads them. A bid of exactly 0.0 marks a parked buyer, out
+    of the market for good: every other bid is the opening bid p or at
+    least BID_FLOOR.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -147,7 +149,6 @@ class AuctionState:
     bids: tuple[float, ...]
     asks: tuple[float, ...]
     avails: tuple[float, ...]
-    parked: tuple[bool, ...]
     prev_s: tuple[float, ...]
     prox_weights: tuple[float, ...]
     curv_ema: tuple[float, ...]
@@ -178,46 +179,31 @@ class AuctionOutcome:
     trace: tuple[IterationRecord, ...] = field(repr=False)
 
 
-def init_auction(
-    buyers: list[BuyerState] | tuple[BuyerState, ...],
-    sellers: list[SellerState] | tuple[SellerState, ...],
-    params: MarketParams,
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Opening quotes: (bids, asks, availabilities).
-
-    Every buyer opens bidding the floor price for one energy unit. Sellers
-    declare availability once (it never changes mid-auction) and open asking
-    the marginal value of their full stock, their cheapest truthful ask,
-    clamped to the ceiling p that sellers may never exceed.
-    """
-    bids = tuple(params.p for _ in buyers)
-    avails = tuple(declare_availability(seller, params) for seller in sellers)
-    asks = tuple(
-        min(seller.utility.marginal(seller.g), params.p) for seller in sellers
-    )
-    return bids, asks, avails
-
-
 def _initial_state(
     buyers: list[BuyerState] | tuple[BuyerState, ...],
     sellers: list[SellerState] | tuple[SellerState, ...],
     params: MarketParams,
 ) -> AuctionState:
-    bids, asks, avails = init_auction(buyers, sellers, params)
+    """The opening quotes, before the first clearing.
+
+    Every buyer opens bidding the floor price for one energy unit. A buyer
+    whose marginal value never reaches the floor price can only ratchet its
+    bid down to zero (the update is strictly decreasing while the bid is
+    positive), so it starts parked at its exact limit, bid 0.0. Sellers
+    declare availability once (it never changes mid-auction) and open asking
+    the marginal value of their full stock, their cheapest truthful ask,
+    clamped to the ceiling p that sellers may never exceed.
+    """
+    p = params.p
+    asks = tuple(min(seller.utility.marginal(seller.g), p) for seller in sellers)
     n_s = len(sellers)
-    # A buyer whose marginal value never reaches the floor price can only
-    # ratchet its bid down to zero (the update is strictly decreasing while
-    # the bid is positive), so it starts parked at its exact limit.
-    parked = tuple(buyer.utility.marginal(0.0) <= params.p for buyer in buyers)
-    bids = tuple(0.0 if parked[i] else bids[i] for i in range(len(buyers)))
     return AuctionState(
         buyers=tuple(buyers),
         sellers=tuple(sellers),
         params=params,
-        bids=bids,
+        bids=tuple(p if buyer.utility.marginal(0.0) > p else 0.0 for buyer in buyers),
         asks=asks,
-        avails=avails,
-        parked=parked,
+        avails=tuple(declare_availability(seller, params) for seller in sellers),
         prev_s=(0.0,) * n_s,
         prox_weights=(_PROX_WEIGHT,) * n_s,
         curv_ema=(_PROX_WEIGHT / 2.0,) * n_s,
@@ -274,20 +260,13 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     else:
         prev_bids, prev_d = state.bids, result.d
     new_bids = []
-    parked = []
-    for buyer, b, b0, is_parked, d, d0 in zip(
-        state.buyers, state.bids, prev_bids, state.parked, result.d, prev_d
-    ):
-        if is_parked:
-            b = 0.0
-        else:
+    for buyer, b, b0, d, d0 in zip(state.buyers, state.bids, prev_bids, result.d, prev_d):
+        if b != 0.0:
             target = buyer.utility.marginal(d) * d
             b = _extrapolate(b0, b, target, d0, d) if extrapolate else target
             if b < BID_FLOOR:
                 b = 0.0
-                is_parked = True
         new_bids.append(b)
-        parked.append(is_parked)
 
     new_asks = []
     targets = []
@@ -316,7 +295,6 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         bids=tuple(new_bids),
         asks=tuple(new_asks),
         avails=state.avails,
-        parked=tuple(parked),
         prev_s=result.s,
         prox_weights=tuple(weights),
         curv_ema=tuple(ema),

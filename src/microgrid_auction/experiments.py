@@ -26,10 +26,10 @@ from typing import Any, Callable
 
 from .engine import AuctionConfig, AuctionOutcome, run_auction
 from .fairness import redistribute
-from .market import BuyerState, MarketParams, SellerState
-from .scenario import ParameterRanges
+from .market import BuyerState, MarketParams, SellerState, social_welfare
+from .scenario import ParameterRanges, draw_buyers, draw_sellers
 from .serialize import dumps, to_csv
-from .welfare import efficiency_gap, social_welfare, solve_welfare
+from .welfare import efficiency_gap, solve_welfare
 
 _MASK = (1 << 64) - 1
 
@@ -95,24 +95,6 @@ def spearman_rho(xs: list[float] | tuple[float, ...], ys: list[float] | tuple[fl
     if vx == 0 or vy == 0:
         raise ValueError("constant ranks have no correlation")
     return cov / math.sqrt(vx * vy)
-
-
-def _draw_sellers(rng: Any, count: int, ranges: ParameterRanges) -> list[SellerState]:
-    return [
-        SellerState(
-            x=rng.uniform(*ranges.seller_x),
-            y=rng.uniform(*ranges.seller_y),
-            g=rng.uniform(*ranges.gen),
-        )
-        for _ in range(count)
-    ]
-
-
-def _draw_buyers(rng: Any, count: int, ranges: ParameterRanges) -> list[BuyerState]:
-    return [
-        BuyerState(x=rng.uniform(*ranges.buyer_x), y=rng.uniform(*ranges.buyer_y))
-        for _ in range(count)
-    ]
 
 
 def verify_outcome(
@@ -218,9 +200,9 @@ def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentRepor
     for ns in cfg.seller_counts:
         for rep in range(cfg.replications):
             seller_rng = random.Random(mix_seed(cfg.seed, _SALT_SELLERS, ns, rep))
-            sellers = _draw_sellers(seller_rng, ns, cfg.seller_ranges)
+            sellers = draw_sellers(seller_rng, ns, cfg.seller_ranges)
             buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_BUYERS, rep))
-            buyer_pool = _draw_buyers(buyer_rng, nb_max, cfg.buyer_ranges)
+            buyer_pool = draw_buyers(buyer_rng, nb_max, cfg.buyer_ranges)
             for nb in cfg.buyer_counts:
                 buyers = buyer_pool[:nb]
                 outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
@@ -292,9 +274,9 @@ def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
     cfg = config or CaseStudyConfig()
     run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 1))
-    sellers = _draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
+    sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
     buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 2))
-    buyer_pool = _draw_buyers(buyer_rng, max(cfg.buyer_counts), cfg.buyer_ranges)
+    buyer_pool = draw_buyers(buyer_rng, max(cfg.buyer_counts), cfg.buyer_ranges)
 
     records: list[dict[str, Any]] = []
     summaries = []
@@ -385,9 +367,9 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
     records = []
     for nb in cfg.buyer_counts:
         seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, cfg.n_sellers))
-        sellers = _draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
+        sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
         buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, 999, nb))
-        buyers = _draw_buyers(buyer_rng, nb, cfg.buyer_ranges)
+        buyers = draw_buyers(buyer_rng, nb, cfg.buyer_ranges)
         outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
         verify_outcome(outcome, buyers, sellers)
         red = redistribute(outcome, buyers, sellers)
@@ -447,8 +429,8 @@ def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:
     finals = []
     for ns, nb in cfg.sizes:
         rng = random.Random(mix_seed(cfg.seed, ns, nb))
-        buyers = _draw_buyers(rng, nb, cfg.buyer_ranges)
-        sellers = _draw_sellers(rng, ns, cfg.seller_ranges)
+        buyers = draw_buyers(rng, nb, cfg.buyer_ranges)
+        sellers = draw_sellers(rng, ns, cfg.seller_ranges)
         outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
         verify_outcome(outcome, buyers, sellers)
         final_gap = None

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .market import BuyerState, SellerState
-from .welfare import social_welfare
+from .market import BuyerState, SellerState, social_welfare
 
 if TYPE_CHECKING:
     from .engine import AuctionOutcome

@@ -1,4 +1,5 @@
-"""Market primitives: agent parameters, availability declaration, payoffs.
+"""Market primitives: agent parameters, availability declaration, payoffs and
+social welfare.
 
 Buyers value consumed energy d through u(d) = x*log(y*d + 1) and communicate a
 single scalar bid b (total money offered). Sellers value retained generation
@@ -17,6 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .utility import LogUtility
+
+# Slack, scaled by max(1, g) for sellers, within which social_welfare accepts
+# an allocation just outside its bounds.
+_RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,3 +130,28 @@ def compute_payoffs(
     )
     revenue = math.fsum(bids) - math.fsum(c * q for c, q in zip(asks, s))
     return Payoffs(buyer_pi, seller_pi, revenue)
+
+
+def social_welfare(
+    buyers: list[BuyerState] | tuple[BuyerState, ...],
+    sellers: list[SellerState] | tuple[SellerState, ...],
+    d: tuple[float, ...] | list[float],
+    s: tuple[float, ...] | list[float],
+) -> float:
+    """Total welfare sum(u_i(d_i)) + sum(v_j(g_j - s_j)) of an allocation."""
+    if len(d) != len(buyers):
+        raise ValueError(f"{len(d)} allocations vs {len(buyers)} buyers")
+    if len(s) != len(sellers):
+        raise ValueError(f"{len(s)} allocations vs {len(sellers)} sellers")
+    total = 0.0
+    for buyer, di in zip(buyers, d):
+        if di < -_RANGE_TOL or not math.isfinite(di):
+            raise ValueError(f"buyer allocation out of range: {di}")
+        total += buyer.utility.value(max(di, 0.0))
+    for seller, sj in zip(sellers, s):
+        slack = _RANGE_TOL * max(1.0, seller.g)
+        if sj < -slack or sj > seller.g + slack or not math.isfinite(sj):
+            raise ValueError(f"seller allocation out of range: {sj} (g={seller.g})")
+        retained = min(max(seller.g - sj, 0.0), seller.g)
+        total += seller.utility.value(retained)
+    return total

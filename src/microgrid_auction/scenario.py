@@ -73,6 +73,26 @@ class Scenario:
         object.__setattr__(self, "sellers", tuple(self.sellers))
 
 
+def draw_buyers(rng: random.Random, n: int, ranges: ParameterRanges) -> list[BuyerState]:
+    """n buyers from rng, drawing x then y for each."""
+    return [
+        BuyerState(x=rng.uniform(*ranges.buyer_x), y=rng.uniform(*ranges.buyer_y))
+        for _ in range(n)
+    ]
+
+
+def draw_sellers(rng: random.Random, n: int, ranges: ParameterRanges) -> list[SellerState]:
+    """n sellers from rng, drawing x, y then g for each."""
+    return [
+        SellerState(
+            x=rng.uniform(*ranges.seller_x),
+            y=rng.uniform(*ranges.seller_y),
+            g=rng.uniform(*ranges.gen),
+        )
+        for _ in range(n)
+    ]
+
+
 def generate_scenario(
     seed: int,
     n_buyers: int,
@@ -85,18 +105,8 @@ def generate_scenario(
     if n_buyers < 0 or n_sellers < 0:
         raise ValueError("agent counts must be >= 0")
     rng = random.Random(seed)
-    buyers = tuple(
-        BuyerState(x=rng.uniform(*ranges.buyer_x), y=rng.uniform(*ranges.buyer_y))
-        for _ in range(n_buyers)
-    )
-    sellers = tuple(
-        SellerState(
-            x=rng.uniform(*ranges.seller_x),
-            y=rng.uniform(*ranges.seller_y),
-            g=rng.uniform(*ranges.gen),
-        )
-        for _ in range(n_sellers)
-    )
+    buyers = draw_buyers(rng, n_buyers, ranges)
+    sellers = draw_sellers(rng, n_sellers, ranges)
     return Scenario(params=params, buyers=buyers, sellers=sellers, seed=seed, label=label)
 
 

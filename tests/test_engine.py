@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,23 @@ def _mixed_market(rng, nb, ns):
 
 def _seller_payoff(seller: SellerState, ask: float, sold: float) -> float:
     return seller.utility.value(seller.g - sold) + ask * sold
+
+
+def test_engine_does_not_import_the_welfare_module():
+    """The auction reads only quoted scalars: the full-information welfare
+    solver is a benchmark beside it, never an input."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "microgrid_auction." if node.level else ""
+            if node.module is None:
+                imported.update(prefix + alias.name for alias in node.names)
+            else:
+                imported.add(prefix + node.module)
+    assert imported and "microgrid_auction.welfare" not in imported
 
 
 def test_analytic_fixed_point():
@@ -319,7 +338,7 @@ def _extrapolation_market():
 def test_buyers_extrapolate_on_every_fourth_step_only():
     buyers, sellers = _extrapolation_market()
     state = engine._initial_state(buyers, sellers, P)
-    assert state.prev_bids == () and state.parked[0]
+    assert state.prev_bids == () and state.bids[0] == 0.0
     jumps = 0
     while state.iteration < 12:
         nxt = auction_step(state, CFG)
@@ -331,8 +350,8 @@ def test_buyers_extrapolate_on_every_fourth_step_only():
             assert nxt.bids == plain.bids
         else:
             expected = tuple(
-                0.0 if parked else engine._extrapolate(b0, b1, b2)
-                for parked, b0, b1, b2 in zip(state.parked, state.prev_bids, state.bids, plain.bids)
+                0.0 if b1 == 0.0 else engine._extrapolate(b0, b1, b2)
+                for b0, b1, b2 in zip(state.prev_bids, state.bids, plain.bids)
             )
             assert nxt.bids == expected
             jumps += nxt.bids != plain.bids
@@ -345,13 +364,11 @@ def test_parked_buyers_never_extrapolate():
     state = engine._initial_state(buyers, sellers, P)
     for _ in range(3):
         state = auction_step(state, CFG)
-    assert state.parked[0] and (state.iteration + 1) % 4 == 0
-    # quotes that would re-quote and extrapolate if the buyer were active
-    state = dataclasses.replace(
-        state, bids=(0.2,) + state.bids[1:], prev_bids=(0.3,) + state.prev_bids[1:]
-    )
+    assert state.bids[0] == 0.0 and (state.iteration + 1) % 4 == 0
+    # a previous bid that would extrapolate if the buyer were active
+    state = dataclasses.replace(state, prev_bids=(0.3,) + state.prev_bids[1:])
     nxt = auction_step(state, CFG)
-    assert nxt.bids[0] == 0.0 and nxt.parked[0]
+    assert nxt.bids[0] == 0.0
 
 
 def _wide_jump_state():
@@ -382,9 +399,9 @@ def test_step_compares_unit_prices_of_the_last_two_clearings():
 
 def test_parked_buyers_never_extrapolate_on_a_settled_price():
     state, i = _wide_jump_state()
-    parked = state.parked[:i] + (True,) + state.parked[i + 1:]
-    nxt = auction_step(dataclasses.replace(state, parked=parked), CFG)
-    assert nxt.bids[i] == 0.0 and nxt.parked[i]
+    bids = state.bids[:i] + (0.0,) + state.bids[i + 1:]
+    nxt = auction_step(dataclasses.replace(state, bids=bids), CFG)
+    assert nxt.bids[i] == 0.0
 
 
 @pytest.fixture(scope="module")
