@@ -76,7 +76,8 @@ def solve_welfare(
     demand. Excess demand is nonincreasing in mu, so the exact excess at the
     guess and at the kink below it confirms it; only a wrong guess falls back
     to bisection. The two exact values e0 > 0 >= e1 at the segment's ends
-    m0 < m1 then fix its root -A/B = m0*m1*(e0 - e1)/(e0*m0 - e1*m1). A
+    m0 < m1 then fix its root -A/B, interpolated in 1/mu from the end whose
+    value is the smaller, so a negligible end value leaves mu on that kink. A
     market without a mutually beneficial trade lands on allocations that
     sum to zero on one side, and is reported as no trade.
     """
@@ -171,11 +172,17 @@ def solve_welfare(
         mu = grid[-1]
     else:
         # No kink lies strictly inside the segment, so excess is A/mu + B on
-        # it and the two exact end values e0 > 0 >= e1 give its root -A/B;
-        # the denominator is a sum of a positive and a nonnegative term.
+        # it, linear in 1/mu, and the two exact end values e0 > 0 >= e1 give
+        # its root -A/B. Interpolate from the end with the smaller value: an
+        # end value too small to move that kink leaves mu exactly on it, and
+        # the denominator stays at least 1/2.
         m0, m1 = grid[lo - 1], grid[lo]
         e0, e1 = excesses[lo - 1], excesses[lo]
-        mu = min(max(m0 * m1 * (e0 - e1) / (e0 * m0 - e1 * m1), m0), m1)
+        if e0 >= -e1:
+            mu = m1 / (1.0 - e1 / (e0 - e1) * (m1 - m0) / m0)
+        else:
+            mu = m0 / (1.0 - e0 / (e0 - e1) * (m1 - m0) / m1)
+        mu = min(max(mu, m0), m1)
 
     d = [0.0] * len(buyers)
     s = [0.0] * len(sellers)
