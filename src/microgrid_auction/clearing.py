@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .market import MarketParams
 
@@ -55,28 +56,31 @@ class ClearingResult:
 
     mu is None when either market side is empty (no trade); allocations are
     then all zero. buyer_budget_active flags buyers whose budget cap binds
-    (equivalently, mu <= p). kkt_residual is the dimensionless maximum
-    violation of the optimality system, computed by :func:`kkt_residual`.
+    (equivalently, mu <= p). inputs holds the (bids, asks, avails, params)
+    that were cleared.
     """
 
     d: tuple[float, ...]
     s: tuple[float, ...]
     mu: float | None
     buyer_budget_active: tuple[bool, ...]
-    kkt_residual: float
+    inputs: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], MarketParams] = field(
+        repr=False
+    )
 
     @property
     def no_trade(self) -> bool:
         return self.mu is None
 
+    @cached_property
+    def kkt_residual(self) -> float:
+        """The dimensionless maximum violation of the optimality system.
 
-class _Draft(NamedTuple):
-    """The fields of a ClearingResult that :func:`kkt_residual` checks."""
-
-    d: tuple[float, ...]
-    s: tuple[float, ...]
-    mu: float
-    buyer_budget_active: tuple[bool, ...]
+        Computed by :func:`kkt_residual` on this result and its inputs at
+        the first read, and kept: the auction engine reads it only for a
+        round whose quotes and allocations have already settled.
+        """
+        return kkt_residual(self, *self.inputs)
 
 
 def _validate_inputs(
@@ -96,13 +100,33 @@ def _validate_inputs(
             raise ValueError(f"asks of offering sellers must be positive, got {c}")
 
 
-def _no_trade(n_buyers: int, n_sellers: int) -> ClearingResult:
+def _totals(bids: tuple[float, ...], avails: tuple[float, ...]) -> tuple[float, float]:
+    # Every active bid exceeds BID_FLOOR > 0 and every active availability
+    # is positive, so a zero total is the same as an empty side. fsum raises
+    # OverflowError when finite terms sum past the largest float.
+    try:
+        total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+    except OverflowError:
+        raise ValueError("the bids sum past the largest float") from None
+    try:
+        total_avail = math.fsum(avails)
+    except OverflowError:
+        raise ValueError("the availabilities sum past the largest float") from None
+    return total_bid, total_avail
+
+
+def _no_trade(
+    bids: tuple[float, ...],
+    asks: tuple[float, ...],
+    avails: tuple[float, ...],
+    params: MarketParams,
+) -> ClearingResult:
     return ClearingResult(
-        d=(0.0,) * n_buyers,
-        s=(0.0,) * n_sellers,
+        d=(0.0,) * len(bids),
+        s=(0.0,) * len(asks),
         mu=None,
-        buyer_budget_active=(False,) * n_buyers,
-        kkt_residual=0.0,
+        buyer_budget_active=(False,) * len(bids),
+        inputs=(bids, asks, avails, params),
     )
 
 
@@ -139,14 +163,12 @@ def _settle(
     mu: float,
     s: list[float],
 ) -> ClearingResult:
-    # Budget-capped demand at mu, then the optimality check on the result.
+    # Budget-capped demand at mu.
     p = params.p
     denom = max(mu, p)
     d = tuple(b / denom if b > BID_FLOOR else 0.0 for b in bids)
     budget_active = tuple(mu <= p and b > BID_FLOOR for b in bids)
-    s = tuple(s)
-    residual = kkt_residual(_Draft(d, s, mu, budget_active), bids, asks, avails, params)
-    return ClearingResult(d=d, s=s, mu=mu, buyer_budget_active=budget_active, kkt_residual=residual)
+    return ClearingResult(d, tuple(s), mu, budget_active, (bids, asks, avails, params))
 
 
 def clear_market(
@@ -163,20 +185,17 @@ def clear_market(
     proportion to availability), the interior solution sum(b)/Q on a
     constant-supply stretch, or sum(b)/sum(a) when demand exceeds everything
     offered. Empty sides yield a well-typed no-trade result, never an
-    exception.
+    exception; bids or availabilities whose total overflows a float raise
+    ValueError.
     """
     bids = tuple(map(float, bids))
     asks = tuple(map(float, asks))
     avails = tuple(map(float, avails))
     _validate_inputs(bids, asks, avails)
     p = params.p
-
-    # Every active bid exceeds BID_FLOOR > 0 and every active availability
-    # is positive, so a zero total is the same as an empty side.
-    total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
-    total_avail = math.fsum(avails)
+    total_bid, total_avail = _totals(bids, avails)
     if total_bid <= 0 or total_avail <= 0:
-        return _no_trade(len(bids), len(asks))
+        return _no_trade(bids, asks, avails, params)
     active_sellers = [j for j, a in enumerate(avails) if a > 0]
 
     # Group active sellers into price levels (ties within TIE_REL_TOL).
@@ -221,7 +240,7 @@ def clear_market(
     if marginal and residual > 0:
         group_avail = math.fsum(avails[j] for j in marginal)
         for j in marginal:
-            s[j] = residual * avails[j] / group_avail
+            s[j] = residual * (avails[j] / group_avail)
     return _settle(bids, asks, avails, params, mu, s)
 
 
@@ -239,7 +258,8 @@ def clear_market_proximal(
     them, weights and prev_s included, with one chained comparison per value,
     so NaN, infinite and negative inputs raise ValueError before any work at
     little cost to the engine, which calls this once per iteration (a finite
-    prev_s_j outside [0, a_j] is clipped, not refused). Solves the
+    prev_s_j outside [0, a_j] is clipped, not refused), as do bids or
+    availabilities whose total overflows a float. Solves the
     clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
     seller response s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is
     continuous in the asks; it is written once and gives both the exact
@@ -253,7 +273,8 @@ def clear_market_proximal(
     is closed-form in the two exact sums at its ends (linear below the floor,
     a quadratic above it).
     At a stationary point (s == prev_s) interior sellers force mu == c_j, so
-    fixed points satisfy the exact clearing optimality system.
+    fixed points satisfy the exact clearing optimality system. The result
+    computes its kkt_residual only when it is first read.
     """
     bids = tuple(map(float, bids))
     asks = tuple(map(float, asks))
@@ -273,18 +294,14 @@ def clear_market_proximal(
     for v in prev_s:
         if not -_FMAX <= v <= _FMAX:
             raise ValueError(f"previous allocations must be finite, got {v}")
+    total_bid, total_avail = _totals(bids, avails)
+    if total_bid <= 0 or total_avail <= 0:
+        return _no_trade(bids, asks, avails, params)
     # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller.
     sellers = [
         (min(max(v, 0.0), aj), cj, wj, aj)
         for v, cj, wj, aj in zip(prev_s, asks, weights, avails)
     ]
-
-    # Every active bid exceeds BID_FLOOR > 0 and every active availability
-    # is positive, so a zero total is the same as an empty side.
-    total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
-    total_avail = math.fsum(avails)
-    if total_bid <= 0 or total_avail <= 0:
-        return _no_trade(len(bids), n_s)
 
     def allocations(mu: float) -> list[float]:
         # A seller with nothing to offer sells nothing, whatever its ask.
@@ -392,7 +409,7 @@ def clearing_objective(
 
 
 def kkt_residual(
-    result: ClearingResult | _Draft,
+    result: ClearingResult,
     bids: tuple[float, ...] | list[float],
     asks: tuple[float, ...] | list[float],
     avails: tuple[float, ...] | list[float],

@@ -308,15 +308,14 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
 def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig) -> bool:
     """Whether the step from before to after meets all three stopping tests.
 
-    The clearing's residual must be within inner_kkt_tol, every quote must
-    have moved by at most tol_rel relative to its old value (floored at
-    1e-12), and every allocation by at most tol_rel * max(1, a_j). Each test
-    stops at the first agent that fails it.
+    Every quote must have moved by at most tol_rel relative to its old value
+    (floored at 1e-12), every allocation by at most tol_rel * max(1, a_j),
+    and the clearing's residual must be within inner_kkt_tol. Each test stops
+    at the first agent that fails it. The residual test runs last, so the
+    clearing computes its residual only for a round that could stop.
     """
     result = after.clearing
     assert result is not None
-    if result.kkt_residual > config.inner_kkt_tol:
-        return False
     tol = config.tol_rel
     for old, new in ((before.bids, after.bids), (before.asks, after.asks)):
         for a, b in zip(old, new):
@@ -326,7 +325,7 @@ def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig
     for s, prev, a in zip(result.s, before.prev_s, after.avails):
         if abs(s - prev) > tol * max(1.0, a):
             return False
-    return True
+    return result.kkt_residual <= config.inner_kkt_tol
 
 
 def _settle(

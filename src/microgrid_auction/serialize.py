@@ -175,19 +175,26 @@ def load_outcome(path: str) -> AuctionOutcome:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        bids = tuple(float(v) for v in raw["bids"])
+        asks = tuple(float(v) for v in raw["asks"])
+        avails = tuple(float(v) for v in raw["avails"])
+        params = MarketParams(p=float(raw["p"]))
         clearing = ClearingResult(
             d=tuple(float(v) for v in raw["d"]),
             s=tuple(float(v) for v in raw["s"]),
             mu=None if raw["mu"] is None else float(raw["mu"]),
             buyer_budget_active=tuple(bool(v) for v in raw["budget_active"]),
-            kkt_residual=float(raw["kkt_residual"]),
+            inputs=(bids, asks, avails, params),
         )
+        # The residual the file holds, in the cache a read would fill: it is
+        # not computed again from the file's numbers.
+        object.__setattr__(clearing, "kkt_residual", float(raw["kkt_residual"]))
         outcome = AuctionOutcome(
             clearing=clearing,
-            bids=tuple(float(v) for v in raw["bids"]),
-            asks=tuple(float(v) for v in raw["asks"]),
-            avails=tuple(float(v) for v in raw["avails"]),
-            params=MarketParams(p=float(raw["p"])),
+            bids=bids,
+            asks=asks,
+            avails=avails,
+            params=params,
             unit_prices=tuple(None if v is None else float(v) for v in raw["unit_prices"]),
             payoffs=Payoffs(
                 buyer_payoffs=tuple(float(v) for v in raw["payoffs"]["buyers"]),

@@ -66,6 +66,19 @@ def test_input_validation():
         clear_market((-1.0,), (0.2,), (1.0,), P)
     with pytest.raises(ValueError):
         clear_market((1.0,), (0.2, 0.3), (1.0,), P)
+    with pytest.raises(ValueError, match="the bids sum past the largest float"):
+        clear_market((1e308, 1e308), (0.2,), (2.0,), P)
+    with pytest.raises(ValueError, match="the availabilities sum past the largest float"):
+        clear_market((1.0,), (0.2, 0.3), (1e308, 1e308), P)
+
+
+def test_lone_marginal_seller_sells_exactly_the_residual():
+    # residual * a_j / group_avail overflows to inf for a_j = 1e308; the
+    # share a_j / group_avail is exactly 1 for a lone marginal seller.
+    result = clear_market((1.0,), (1e-300,), (1e308,), P)
+    assert result.mu == 1e-300
+    assert result.s == (1.0 / P.p,)
+    assert result.d == result.s
 
 
 _PROX_INPUTS = {
@@ -94,6 +107,8 @@ _BAD_PROX_INPUTS = [
     ("prev_s", (0.0, math.inf), "previous allocations must be finite, got inf"),
     ("prev_s", (-math.inf, 0.0), "previous allocations must be finite, got -inf"),
     ("weights", (0.5,), "proximal weights must be positive, one per seller"),
+    ("bids", (1e308, 1e308), "the bids sum past the largest float"),
+    ("avails", (1e308, 1e308), "the availabilities sum past the largest float"),
 ] + [
     ("weights", weights, "proximal weights must be positive, one per seller")
     for w in (math.nan, math.inf, 0.0, -1.0)
@@ -195,7 +210,7 @@ def kkt_cases(draw):
         for a in avails
     )
     budget_active = tuple(draw(st.booleans()) for _ in bids)
-    return ClearingResult(d, s, mu, budget_active, 0.0), bids, asks, avails
+    return ClearingResult(d, s, mu, budget_active, (bids, asks, avails, P)), bids, asks, avails
 
 
 @settings(deadline=None, max_examples=300)
@@ -311,6 +326,22 @@ def test_proximal_price_matches_linear_scan_reference(market):
     # Weight spreads up to 1e8 make supply inelastic next to capped sellers,
     # where the quadratic root must avoid cancellation.
     _assert_proximal_matches_reference(*market)
+
+
+@settings(deadline=None, max_examples=200)
+@given(market=proximal_markets(), exact=st.booleans(), priced_out=st.booleans())
+def test_kkt_residual_read_matches_the_reference(market, exact, priced_out):
+    # A result computes its residual when first read, from the inputs it
+    # cleared; bidding nothing makes it a no-trade result.
+    bids, asks, avails, prev, weights = market
+    if priced_out:
+        bids = (0.0,) * len(bids)
+    if exact:
+        result = clear_market(bids, asks, avails, P)
+    else:
+        result = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=weights)
+    assert result.no_trade or not priced_out
+    assert result.kkt_residual == kkt_residual_reference(result, bids, asks, avails, P.p)
 
 
 @pytest.mark.parametrize(

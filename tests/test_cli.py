@@ -64,6 +64,13 @@ def test_clear_bad_inputs_exit_4(capsys):
         capsys, ["clear", "--bids", "1", "--asks", "0.2,0.3", "--avails", "1"]
     )
     assert code == 4
+    # finite quotes whose total overflows a float
+    for argv in (
+        ["clear", "--bids", "1e308,1e308", "--asks", "0.2", "--avails", "2"],
+        ["clear", "--bids", "1", "--asks", "0.2,0.3", "--avails", "1e308,1e308"],
+    ):
+        code, _ = run_cli(capsys, argv)
+        assert code == 4
 
 
 def test_auction_json_payload(capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from microgrid_auction import engine
+from microgrid_auction import clearing, engine
 from microgrid_auction.clearing import clear_market
 from microgrid_auction.engine import (
     AuctionConfig,
@@ -574,6 +574,34 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
         outcome.bids, outcome.asks,
     )
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):
+    """The stop test reads the clearing's residual only once the quotes and
+    allocations have settled, so a market that converges computes it once,
+    for its final clearing. An unconverged outcome computes it when read."""
+    residual = clearing.kkt_residual
+    calls = []
+
+    def counted(result, *inputs):
+        calls.append(result)
+        return residual(result, *inputs)
+
+    monkeypatch.setattr(clearing, "kkt_residual", counted)
+    for k in range(5):
+        calls.clear()
+        outcome = run_auction(*_corpus_market(k), P, AuctionConfig(record_trace=False))
+        assert outcome.converged
+        assert len(calls) == 1
+        assert calls[0] is outcome.clearing
+    outcome = run_auction(
+        *_corpus_market(209), P, AuctionConfig(max_iters=100, record_trace=False)
+    )
+    assert not outcome.converged
+    final = outcome.clearing
+    assert final.kkt_residual == residual(
+        final, outcome.bids, outcome.asks, outcome.avails, outcome.params
+    )
 
 
 # Corpus markets that used to hit max_iters=2500 before buyers extrapolated.

@@ -89,3 +89,13 @@ def test_outcome_file_round_trips_byte_for_byte(tmp_path):
     path = tmp_path / "outcome.json"
     path.write_text(text, encoding="utf-8")
     assert dumps(outcome_payload(load_outcome(str(path)))) == text
+
+
+def test_loaded_outcome_keeps_the_files_residual(tmp_path):
+    # A solver's result computes its residual when first read; a loaded one
+    # reports what the file holds, not a residual of the file's numbers.
+    outcome = run_auction([BuyerState(1.0, 1.0)], [SellerState(0.2, 1.0, 4.0)], MarketParams())
+    payload = {**outcome_payload(outcome), "d": [1e308], "kkt_residual": 0.5}
+    path = tmp_path / "outcome.json"
+    path.write_text(dumps(payload), encoding="utf-8")
+    assert load_outcome(str(path)).clearing.kkt_residual == 0.5

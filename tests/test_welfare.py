@@ -133,7 +133,7 @@ def test_optimum_satisfies_clearing_kkt_under_truthful_quotes():
             s=sol.s_star,
             mu=sol.mu_star,
             buyer_budget_active=(False,) * nb,
-            kkt_residual=0.0,
+            inputs=(mapped_bids, tuple(mapped_asks), tuple(avails), P),
         )
         residual = kkt_residual(result, mapped_bids, tuple(mapped_asks), tuple(avails), P)
         assert residual <= 1e-6
