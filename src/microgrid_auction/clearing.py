@@ -16,11 +16,11 @@ Two solvers live here:
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
   in near-tied asks and re-quoting alone cannot stabilize that. Its price search
-  sorts the supply breakpoints once and walks them with a running slope and
-  intercept to guess the bracketing segment, then confirms the guess with the
-  exact O(N_s) supply sum at the segment's two ends (bisecting the rest of
-  the grid if the guess was off): O(N_s log N_s) per clearing, two exact sums
-  in the usual case.
+  guesses the bracketing segment with :func:`sweep_guess`, then confirms the
+  guess with :func:`first_passing` and the exact O(N_s) supply sum at the
+  segment's two ends (bisecting the rest of the grid if the guess was off):
+  O(N_s log N_s) per clearing, two exact sums in the usual case. The welfare
+  planner finds its price with the same two functions.
 """
 
 from __future__ import annotations
@@ -155,6 +155,39 @@ def first_passing(n: int, guess: int, passes: Callable[[int], bool]) -> int:
     return lo
 
 
+def sweep_guess(
+    events: list[tuple[float, float, float]], slope: float, total: float, p: float
+) -> tuple[list[float], int]:
+    """Sorted distinct breakpoints, and the index of the first in surplus.
+
+    Each event (m, d_slope, d_intercept) adds to a running line
+    slope*m + intercept, from the given slope and intercept 0; m is in
+    surplus when the line reaches total / max(m, p). events is sorted in
+    place and gets a sentinel at infinity, so each breakpoint is tested once
+    all its events are in. Rounding in the running sums can misplace the
+    guess, so it only orders a caller's exact tests (see first_passing).
+    m if m >= p else p is max(m, p) inline: they differ only at NaN.
+    """
+    events.sort(key=itemgetter(0))
+    grid = [events[0][0]]
+    for m, _, _ in events:
+        if m != grid[-1]:
+            grid.append(m)
+    events.append((math.inf, 0.0, 0.0))
+    guess = 0
+    m_guess = grid[0]
+    intercept = 0.0
+    for m, d_slope, d_intercept in events:
+        if m > m_guess:
+            if slope * m_guess + intercept >= total / (m_guess if m_guess >= p else p):
+                break
+            guess += 1
+            m_guess = m
+        slope += d_slope
+        intercept += d_intercept
+    return grid, guess
+
+
 def _settle(
     bids: tuple[float, ...],
     asks: tuple[float, ...],
@@ -250,7 +283,7 @@ def clear_market_proximal(
     avails: tuple[float, ...] | list[float],
     params: MarketParams,
     prev_s: tuple[float, ...] | list[float],
-    weights: tuple[float, ...] | list[float] | float = 0.5,
+    weights: tuple[float, ...] | list[float],
 ) -> ClearingResult:
     """Clearing with seller allocations regularized toward prev_s.
 
@@ -259,15 +292,16 @@ def clear_market_proximal(
     so NaN, infinite and negative inputs raise ValueError before any work at
     little cost to the engine, which calls this once per iteration (a finite
     prev_s_j outside [0, a_j] is clipped, not refused), as do bids or
-    availabilities whose total overflows a float. Solves the
-    clearing objective minus sum(w_j/2 * (s_j - prev_s_j)^2), whose
-    seller response s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is
-    continuous in the asks; it is written once and gives both the exact
-    supply sums and the allocations. The price solves demand == supply
+    availabilities whose total overflows a float and weights that are not
+    one per seller. Solves the clearing objective minus
+    sum(w_j/2 * (s_j - prev_s_j)^2), whose seller response
+    s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is continuous in the
+    asks; it is written once and gives both the exact supply sums and the
+    allocations. The price solves demand == supply
     exactly. Supply is nondecreasing and demand nonincreasing in mu, so the
-    first breakpoint in surplus brackets the root. The breakpoints are sorted
-    once and swept with a running slope sum(1/w_j) and intercept to guess
-    that breakpoint; the exact supply sum then confirms the guess and its
+    first breakpoint in surplus brackets the root. :func:`sweep_guess` sorts
+    the breakpoints once and sweeps a running supply line to guess that
+    breakpoint; the exact supply sum then confirms the guess and its
     left neighbour, and only a wrong guess falls back to bisection:
     O(N_s log N_s). Supply is linear on the bracketing segment, so the root
     is closed-form in the two exact sums at its ends (linear below the floor,
@@ -282,10 +316,10 @@ def clear_market_proximal(
     _validate_inputs(bids, asks, avails)
     p = params.p
     n_s = len(asks)
-    if isinstance(weights, (int, float)):
-        weights = (float(weights),) * n_s
-    else:
+    try:
         weights = tuple(map(float, weights))
+    except TypeError:
+        weights = ()  # a scalar: refused below, like a list of another length
     if len(weights) != n_s or not all(0.0 < w <= _FMAX for w in weights):
         raise ValueError("proximal weights must be positive, one per seller")
     prev_s = tuple(map(float, prev_s))
@@ -320,31 +354,7 @@ def clear_market_proximal(
             base = pj - cj / wj
             events.append((cj - wj * pj, 1.0 / wj, base))
             events.append((cj + wj * (aj - pj), -1.0 / wj, aj - base))
-    events.sort(key=itemgetter(0))
-    grid = [events[0][0]]
-    for m, _, _ in events:
-        if m != grid[-1]:
-            grid.append(m)
-
-    # Guess the first breakpoint in surplus from the running line: a point is
-    # tested once all its events are in, when the next event lies beyond it
-    # (the sentinel at infinity tests the last one). Rounding in the running
-    # sums can misplace the guess, so it only orders the exact tests below.
-    # Demand total_bid / max(m, p) is written out inline here and below:
-    # m if m >= p else p equals max(m, p) for every m but NaN, which no
-    # breakpoint of finite inputs is.
-    events.append((math.inf, 0.0, 0.0))
-    guess = 0
-    m_guess = grid[0]
-    slope = intercept = 0.0
-    for m, d_slope, d_intercept in events:
-        if m > m_guess:
-            if slope * m_guess + intercept >= total_bid / (m_guess if m_guess >= p else p):
-                break
-            guess += 1
-            m_guess = m
-        slope += d_slope
-        intercept += d_intercept
+    grid, guess = sweep_guess(events, 0.0, total_bid, p)
 
     def solve_segment(m0: float, m1: float, s0: float, s1: float) -> float:
         # Linear supply between breakpoints; demand constant below p.

@@ -94,15 +94,20 @@ class Payoffs:
     mc_revenue: float
 
 
+def seller_supply(seller: SellerState, avail: float, mu: float) -> float:
+    """Energy a seller parts with at price mu: clamp(g - v'^{-1}(mu), 0, avail)."""
+    retained = seller.utility.inverse_marginal(mu)
+    return min(max(seller.g - retained, 0.0), avail)
+
+
 def declare_availability(seller: SellerState, params: MarketParams) -> float:
     """Energy a seller is willing to offer at the floor price.
 
     The declared amount is the largest s whose marginal retained value stays
-    at or below p: a = clamp(g - v'^{-1}(p), 0, g). Declared once, before the
+    at or below p: a = seller_supply(seller, g, p). Declared once, before the
     first iteration, and never revised during an auction.
     """
-    retained = seller.utility.inverse_marginal(params.p)
-    return min(max(seller.g - retained, 0.0), seller.g)
+    return seller_supply(seller, seller.g, params.p)
 
 
 def compute_payoffs(

@@ -1,10 +1,12 @@
 """Deterministic JSON and CSV emission, and the auction outcome file.
 
 Reports must be byte-identical across runs and platforms, so floats are
-always printed with repr-equivalent 17 significant digits and dictionaries
-are emitted in insertion order. The stdlib json module cannot customize
-float formatting, hence the small recursive emitter here. outcome_payload
-and load_outcome write and read the outcome JSON of the auction command.
+always printed with 17 significant digits and dictionaries are emitted in
+insertion order. Seventeen digits read back to the same double but are not
+always repr's shortest form: 0.1 prints as 0.10000000000000001. The stdlib
+json module cannot customize float formatting, hence the small recursive
+emitter here. outcome_payload and load_outcome write and read the outcome
+JSON of the auction command.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ if TYPE_CHECKING:
 
 
 def format_float(value: float) -> str:
-    """Shortest-faithful decimal for an IEEE double, 17 significant digits max."""
+    """Round-trip decimal for an IEEE double: 17 significant digits, or x.0
+    for an integral value below 1e16."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value}")
     if value == int(value) and abs(value) < 1e16:
@@ -160,6 +163,17 @@ def _finite_number(text: str) -> float:
     return value
 
 
+_JSON_TYPES = {bool: "boolean", int: "integer"}
+
+
+def _exactly(name: str, value: Any, kind: type) -> Any:
+    # type() rather than isinstance(): bool subclasses int, so true is no
+    # iteration count. bool() itself would read "false" and 0.5 as True.
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _same_length(lists: dict[str, tuple[Any, ...]]) -> None:
     if len({len(values) for values in lists.values()}) > 1:
         counts = ", ".join(f"{len(values)} {name}" for name, values in lists.items())
@@ -170,7 +184,8 @@ def load_outcome(path: str) -> AuctionOutcome:
     """Rebuild an outcome from the JSON that outcome_payload writes.
 
     Raises ValueError naming the path when the file is not such an outcome,
-    including when one side's per-agent lists disagree in length.
+    including when one side's per-agent lists disagree in length or a flag
+    or the iteration count is not a JSON boolean or integer.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -183,7 +198,9 @@ def load_outcome(path: str) -> AuctionOutcome:
             d=tuple(float(v) for v in raw["d"]),
             s=tuple(float(v) for v in raw["s"]),
             mu=None if raw["mu"] is None else float(raw["mu"]),
-            buyer_budget_active=tuple(bool(v) for v in raw["budget_active"]),
+            buyer_budget_active=tuple(
+                _exactly("budget_active", v, bool) for v in raw["budget_active"]
+            ),
             inputs=(bids, asks, avails, params),
         )
         # The residual the file holds, in the cache a read would fill: it is
@@ -201,8 +218,8 @@ def load_outcome(path: str) -> AuctionOutcome:
                 seller_payoffs=tuple(float(v) for v in raw["payoffs"]["sellers"]),
                 mc_revenue=float(raw["payoffs"]["mc_revenue"]),
             ),
-            iterations=int(raw["iterations"]),
-            converged=bool(raw["converged"]),
+            iterations=_exactly("iterations", raw["iterations"], int),
+            converged=_exactly("converged", raw["converged"], bool),
             trace=(),
         )
         _same_length({

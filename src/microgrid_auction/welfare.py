@@ -6,22 +6,21 @@ the same budget caps, availability bounds, and energy balance the auction
 enforces. The auction never consults this module; it exists so tests and
 experiments can measure how close the bid-driven outcome gets.
 
-The optimum's price is found exactly from sorted response breakpoints: one
-sweep with a running A/mu + B guesses the bracketing segment, two exact excess
-sums confirm it (bisection takes over only if they disagree), and the root on
-that segment is closed-form in those two sums: O(N log N) per solve, no
-rescale of either side to force the balance. It is the price search of
-proximal clearing, with excess demand A/mu + B for its supply line.
+The optimum's price is found exactly from sorted response breakpoints: the
+breakpoint sweep of proximal clearing (clearing.sweep_guess), run on the
+surplus line -(A/mu + B)*mu, guesses the bracketing segment, two exact excess
+sums confirm it (clearing.first_passing bisects only if they disagree), and
+the root on that segment is closed-form in those two sums: O(N log N) per
+solve, no rescale of either side to force the balance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .clearing import BID_FLOOR, first_passing
-from .market import BuyerState, MarketParams, SellerState, social_welfare
+from .clearing import BID_FLOOR, first_passing, sweep_guess
+from .market import BuyerState, MarketParams, SellerState, seller_supply, social_welfare
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,6 @@ def _buyer_response(buyer: BuyerState, bid: float, mu: float, p: float) -> float
     return min(buyer.utility.inverse_marginal(mu), bid / p)
 
 
-def _seller_response(seller: SellerState, avail: float, mu: float) -> float:
-    retained = seller.utility.inverse_marginal(mu)
-    return min(max(seller.g - retained, 0.0), avail)
-
-
 def solve_welfare(
     buyers: list[BuyerState] | tuple[BuyerState, ...],
     sellers: list[SellerState] | tuple[SellerState, ...],
@@ -72,14 +66,14 @@ def solve_welfare(
     on the bracketing segment: O(N log N), no rescale. With log utility every
     response is x/mu - 1/y clipped to its bounds, with two kinks in mu, so
     between consecutive kinks excess demand is A/mu + B. One sweep over the
-    sorted kinks, carrying A and B, guesses the first kink not in excess
-    demand. Excess demand is nonincreasing in mu, so the exact excess at the
-    guess and at the kink below it confirms it; only a wrong guess falls back
-    to bisection. The two exact values e0 > 0 >= e1 at the segment's ends
-    m0 < m1 then fix its root -A/B, interpolated in 1/mu from the end whose
-    value is the smaller, so a negligible end value leaves mu on that kink. A
-    market without a mutually beneficial trade lands on allocations that
-    sum to zero on one side, and is reported as no trade.
+    sorted kinks, carrying the surplus line -(A/mu + B)*mu, guesses the first
+    kink not in excess demand. Excess demand is nonincreasing in mu, so the
+    exact excess at the guess and at the kink below it confirms it; only a
+    wrong guess falls back to bisection. The two exact values e0 > 0 >= e1 at
+    the segment's ends m0 < m1 then fix its root -A/B, interpolated in 1/mu
+    from the end whose value is the smaller, so a negligible end value leaves
+    mu on that kink. A market without a mutually beneficial trade lands on
+    allocations that sum to zero on one side, and is reported as no trade.
     """
     if len(bids) != len(buyers):
         raise ValueError(f"{len(bids)} bids vs {len(buyers)} buyers")
@@ -108,7 +102,7 @@ def solve_welfare(
 
     def excess(mu: float) -> float:
         demand = math.fsum(_buyer_response(buyers[i], bids[i], mu, p) for i in active_b)
-        supply = math.fsum(_seller_response(sellers[j], avails[j], mu) for j in active_s)
+        supply = math.fsum(seller_supply(sellers[j], avails[j], mu) for j in active_s)
         return demand - supply
 
     # Buyer i demands clip(x/mu - 1/y, 0, b/p): capped below marginal(b/p),
@@ -117,43 +111,22 @@ def solve_welfare(
     # marginal(g - min(a, g)). Between kinks excess demand is A/mu + B; each
     # event carries what it adds to A and B as mu passes it. Below every kink
     # all buyers demand their cap and all sellers supply 0, so B starts at the
-    # sum of the caps.
+    # sum of the caps. Every kink is positive, so the sweep runs the surplus
+    # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
     events = []
     cap_sum = 0.0
     for i in active_b:
         u = buyers[i].utility
         cap = bids[i] / p
         cap_sum += cap
-        events.append((u.marginal(cap), u.x, -1.0 / u.y - cap))
-        events.append((u.marginal(0.0), -u.x, 1.0 / u.y))
+        events.append((u.marginal(cap), 1.0 / u.y + cap, -u.x))
+        events.append((u.marginal(0.0), -1.0 / u.y, u.x))
     for j in active_s:
         u, g = sellers[j].utility, sellers[j].g
         top = min(avails[j], g)
-        events.append((u.marginal(g), u.x, -g - 1.0 / u.y))
-        events.append((u.marginal(g - top), -u.x, g + 1.0 / u.y - top))
-    events.sort(key=itemgetter(0))
-    grid = [events[0][0]]
-    for m, _, _ in events:
-        if m != grid[-1]:
-            grid.append(m)
-
-    # Guess the first kink not in excess demand from the running A/mu + B: a
-    # kink is tested once all its events are in, when the next event lies
-    # beyond it (the sentinel at infinity tests the last kink). Rounding in
-    # the running sums can misplace the guess, so it only orders the exact
-    # tests below.
-    events.append((math.inf, 0.0, 0.0))
-    guess = 0
-    m_guess = grid[0]
-    run_a, run_b = 0.0, cap_sum
-    for m, d_a, d_b in events:
-        if m > m_guess:
-            if run_a / m_guess + run_b <= 0:
-                break
-            guess += 1
-            m_guess = m
-        run_a += d_a
-        run_b += d_b
+        events.append((u.marginal(g), g + 1.0 / u.y, -u.x))
+        events.append((u.marginal(g - top), top - (g + 1.0 / u.y), u.x))
+    grid, guess = sweep_guess(events, -cap_sum, 0.0, p)
 
     # The exact fsum test is monotone in mu, so the first kink not in excess
     # demand is exact whatever the guess, and the search evaluates the excess
@@ -189,7 +162,7 @@ def solve_welfare(
     for i in active_b:
         d[i] = _buyer_response(buyers[i], bids[i], mu, p)
     for j in active_s:
-        s[j] = _seller_response(sellers[j], avails[j], mu)
+        s[j] = seller_supply(sellers[j], avails[j], mu)
     if math.fsum(d) <= 0.0 or math.fsum(s) <= 0.0:
         return autarky()
     theta = social_welfare(buyers, sellers, d, s)

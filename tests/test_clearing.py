@@ -86,7 +86,7 @@ _PROX_INPUTS = {
     "asks": (0.2, 0.3),
     "avails": (2.0, 1.0),
     "prev_s": (0.0, 0.5),
-    "weights": 0.5,
+    "weights": (0.5, 0.5),
 }
 
 _BAD_PROX_INPUTS = [
@@ -107,6 +107,7 @@ _BAD_PROX_INPUTS = [
     ("prev_s", (0.0, math.inf), "previous allocations must be finite, got inf"),
     ("prev_s", (-math.inf, 0.0), "previous allocations must be finite, got -inf"),
     ("weights", (0.5,), "proximal weights must be positive, one per seller"),
+    ("weights", 0.5, "proximal weights must be positive, one per seller"),
     ("bids", (1e308, 1e308), "the bids sum past the largest float"),
     ("avails", (1e308, 1e308), "the availabilities sum past the largest float"),
 ] + [
@@ -145,7 +146,9 @@ def test_proximal_clips_finite_previous_allocations_to_the_availability():
 
 @pytest.mark.parametrize("ask", [0.0, math.nan])
 def test_proximal_accepts_any_ask_of_a_seller_with_nothing_to_offer(ask):
-    result = clear_market_proximal((1.0,), (ask, 0.2), (0.0, 2.0), P, prev_s=(0.0, 0.0))
+    result = clear_market_proximal(
+        (1.0,), (ask, 0.2), (0.0, 2.0), P, prev_s=(0.0, 0.0), weights=(0.5, 0.5)
+    )
     assert result.s[0] == 0.0
     assert result.mu is not None and result.s[1] > 0.0
 
@@ -188,7 +191,9 @@ def kkt_cases(draw):
         return clear_market(bids, asks, avails, P), bids, asks, avails
     if source == "proximal":
         prev = tuple(draw(st.floats(0.0, a)) for a in avails)
-        return clear_market_proximal(bids, asks, avails, P, prev_s=prev), bids, asks, avails
+        weights = (0.5,) * len(asks)
+        result = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=weights)
+        return result, bids, asks, avails
     mu = draw(st.one_of(st.none(), st.just(P.p), st.floats(0.01, P.p), st.floats(P.p, 2.0)))
     denom = max(mu or P.p, P.p)
     d = tuple(
@@ -269,7 +274,7 @@ def test_proximal_solver_agrees_with_exact_objective(bids, sellers):
     asks = tuple(ask for ask, _ in sellers)
     avails = tuple(avail for _, avail in sellers)
     exact = clear_market(bids, asks, avails, P)
-    warm = clear_market_proximal(bids, asks, avails, P, prev_s=exact.s, weights=1.0)
+    warm = clear_market_proximal(bids, asks, avails, P, prev_s=exact.s, weights=(1.0,) * len(asks))
     assert math.fsum(warm.s) == pytest.approx(math.fsum(exact.s), abs=1e-8)
     phi_exact = clearing_objective(bids, asks, exact.d, exact.s)
     phi_warm = clearing_objective(bids, asks, warm.d, warm.s)
@@ -284,7 +289,7 @@ def test_proximal_cold_start_converges_to_exact_total():
     exact = clear_market(bids, asks, avails, P)
     prev = (0.0, 0.0, 0.0)
     for _ in range(200):
-        step = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=0.5)
+        step = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=(0.5,) * 3)
         prev = step.s
     assert math.fsum(prev) == pytest.approx(math.fsum(exact.s), rel=1e-6)
     assert step.mu == pytest.approx(exact.mu, rel=1e-6)

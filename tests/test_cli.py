@@ -231,6 +231,23 @@ def test_redistribute_saved_outcome_chain(capsys, tmp_path):
         assert f"{outcome_path} is not an outcome file" in capsys.readouterr().err
 
 
+def test_redistribute_rejects_a_converged_flag_that_is_not_a_boolean(capsys, tmp_path):
+    # "false" is a truthy string: the outcome used to load as converged and
+    # redistribute echoed "converged": true with exit 0
+    scenario_path = tmp_path / "market.json"
+    outcome_path = tmp_path / "outcome.json"
+    main(["scenario", "gen", "--seed", "5", "--buyers", "4", "--sellers", "3", "--out", str(scenario_path)])
+    main(["auction", "--scenario", str(scenario_path), "--out", str(outcome_path)])
+    capsys.readouterr()
+    saved = json.loads(outcome_path.read_text())
+    outcome_path.write_text(json.dumps({**saved, "converged": "false"}))
+    code = main(["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"{outcome_path} is not an outcome file: converged must be a JSON boolean" in captured.err
+
+
 _PER_AGENT_KEYS = (
     ("bids",), ("d",), ("budget_active",), ("unit_prices",), ("payoffs", "buyers"),
     ("asks",), ("avails",), ("s",), ("payoffs", "sellers"),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from microgrid_auction import clearing, engine
+from microgrid_auction import clearing, engine, welfare
 from microgrid_auction.clearing import clear_market
 from microgrid_auction.engine import (
     AuctionConfig,
@@ -510,6 +510,21 @@ def _corpus_market(k):
     nb = rng.randint(1, 30)
     ns = rng.randint(1, 30)
     return _corpus_draw(rng, nb, ns)
+
+
+def test_the_breakpoint_sweep_guesses_every_corpus_bracket(missed_guesses):
+    """The sweep's guess is the bracket in the normal case, which keeps a
+    clearing or a planner solve at two exact sums: no search misses over the
+    first 300 corpus markets, nor at their final bids in the planner."""
+    clearing_misses = missed_guesses(clearing)
+    welfare_misses = missed_guesses(welfare)
+    config = AuctionConfig(max_iters=2500, record_trace=False)
+    for k in range(300):
+        buyers, sellers = _corpus_market(k)
+        outcome = run_auction(buyers, sellers, P, config)
+        welfare.solve_welfare(buyers, sellers, outcome.bids, outcome.avails, P)
+    assert len(welfare_misses) == 300 and len(clearing_misses) >= 300
+    assert not any(clearing_misses) and not any(welfare_misses)
 
 
 def _large_market(m, seed=0):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from microgrid_auction.engine import run_auction
@@ -99,3 +100,26 @@ def test_loaded_outcome_keeps_the_files_residual(tmp_path):
     path = tmp_path / "outcome.json"
     path.write_text(dumps(payload), encoding="utf-8")
     assert load_outcome(str(path)).clearing.kkt_residual == 0.5
+
+
+_MISTYPED = [
+    ("converged", "false", "converged must be a JSON boolean, got 'false'"),
+    ("converged", 0, "converged must be a JSON boolean, got 0"),
+    ("budget_active", ["no"], "budget_active must be a JSON boolean, got 'no'"),
+    ("iterations", 7.9, "iterations must be a JSON integer, got 7.9"),
+    ("iterations", 7.0, "iterations must be a JSON integer, got 7.0"),
+    ("iterations", True, "iterations must be a JSON integer, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, message", _MISTYPED, ids=[f"{field}={value}" for field, value, _ in _MISTYPED]
+)
+def test_load_outcome_requires_json_booleans_and_an_integer_count(tmp_path, field, value, message):
+    # bool("false") is True and int(7.9) is 7, so converting would accept them
+    outcome = run_auction([BuyerState(1.0, 1.0)], [SellerState(0.2, 1.0, 4.0)], MarketParams())
+    path = tmp_path / "outcome.json"
+    path.write_text(dumps({**outcome_payload(outcome), field: value}), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_outcome(str(path))
+    assert str(err.value) == f"{path} is not an outcome file: {message}"
