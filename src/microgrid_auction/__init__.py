@@ -3,7 +3,6 @@
 from .clearing import (
     BID_FLOOR,
     ClearingResult,
-    NumericalFailure,
     clear_market,
     clear_market_proximal,
     clearing_objective,

@@ -15,12 +15,15 @@ Two solvers live here:
   a small proximal penalty pulling seller allocations toward their previous
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
-  in near-tied asks and re-quoting alone cannot stabilize that. Its price search
-  guesses the bracketing segment with :func:`sweep_guess`, then confirms the
-  guess with :func:`first_passing` and the exact O(N_s) supply sum at the
-  segment's two ends (bisecting the rest of the grid if the guess was off):
-  O(N_s log N_s) per clearing, two exact sums in the usual case. The welfare
-  planner finds its price with the same two functions.
+  in near-tied asks and re-quoting alone cannot stabilize that. A sold-out
+  round, where demand at the top breakpoint exceeds all that is offered, is
+  recognised from each seller's upper kink and cleared in O(N_s) without a
+  sort. Otherwise the price search guesses the bracketing segment with
+  :func:`sweep_guess`, then confirms the guess with :func:`first_passing` and
+  the exact O(N_s) supply sum at the segment's two ends (bisecting the rest
+  of the grid if the guess was off): O(N_s log N_s) per clearing, two exact
+  sums in the usual case. The welfare planner finds its price with the same
+  two functions.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ TIE_REL_TOL = 1e-12
 # comparison and the infinities fall outside, so one chained comparison
 # is the whole check.
 _FMAX = sys.float_info.max
-
-
-class NumericalFailure(RuntimeError):
-    """Raised when clearing cannot bracket a price on inconsistent inputs."""
 
 
 @dataclass(frozen=True)
@@ -262,10 +261,10 @@ def clear_market(
         full.extend(members)
         cum += group_avail
     else:
-        # Demand exceeds all offered energy at every ask level.
-        mu = total_bid / total_avail
-        if mu < levels[-1][0] or mu < p:  # pragma: no cover - unreachable on valid input
-            raise NumericalFailure("clearing price fell below the last ask level")
+        # Demand exceeds all offered energy at every ask level. The running
+        # sum cum can round below fsum(avails), so total_bid / total_avail
+        # may land just under the last level or p; it is then clamped there.
+        mu = max(total_bid / total_avail, levels[-1][0], p)
 
     s = [0.0] * len(asks)
     for j in full:
@@ -299,13 +298,16 @@ def clear_market_proximal(
     asks; it is written once and gives both the exact supply sums and the
     allocations. The price solves demand == supply
     exactly. Supply is nondecreasing and demand nonincreasing in mu, so the
-    first breakpoint in surplus brackets the root. :func:`sweep_guess` sorts
-    the breakpoints once and sweeps a running supply line to guess that
-    breakpoint; the exact supply sum then confirms the guess and its
-    left neighbour, and only a wrong guess falls back to bisection:
-    O(N_s log N_s). Supply is linear on the bracketing segment, so the root
-    is closed-form in the two exact sums at its ends (linear below the floor,
-    a quadratic above it).
+    first breakpoint in surplus brackets the root. When demand at the top
+    breakpoint, p or the highest upper kink, exceeds total availability, no
+    breakpoint is in surplus: every seller is capped and the price is where
+    demand meets total availability, found in O(N_s) with no sort. Otherwise
+    :func:`sweep_guess` sorts the breakpoints once and sweeps a running
+    supply line to guess that breakpoint; the exact supply sum then confirms
+    the guess and its left neighbour, and only a wrong guess falls back to
+    bisection: O(N_s log N_s). Supply is linear on the bracketing segment, so
+    the root is closed-form in the two exact sums at its ends (linear below
+    the floor, a quadratic above it).
     At a stationary point (s == prev_s) interior sellers force mu == c_j, so
     fixed points satisfy the exact clearing optimality system. The result
     computes its kkt_residual only when it is first read.
@@ -345,15 +347,28 @@ def clear_market_proximal(
         ]
 
     # Seller j is linear in mu between its kinks c_j - w_j*prev_j (s_j = 0)
-    # and c_j + w_j*(a_j - prev_j) (s_j = a_j). Each event carries what it
-    # adds to the running supply line slope*mu + intercept; p only joins the
-    # grid.
+    # and c_j + w_j*(a_j - prev_j) (s_j = a_j). With prev_j in [0, a_j] no
+    # lower kink lies above its upper kink, even rounded, so the top
+    # breakpoint is p or the highest upper kink.
+    offering = [seller for seller in sellers if seller[3] > 0]
+    uppers = [cj + wj * (aj - pj) for pj, cj, wj, aj in offering]
+    top = max(p, max(uppers))
+    # With every seller capped, demand meets the flat total-availability
+    # line, at total_bid / total_avail or at the top breakpoint if higher.
+    sold_out = max(total_bid / total_avail, top)
+    if total_bid / top > total_avail:
+        # No supply term exceeds its a_j and fsum rounds correctly, so supply
+        # at top is at most total_avail, below demand there: no breakpoint is
+        # in surplus and the search below would settle on sold_out too.
+        return _settle(bids, asks, avails, params, sold_out, allocations(sold_out))
+
+    # Each event carries what it adds to the running supply line
+    # slope*mu + intercept; p only joins the grid.
     events = [(p, 0.0, 0.0)]
-    for pj, cj, wj, aj in sellers:
-        if aj > 0:
-            base = pj - cj / wj
-            events.append((cj - wj * pj, 1.0 / wj, base))
-            events.append((cj + wj * (aj - pj), -1.0 / wj, aj - base))
+    for (pj, cj, wj, aj), upper in zip(offering, uppers):
+        base = pj - cj / wj
+        events.append((cj - wj * pj, 1.0 / wj, base))
+        events.append((upper, -1.0 / wj, aj - base))
     grid, guess = sweep_guess(events, 0.0, total_bid, p)
 
     def solve_segment(m0: float, m1: float, s0: float, s1: float) -> float:
@@ -391,11 +406,9 @@ def clear_market_proximal(
     if lo == 0:
         mu = grid[0]  # already in surplus at the lowest breakpoint
     elif lo == len(grid):
-        # All sellers capped: demand meets the flat total-availability line.
-        mu = total_bid / total_avail
-        if mu < grid[-1] and mu < p:  # pragma: no cover - inconsistent inputs
-            raise NumericalFailure("regularized clearing could not bracket a price")
-        mu = max(mu, grid[-1])
+        # Every seller is capped at top, so supply falls short of demand
+        # there only through rounding.
+        mu = sold_out
     else:
         mu = solve_segment(grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo])
 

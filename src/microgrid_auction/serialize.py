@@ -184,8 +184,9 @@ def load_outcome(path: str) -> AuctionOutcome:
     """Rebuild an outcome from the JSON that outcome_payload writes.
 
     Raises ValueError naming the path when the file is not such an outcome,
-    including when one side's per-agent lists disagree in length or a flag
-    or the iteration count is not a JSON boolean or integer.
+    including when one side's per-agent lists disagree in length, a flag
+    or the iteration count is not a JSON boolean or integer, or the count,
+    the price or the residual is out of range (negative, or mu <= 0).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -194,10 +195,21 @@ def load_outcome(path: str) -> AuctionOutcome:
         asks = tuple(float(v) for v in raw["asks"])
         avails = tuple(float(v) for v in raw["avails"])
         params = MarketParams(p=float(raw["p"]))
+        # An auction never writes a negative count or residual, nor a price
+        # at or below zero (mu is null only when nothing traded).
+        iterations = _exactly("iterations", raw["iterations"], int)
+        if iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {iterations}")
+        mu = None if raw["mu"] is None else float(raw["mu"])
+        if mu is not None and not mu > 0:
+            raise ValueError(f"mu must be positive or null, got {mu!r}")
+        residual = float(raw["kkt_residual"])
+        if residual < 0:
+            raise ValueError(f"kkt_residual must be >= 0, got {residual!r}")
         clearing = ClearingResult(
             d=tuple(float(v) for v in raw["d"]),
             s=tuple(float(v) for v in raw["s"]),
-            mu=None if raw["mu"] is None else float(raw["mu"]),
+            mu=mu,
             buyer_budget_active=tuple(
                 _exactly("budget_active", v, bool) for v in raw["budget_active"]
             ),
@@ -205,7 +217,7 @@ def load_outcome(path: str) -> AuctionOutcome:
         )
         # The residual the file holds, in the cache a read would fill: it is
         # not computed again from the file's numbers.
-        object.__setattr__(clearing, "kkt_residual", float(raw["kkt_residual"]))
+        object.__setattr__(clearing, "kkt_residual", residual)
         outcome = AuctionOutcome(
             clearing=clearing,
             bids=bids,
@@ -218,7 +230,7 @@ def load_outcome(path: str) -> AuctionOutcome:
                 seller_payoffs=tuple(float(v) for v in raw["payoffs"]["sellers"]),
                 mc_revenue=float(raw["payoffs"]["mc_revenue"]),
             ),
-            iterations=_exactly("iterations", raw["iterations"], int),
+            iterations=iterations,
             converged=_exactly("converged", raw["converged"], bool),
             trace=(),
         )

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from microgrid_auction import clearing
 from microgrid_auction.clearing import (
@@ -295,14 +295,15 @@ def test_proximal_cold_start_converges_to_exact_total():
     assert step.mu == pytest.approx(exact.mu, rel=1e-6)
 
 
-def _assert_proximal_matches_reference(bids, asks, avails, prev, weights):
+def _assert_proximal_matches_reference(bids, asks, avails, prev, weights, price_pinned=True):
     result = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=weights)
     reference = proximal_clearing_reference(bids, asks, avails, P.p, prev, weights)
     if reference is None:
         assert result.no_trade
         return None
     mu, s = reference
-    assert math.isclose(result.mu, mu, rel_tol=1e-12, abs_tol=1e-12 * P.p)
+    if price_pinned:
+        assert math.isclose(result.mu, mu, rel_tol=1e-12, abs_tol=1e-12 * P.p)
     for got, want, a in zip(result.s, s, avails):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * max(1.0, a))
     return mu
@@ -331,6 +332,57 @@ def test_proximal_price_matches_linear_scan_reference(market):
     # Weight spreads up to 1e8 make supply inelastic next to capped sellers,
     # where the quadratic root must avoid cancellation.
     _assert_proximal_matches_reference(*market)
+
+
+@st.composite
+def sold_out_boundary_markets(draw):
+    """proximal_markets with the bids scaled so that demand at the top
+    breakpoint, total_bid / top, lands exactly at total_avail, or above or
+    below it by one step of the largest bid or by a relative gap of 1e-9 to
+    0.1: both sides of the edge where a round counts as sold out.
+
+    Returns the market and whether its price is pinned. It may not be when
+    top is p and demand is at total_avail or one step below it: demand
+    is flat at total_bid / p below p and can be within rounding of all that
+    is offered, and then every price from the highest upper kink to p clears
+    the market with the same allocations."""
+    bids, asks, avails, prev, weights = draw(proximal_markets())
+    offered = [j for j, a in enumerate(avails) if a > 0]
+    assume(offered and max(bids) > BID_FLOOR)
+    top = max([P.p] + [asks[j] + weights[j] * (avails[j] - prev[j]) for j in offered])
+    total_avail = math.fsum(avails)
+    side = draw(st.sampled_from((1, 0, -1)))
+    gap = draw(st.sampled_from((0.0, 1e-9, 1e-6, 1e-3, 0.1))) if side else 0.0
+
+    def excess(bids):
+        demand = math.fsum(b for b in bids if b > BID_FLOOR) / top
+        return (demand > total_avail) - (demand < total_avail)
+
+    target = total_avail * top * (1.0 + side * gap)
+    scale = target / math.fsum(b for b in bids if b > BID_FLOOR)
+    bids = [b * scale for b in bids]
+    i = bids.index(max(bids))
+    start = excess(bids)
+    for _ in range(100):
+        now = excess(bids)
+        if now == side or now * start < 0:
+            break
+        bids[i] = math.nextafter(bids[i], math.inf if now < side else 0.0)
+    assume(excess(bids) == side)
+    return (tuple(bids), asks, avails, prev, weights), top > P.p or side > 0 or gap > 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=sold_out_boundary_markets())
+# demand 0.5 meets the one seller's cap at its upper kink 0.175 and stays
+# there up to p: the linear scan says 0.175, clearing says 0.25
+@example(case=(((0.125,), (0.25, 0.125), (0.0, 0.5), (0.0, 0.0), (1.0, 0.1)), False))
+def test_proximal_price_at_the_edge_of_the_sold_out_screen(case):
+    # Above the edge a round clears without the breakpoint search; at it and
+    # below, the search runs. Both must match the linear scan, in the price
+    # wherever the price is pinned.
+    market, price_pinned = case
+    _assert_proximal_matches_reference(*market, price_pinned=price_pinned)
 
 
 @settings(deadline=None, max_examples=200)
@@ -381,6 +433,32 @@ def test_proximal_price_keeps_digits_with_inelastic_supply():
     # k*mu^2 + beta*mu = B with beta >> k*mu, where the textbook form
     # (-beta + sqrt(disc)) / (2k) cancels and loses about 5e-12 relative.
     _assert_proximal_matches_reference((3.0,), (0.05, 0.1), (6.0, 6.0), (6.0, 0.0), (1.0, 1e4))
+
+
+def test_sold_out_price_in_the_rounding_gap_is_clamped_not_refused():
+    # Demand lands between a supply sum that rounds low and fsum(avails), so
+    # total_bid / total_avail falls just under p: exact clearing's running
+    # sum of availabilities, and proximal supply at the top breakpoint where
+    # every seller should be capped. Both used to raise.
+    exact = clear_market(
+        (3.4249999999999994,),
+        (0.10277908644295872, 0.11221747210442294, 0.13805528138833134, 0.15024020353597256,
+         0.17280914970622652, 0.2077853421681139, 0.21470318335846195),
+        (3.3, 3.3, 3.3, 0.2, 0.1, 0.2, 3.3),
+        P,
+    )
+    proximal = clear_market_proximal(
+        (0.9999999999999999,),
+        (0.22558281622046913, 0.214684059543743, 0.24083528822967323, 0.18806600604204138),
+        (1.0,) * 4,
+        P,
+        prev_s=(0.34420100553679467, 0.6350756975386669, 0.45142345920198235, 0.08614935659889933),
+        weights=(0.037232725249170595, 0.09677607168955, 0.016706350142123853, 0.06777255605736332),
+    )
+    for result in (exact, proximal):
+        assert result.mu == P.p
+        assert result.buyer_budget_active == (True,)
+        assert result.kkt_residual <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,26 @@ def test_clear_bad_inputs_exit_4(capsys):
         assert code == 4
 
 
+def test_clear_settles_demand_in_the_rounding_gap_of_the_supply_sum(capsys):
+    # demand lands between the naive running sum of the availabilities and
+    # their exact sum; this used to exit 1 with a traceback
+    code, out = run_cli(
+        capsys,
+        [
+            "clear",
+            "--bids", "3.4249999999999994",
+            "--asks",
+            "0.10277908644295872,0.11221747210442294,0.13805528138833134,0.15024020353597256,"
+            "0.17280914970622652,0.2077853421681139,0.21470318335846195",
+            "--avails", "3.3,3.3,3.3,0.2,0.1,0.2,3.3",
+        ],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mu"] == 0.25
+    assert doc["kkt_residual"] <= 1e-12
+
+
 def test_auction_json_payload(capsys):
     code, out = run_cli(capsys, ["auction", "--seed", "1", "--buyers", "4", "--sellers", "3"])
     assert code == 0
@@ -246,6 +266,27 @@ def test_redistribute_rejects_a_converged_flag_that_is_not_a_boolean(capsys, tmp
     assert code == 4
     assert captured.out == ""
     assert f"{outcome_path} is not an outcome file: converged must be a JSON boolean" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("iterations", -3), ("mu", -1.0), ("kkt_residual", -5.0)],
+    ids=["iterations=-3", "mu=-1.0", "kkt_residual=-5.0"],
+)
+def test_redistribute_rejects_an_outcome_out_of_range(capsys, tmp_path, field, value):
+    # these loaded and were echoed back with exit 0
+    scenario_path = tmp_path / "market.json"
+    outcome_path = tmp_path / "outcome.json"
+    main(["scenario", "gen", "--seed", "5", "--buyers", "4", "--sellers", "3", "--out", str(scenario_path)])
+    main(["auction", "--scenario", str(scenario_path), "--out", str(outcome_path)])
+    capsys.readouterr()
+    saved = json.loads(outcome_path.read_text())
+    outcome_path.write_text(json.dumps({**saved, field: value}))
+    code = main(["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"{outcome_path} is not an outcome file: {field} must be" in captured.err
 
 
 _PER_AGENT_KEYS = (

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from microgrid_auction import clearing, engine, welfare
-from microgrid_auction.clearing import clear_market
+from microgrid_auction.clearing import BID_FLOOR, clear_market
 from microgrid_auction.engine import (
     AuctionConfig,
     auction_step,
@@ -530,6 +530,41 @@ def test_the_breakpoint_sweep_guesses_every_corpus_bracket(missed_guesses):
 def _large_market(m, seed=0):
     """Market m of the (300, 150) large-market benchmark workload's seed."""
     return _corpus_draw(random.Random(mix_seed(0x1A5E, seed, m)), 300, 150)
+
+
+def test_a_sold_out_round_clears_without_the_breakpoint_sweep(monkeypatch):
+    """A round whose demand at the top breakpoint exceeds all that is
+    offered clears at once, without sorting or sweeping its breakpoints. On
+    large-market seed 0, m = 0, the sweep runs for exactly the rounds where
+    total_bid / top does not exceed total_avail, and most rounds skip it."""
+    sweeps = []
+    sweep = clearing.sweep_guess
+
+    def counted_sweep(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    rounds = []
+    clear = engine.clear_market_proximal
+
+    def watched(bids, asks, avails, params, prev_s, weights):
+        rounds.append((bids, asks, avails, prev_s, weights))
+        return clear(bids, asks, avails, params, prev_s=prev_s, weights=weights)
+
+    monkeypatch.setattr(clearing, "sweep_guess", counted_sweep)
+    monkeypatch.setattr(engine, "clear_market_proximal", watched)
+    outcome = run_auction(*_large_market(0), P, AuctionConfig(max_iters=2500, record_trace=False))
+    not_sold_out = 0
+    for bids, asks, avails, prev_s, weights in rounds:
+        total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+        top = max(
+            [P.p]
+            + [c + w * (a - min(max(v, 0.0), a))
+               for c, a, v, w in zip(asks, avails, prev_s, weights) if a > 0]
+        )
+        not_sold_out += total_bid / top <= math.fsum(avails)
+    assert len(rounds) == outcome.iterations
+    assert 0 < len(sweeps) == not_sold_out < outcome.iterations
 
 
 @pytest.mark.parametrize(

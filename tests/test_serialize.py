@@ -123,3 +123,23 @@ def test_load_outcome_requires_json_booleans_and_an_integer_count(tmp_path, fiel
     with pytest.raises(ValueError) as err:
         load_outcome(str(path))
     assert str(err.value) == f"{path} is not an outcome file: {message}"
+
+
+_OUT_OF_RANGE = [
+    ("iterations", -3, "iterations must be >= 0, got -3"),
+    ("mu", -1.0, "mu must be positive or null, got -1.0"),
+    ("mu", 0.0, "mu must be positive or null, got 0.0"),
+    ("kkt_residual", -5.0, "kkt_residual must be >= 0, got -5.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, message", _OUT_OF_RANGE, ids=[f"{field}={value}" for field, value, _ in _OUT_OF_RANGE]
+)
+def test_load_outcome_refuses_values_no_auction_writes(tmp_path, field, value, message):
+    outcome = run_auction([BuyerState(1.0, 1.0)], [SellerState(0.2, 1.0, 4.0)], MarketParams())
+    path = tmp_path / "outcome.json"
+    path.write_text(dumps({**outcome_payload(outcome), field: value}), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_outcome(str(path))
+    assert str(err.value) == f"{path} is not an outcome file: {message}"
