@@ -165,7 +165,9 @@ def sweep_guess(
     place and gets a sentinel at infinity, so each breakpoint is tested once
     all its events are in. Rounding in the running sums can misplace the
     guess, so it only orders a caller's exact tests (see first_passing).
-    m if m >= p else p is max(m, p) inline: they differ only at NaN.
+    m if m >= p else p is max(m, p) inline; by CPython's rule for max (see
+    clear_market_proximal) that is p if p > m else m, and the two differ
+    only at NaN.
     """
     events.sort(key=itemgetter(0))
     grid = [events[0][0]]
@@ -195,11 +197,14 @@ def _settle(
     mu: float,
     s: list[float],
 ) -> ClearingResult:
-    # Budget-capped demand at mu.
+    # Budget-capped demand at mu. No budget binds above p.
     p = params.p
     denom = max(mu, p)
-    d = tuple(b / denom if b > BID_FLOOR else 0.0 for b in bids)
-    budget_active = tuple(mu <= p and b > BID_FLOOR for b in bids)
+    d = tuple([b / denom if b > BID_FLOOR else 0.0 for b in bids])
+    if mu <= p:
+        budget_active = tuple([b > BID_FLOOR for b in bids])
+    else:
+        budget_active = (False,) * len(bids)
     return ClearingResult(d, tuple(s), mu, budget_active, (bids, asks, avails, params))
 
 
@@ -333,18 +338,27 @@ def clear_market_proximal(
     total_bid, total_avail = _totals(bids, avails)
     if total_bid <= 0 or total_avail <= 0:
         return _no_trade(bids, asks, avails, params)
-    # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller.
-    sellers = [
-        (min(max(v, 0.0), aj), cj, wj, aj)
-        for v, cj, wj, aj in zip(prev_s, asks, weights, avails)
-    ]
+    # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller. CPython
+    # evaluates max(u, v) as `v if v > u else u` and min(u, v) as
+    # `v if v < u else u`; per-agent loops spell the clamps out that way,
+    # which gives the same floats at ties, -0.0 and NaN without paying a
+    # builtin call per agent and round.
+    sellers = []
+    for v, cj, wj, aj in zip(prev_s, asks, weights, avails):
+        v = 0.0 if 0.0 > v else v
+        sellers.append((aj if aj < v else v, cj, wj, aj))
 
     def allocations(mu: float) -> list[float]:
         # A seller with nothing to offer sells nothing, whatever its ask.
-        return [
-            min(max(pj + (mu - cj) / wj, 0.0), aj) if aj > 0 else 0.0
-            for pj, cj, wj, aj in sellers
-        ]
+        out = []
+        for pj, cj, wj, aj in sellers:
+            if aj > 0:
+                v = pj + (mu - cj) / wj
+                v = 0.0 if 0.0 > v else v
+                out.append(aj if aj < v else v)
+            else:
+                out.append(0.0)
+        return out
 
     # Seller j is linear in mu between its kinks c_j - w_j*prev_j (s_j = 0)
     # and c_j + w_j*(a_j - prev_j) (s_j = a_j). With prev_j in [0, a_j] no

@@ -140,11 +140,16 @@ class AuctionState:
     prev_bids the bids that state cleared (empty before the first step);
     extrapolation reads them. A bid of exactly 0.0 marks a parked buyer, out
     of the market for good: every other bid is the opening bid p or at
-    least BID_FLOOR.
+    least BID_FLOOR. buyer_constants holds (x*y, y) per buyer and
+    seller_constants (x*y, y, g) per seller: built once from the agents'
+    private parameters and carried unchanged, so a re-quote is plain
+    arithmetic, bit for bit LogUtility.marginal, with no call per agent.
     """
 
     buyers: tuple[BuyerState, ...]
     sellers: tuple[SellerState, ...]
+    buyer_constants: tuple[tuple[float, float], ...]
+    seller_constants: tuple[tuple[float, float, float], ...]
     params: MarketParams
     bids: tuple[float, ...]
     asks: tuple[float, ...]
@@ -195,13 +200,17 @@ def _initial_state(
     clamped to the ceiling p that sellers may never exceed.
     """
     p = params.p
-    asks = tuple(min(seller.utility.marginal(seller.g), p) for seller in sellers)
+    buyer_constants = tuple((buyer.x * buyer.y, buyer.y) for buyer in buyers)
+    seller_constants = tuple((seller.x * seller.y, seller.y, seller.g) for seller in sellers)
+    asks = tuple(min(xy / (y * g + 1.0), p) for xy, y, g in seller_constants)
     n_s = len(sellers)
     return AuctionState(
         buyers=tuple(buyers),
         sellers=tuple(sellers),
+        buyer_constants=buyer_constants,
+        seller_constants=seller_constants,
         params=params,
-        bids=tuple(p if buyer.utility.marginal(0.0) > p else 0.0 for buyer in buyers),
+        bids=tuple(p if xy > p else 0.0 for xy, _ in buyer_constants),
         asks=asks,
         avails=tuple(declare_availability(seller, params) for seller in sellers),
         prev_s=(0.0,) * n_s,
@@ -259,10 +268,15 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         prev_bids, prev_d = state.prev_bids, state.clearing.d
     else:
         prev_bids, prev_d = state.bids, result.d
+    # Each target is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
+    # a bid is that quotient times d, never x*y*d/(y*d + 1.0), which rounds
+    # differently.
     new_bids = []
-    for buyer, b, b0, d, d0 in zip(state.buyers, state.bids, prev_bids, result.d, prev_d):
+    for (xy, y), b, b0, d, d0 in zip(
+        state.buyer_constants, state.bids, prev_bids, result.d, prev_d
+    ):
         if b != 0.0:
-            target = buyer.utility.marginal(d) * d
+            target = xy / (y * d + 1.0) * d
             b = _extrapolate(b0, b, target, d0, d) if extrapolate else target
             if b < BID_FLOOR:
                 b = 0.0
@@ -272,25 +286,31 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     targets = []
     weights = []
     ema = []
-    for seller, a, s, prev, last, w, e in zip(
-        state.sellers, state.avails, result.s,
+    for (xy, y, g), a, s, prev, last, w, e in zip(
+        state.seller_constants, state.avails, result.s,
         state.prev_s, state.last_targets, state.prox_weights, state.curv_ema,
     ):
-        target = seller.utility.marginal(max(seller.g - s, 0.0))
+        # min and max inline, by CPython's rule (see clear_market_proximal).
+        q = g - s
+        target = xy / (y * (0.0 if 0.0 > q else q) + 1.0)
         targets.append(target)
-        new_asks.append(min(target, p))
+        new_asks.append(p if p < target else target)
         if a > 0:
             ds = s - prev
-            if abs(ds) > 1e-12 * max(1.0, a):
+            if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
                 slope = abs(target - last) / abs(ds)
                 e = 0.5 * e + 0.5 * slope
-                w = min(max(_PROX_WEIGHT_FACTOR * e, _PROX_WEIGHT_MIN), _PROX_WEIGHT_MAX)
+                w = _PROX_WEIGHT_FACTOR * e
+                w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > w else w
+                w = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
         weights.append(w)
         ema.append(e)
 
     return AuctionState(
         buyers=state.buyers,
         sellers=state.sellers,
+        buyer_constants=state.buyer_constants,
+        seller_constants=state.seller_constants,
         params=state.params,
         bids=tuple(new_bids),
         asks=tuple(new_asks),
@@ -319,11 +339,13 @@ def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig
     tol = config.tol_rel
     for old, new in ((before.bids, after.bids), (before.asks, after.asks)):
         for a, b in zip(old, new):
-            # A division on purpose: tol * max(abs(a), 1e-12) rounds differently.
-            if abs(b - a) / max(abs(a), 1e-12) > tol:
+            # A division on purpose: tol * max(abs(a), 1e-12) rounds
+            # differently. Both scales are max inline, as in auction_step.
+            scale = abs(a)
+            if abs(b - a) / (1e-12 if 1e-12 > scale else scale) > tol:
                 return False
     for s, prev, a in zip(result.s, before.prev_s, after.avails):
-        if abs(s - prev) > tol * max(1.0, a):
+        if abs(s - prev) > tol * (a if a > 1.0 else 1.0):
             return False
     return result.kkt_residual <= config.inner_kkt_tol
 

@@ -16,6 +16,7 @@ from microgrid_auction.engine import (
 )
 from microgrid_auction.experiments import mix_seed
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.utility import LogUtility
 
 from oracles import equilibrium_gaps, equilibrium_reference
 
@@ -198,18 +199,51 @@ def test_no_seller_gains_by_underbidding():
 
 
 def test_every_agent_requotes_its_target_outright():
-    # each round's quotes are the targets at the previous clearing, undamped
-    buyers = [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)]
-    sellers = [SellerState(0.2, 1.3, 3.0), SellerState(0.3, 1.5, 4.0)]
-    outcome = run_auction(buyers, sellers, P, CFG)
-    first, second = outcome.trace[0], outcome.trace[1]
-    for i, buyer in enumerate(buyers):
-        if first.d[i] > 0:
-            target = buyer.utility.marginal(first.d[i]) * first.d[i]
-            assert second.bids[i] == pytest.approx(target, rel=1e-12)
-    for j, seller in enumerate(sellers):
-        target = min(seller.utility.marginal(seller.g - first.s[j]), P.p)
-        assert second.asks[j] == pytest.approx(target, rel=1e-12)
+    """Each round's quotes are the targets at the clearing just made,
+    undamped and equal bit for bit to LogUtility.marginal: an active buyer
+    bids u'(d)*d, or parks at 0.0 below BID_FLOOR, and a seller asks
+    min(v'(g - s), p). Checked over the first 8 steps of a hand market,
+    corpus k = 2 and the first large market, with prev_bids cleared so that
+    no bid is extrapolated."""
+    hand = (
+        [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)],
+        [SellerState(0.2, 1.3, 3.0), SellerState(0.3, 1.5, 4.0)],
+    )
+    requoted = 0
+    for buyers, sellers in (hand, _corpus_market(2), _large_market(0)):
+        state = engine._initial_state(buyers, sellers, P)
+        for _ in range(8):
+            nxt = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+            for buyer, b, new_b, d in zip(buyers, state.bids, nxt.bids, nxt.clearing.d):
+                if b == 0.0:
+                    assert new_b == 0.0
+                    continue
+                target = buyer.utility.marginal(d) * d
+                assert new_b == (0.0 if target < BID_FLOOR else target)
+                requoted += 1
+            for seller, ask, s in zip(sellers, nxt.asks, nxt.clearing.s):
+                assert ask == min(seller.utility.marginal(max(seller.g - s, 0.0)), P.p)
+                requoted += 1
+            state = nxt
+    assert requoted > 8 * (300 + 150)
+
+
+def test_a_round_makes_no_utility_calls(monkeypatch):
+    """auction_step re-quotes from the constants _initial_state built once,
+    so no round calls into an agent's LogUtility."""
+    calls = []
+    buyers, sellers = _corpus_market(2)
+    state = engine._initial_state(buyers, sellers, P)
+    for name in ("value", "marginal", "inverse_marginal"):
+        method = getattr(LogUtility, name)
+        monkeypatch.setattr(
+            LogUtility, name,
+            lambda self, q, name=name, method=method: calls.append(name) or method(self, q),
+        )
+    for _ in range(8):
+        state = auction_step(state, CFG)
+    assert state.iteration == 8
+    assert calls == []
 
 
 def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
@@ -235,6 +269,34 @@ def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
                 assert nxt.prox_weights[j] == state.prox_weights[j]
         state = nxt
     assert moved >= 20
+
+
+@pytest.mark.parametrize(
+    "buyer, seller, bound",
+    [
+        # v'' = v'^2 / x: a tiny x makes the seller's marginal value steep
+        # near the price it clears at, a large x with a tiny y makes it flat.
+        pytest.param(
+            BuyerState(P.p * (2.0 - 1e-6), 1.0), SellerState(1e-7, 1e7, 1.0), 1e4, id="steep"
+        ),
+        pytest.param(
+            BuyerState(0.3, 1.0), SellerState(1.0, 1e-3, 5.0), 1e-4, id="flat"
+        ),
+    ],
+)
+def test_proximal_weights_clamp_at_both_bounds(buyer, seller, bound):
+    """A curvature estimate beyond [1e-4, 1e4] sets the proximal weight to
+    the bound it crossed, exactly. Corpus weights stay within [0.005, 0.5],
+    so each bound needs a market built to cross it; these auctions stop
+    after 10 and 17 rounds, and the steps run on to 40."""
+    state = engine._initial_state([buyer], [seller], P)
+    clamped = []
+    while state.iteration < 40:
+        state = auction_step(state, CFG)
+        (e,), (w,) = state.curv_ema, state.prox_weights
+        if not 1e-4 <= e <= 1e4:
+            clamped.append(w)
+    assert clamped and set(clamped) == {bound}
 
 
 def test_asks_never_exceed_the_retail_price():

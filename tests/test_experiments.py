@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -189,3 +190,18 @@ def test_report_serialization_roundtrip():
     header, *rows = csv_text.strip().split("\n")
     assert header.split(",") == list(report.records[0].keys())
     assert len(rows) == len(report.records)
+
+
+@pytest.mark.parametrize(
+    "study, digest",
+    [
+        (exp_efficiency, "68aa35788950c5618f61dcf2ea516001492087a0032dbc6e4df98475ad3a6788"),
+        (exp_welfare_fairness, "c524877a8e585446763fb1ae2c3bbf72e5d915245c3ddc4f3eaf996a311f5bf0"),
+        (exp_case_study, "91d94db68c1158bb0e40cbd25e4e08a5197c75eabd7234dd39ecadc4e1d74bad"),
+    ],
+    ids=["efficiency", "welfare-fairness", "case-study"],
+)
+def test_study_json_is_pinned_byte_for_byte(study, digest):
+    """A change that only speeds the auction up leaves every byte of the
+    default study reports as it is."""
+    assert hashlib.sha256(study().to_json().encode()).hexdigest() == digest
