@@ -104,7 +104,7 @@ def _totals(bids: tuple[float, ...], avails: tuple[float, ...]) -> tuple[float, 
     # is positive, so a zero total is the same as an empty side. fsum raises
     # OverflowError when finite terms sum past the largest float.
     try:
-        total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+        total_bid = math.fsum([b for b in bids if b > BID_FLOOR])
     except OverflowError:
         raise ValueError("the bids sum past the largest float") from None
     try:

@@ -130,8 +130,10 @@ def verify_outcome(
     for i, pi in enumerate(outcome.payoffs.buyer_payoffs):
         if pi < -_IR_TOL:
             raise RuntimeError(f"buyer {i} worse off than walking away: {pi}")
+    # A seller walks away with v(g) = x * log1p(y * g), LogUtility.value
+    # written out; SellerState has already checked that g is finite and > 0.
     for j, (seller, pj) in enumerate(zip(sellers, outcome.payoffs.seller_payoffs)):
-        if pj < seller.utility.value(seller.g) - _IR_TOL:
+        if pj < seller.x * math.log1p(seller.y * seller.g) - _IR_TOL:
             raise RuntimeError(f"seller {j} worse off than walking away: {pj}")
 
 

@@ -8,6 +8,10 @@ g - s through v(g - s) = x*log(y*(g - s) + 1) and communicate a scalar ask c
 holds only those private parameters; the quotes and allocations live in the
 engine's state, and the truthful re-quotes b = u'(d)*d and c = v'(g - s) are
 written once, in the engine's auction step.
+
+Payoffs, social welfare and the seller supply rule evaluate LogUtility's
+expressions written out over each agent's x, y and g, bit for bit the same,
+so no per-agent loop here calls into a utility.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .utility import LogUtility
+from .utility import _FMAX, LogUtility, check_parameters
 
 # Slack, scaled by max(1, g) for sellers, within which social_welfare accepts
 # an allocation just outside its bounds.
@@ -54,7 +58,7 @@ class BuyerState:
     y: float
 
     def __post_init__(self) -> None:
-        LogUtility(self.x, self.y)  # validates x, y
+        check_parameters(self.x, self.y)
 
     @cached_property
     def utility(self) -> LogUtility:
@@ -76,7 +80,7 @@ class SellerState:
     g: float
 
     def __post_init__(self) -> None:
-        LogUtility(self.x, self.y)
+        check_parameters(self.x, self.y)
         if not (math.isfinite(self.g) and self.g > 0):
             raise ValueError(f"generation must be positive and finite, got {self.g}")
 
@@ -94,20 +98,37 @@ class Payoffs:
     mc_revenue: float
 
 
-def seller_supply(seller: SellerState, avail: float, mu: float) -> float:
-    """Energy a seller parts with at price mu: clamp(g - v'^{-1}(mu), 0, avail)."""
-    retained = seller.utility.inverse_marginal(mu)
-    return min(max(seller.g - retained, 0.0), avail)
+def seller_supplies(
+    constants: Sequence[tuple[float, float, float, float]], mu: float
+) -> list[float]:
+    """Energy each seller parts with at price mu: clip(g - v'^{-1}(mu), 0, a).
+
+    constants holds (x, 1/y, g, a) per seller, a being the most it may
+    sell. v'^{-1}(mu) is LogUtility.inverse_marginal written out,
+    max(x/mu - 1/y, 0), with its check on mu; min and max are inline by
+    CPython's rule (see clearing.clear_market_proximal), so each result is
+    bit for bit min(max(g - inverse_marginal(mu), 0.0), a).
+    """
+    if not 0.0 < mu <= _FMAX:
+        raise ValueError(f"marginal value must be positive and finite, got {mu}")
+    supplies = []
+    for x, inv_y, g, a in constants:
+        retained = x / mu - inv_y
+        q = g - (0.0 if 0.0 > retained else retained)
+        q = 0.0 if 0.0 > q else q
+        supplies.append(a if a < q else q)
+    return supplies
 
 
 def declare_availability(seller: SellerState, params: MarketParams) -> float:
     """Energy a seller is willing to offer at the floor price.
 
     The declared amount is the largest s whose marginal retained value stays
-    at or below p: a = seller_supply(seller, g, p). Declared once, before the
-    first iteration, and never revised during an auction.
+    at or below p: the seller's supply at p with all of g on offer. Declared
+    once, before the first iteration, and never revised during an auction.
     """
-    return seller_supply(seller, seller.g, params.p)
+    g = seller.g
+    return seller_supplies(((seller.x, 1.0 / seller.y, g, g),), params.p)[0]
 
 
 def compute_payoffs(
@@ -124,17 +145,26 @@ def compute_payoffs(
     their own ask: pi_j = v(g_j - s_j) + c_j * s_j. The controller keeps the
     difference, mc_revenue = sum(b) - sum(c * s), which is nonnegative at any
     clearing solution. Raises ValueError when a quote or allocation list is
-    not as long as its agent list.
+    not as long as its agent list, and, as LogUtility.value would, when a
+    buyer's allocation or a seller's retained stock max(g - s, 0) is not
+    finite and >= 0.
     """
-    buyer_pi = tuple(
-        buyer.utility.value(q) - b for buyer, b, q in zip(buyers, bids, d, strict=True)
-    )
-    seller_pi = tuple(
-        seller.utility.value(max(seller.g - q, 0.0)) + c * q
-        for seller, c, q in zip(sellers, asks, s, strict=True)
-    )
-    revenue = math.fsum(bids) - math.fsum(c * q for c, q in zip(asks, s))
-    return Payoffs(buyer_pi, seller_pi, revenue)
+    log1p = math.log1p
+    buyer_pi = []
+    for buyer, b, q in zip(buyers, bids, d, strict=True):
+        if not 0.0 <= q <= _FMAX:
+            raise ValueError(f"quantity must be finite and >= 0, got {q}")
+        buyer_pi.append(buyer.x * log1p(buyer.y * q) - b)
+    seller_pi = []
+    for seller, c, q in zip(sellers, asks, s, strict=True):
+        # max(g - q, 0.0) inline, by CPython's rule
+        retained = seller.g - q
+        retained = 0.0 if 0.0 > retained else retained
+        if not 0.0 <= retained <= _FMAX:
+            raise ValueError(f"quantity must be finite and >= 0, got {retained}")
+        seller_pi.append(seller.x * log1p(seller.y * retained) + c * q)
+    revenue = math.fsum(bids) - math.fsum([c * q for c, q in zip(asks, s)])
+    return Payoffs(tuple(buyer_pi), tuple(seller_pi), revenue)
 
 
 def social_welfare(
@@ -143,20 +173,28 @@ def social_welfare(
     d: tuple[float, ...] | list[float],
     s: tuple[float, ...] | list[float],
 ) -> float:
-    """Total welfare sum(u_i(d_i)) + sum(v_j(g_j - s_j)) of an allocation."""
+    """Total welfare sum(u_i(d_i)) + sum(v_j(g_j - s_j)) of an allocation.
+
+    The range tests admit only finite allocations, so every clipped quantity
+    is finite and >= 0, which is all LogUtility.value would check.
+    """
     if len(d) != len(buyers):
         raise ValueError(f"{len(d)} allocations vs {len(buyers)} buyers")
     if len(s) != len(sellers):
         raise ValueError(f"{len(s)} allocations vs {len(sellers)} sellers")
+    isfinite, log1p = math.isfinite, math.log1p
     total = 0.0
+    # min and max inline, by CPython's rule
     for buyer, di in zip(buyers, d):
-        if di < -_RANGE_TOL or not math.isfinite(di):
+        if di < -_RANGE_TOL or not isfinite(di):
             raise ValueError(f"buyer allocation out of range: {di}")
-        total += buyer.utility.value(max(di, 0.0))
+        total += buyer.x * log1p(buyer.y * (0.0 if 0.0 > di else di))
     for seller, sj in zip(sellers, s):
-        slack = _RANGE_TOL * max(1.0, seller.g)
-        if sj < -slack or sj > seller.g + slack or not math.isfinite(sj):
-            raise ValueError(f"seller allocation out of range: {sj} (g={seller.g})")
-        retained = min(max(seller.g - sj, 0.0), seller.g)
-        total += seller.utility.value(retained)
+        g = seller.g
+        slack = _RANGE_TOL * (g if g > 1.0 else 1.0)
+        if sj < -slack or sj > g + slack or not isfinite(sj):
+            raise ValueError(f"seller allocation out of range: {sj} (g={g})")
+        retained = g - sj
+        retained = 0.0 if 0.0 > retained else retained
+        total += seller.x * log1p(seller.y * (g if g < retained else retained))
     return total

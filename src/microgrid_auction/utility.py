@@ -1,9 +1,12 @@
 """Logarithmic utility shared by buyers and sellers.
 
-The engine only ever talks to a utility through three callables: value,
-marginal, and inverse marginal, all closed-form for x * log(y * q + 1). The
-full-information welfare solver relies on this family: its responses are
-x/m - 1/y clipped to bounds, so its price has a closed form between kinks.
+LogUtility defines three closed forms for x * log(y * q + 1): value,
+marginal, and inverse marginal. The engine's re-quotes, the welfare
+planner's responses, and the welfare and payoff sums write these expressions
+out over per-agent constants instead of calling them, bit for bit the same,
+so their per-agent loops make no call into a utility. The full-information
+welfare solver relies on this family: its responses are x/m - 1/y clipped
+to bounds, so its price has a closed form between kinks.
 """
 
 from __future__ import annotations
@@ -15,6 +18,18 @@ from dataclasses import dataclass
 # 0 <= q <= _FMAX holds exactly for the finite q >= 0 (-0.0 included): NaN
 # fails every comparison and +inf exceeds the largest finite float.
 _FMAX = sys.float_info.max
+
+
+def check_parameters(x: float, y: float) -> None:
+    """Raise ValueError unless scale x and shape y are positive and finite.
+
+    LogUtility runs it at construction, and so do the agents, which hold x
+    and y without building a utility until one is asked for.
+    """
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"utility scale x must be positive and finite, got {x}")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"utility shape y must be positive and finite, got {y}")
 
 
 @dataclass(frozen=True)
@@ -30,10 +45,7 @@ class LogUtility:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and self.x > 0):
-            raise ValueError(f"utility scale x must be positive and finite, got {self.x}")
-        if not (math.isfinite(self.y) and self.y > 0):
-            raise ValueError(f"utility shape y must be positive and finite, got {self.y}")
+        check_parameters(self.x, self.y)
 
     def value(self, q: float) -> float:
         if not 0.0 <= q <= _FMAX:

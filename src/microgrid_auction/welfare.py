@@ -12,6 +12,13 @@ surplus line -(A/mu + B)*mu, guesses the bracketing segment, two exact excess
 sums confirm it (clearing.first_passing bisects only if they disagree), and
 the root on that segment is closed-form in those two sums: O(N log N) per
 solve, no rescale of either side to force the balance.
+
+The planner reads each active agent's constants once per solve, (x, 1/y,
+b/p) per buyer and (x, 1/y, g, a) per seller, and its excess sums,
+breakpoints and allocations are plain loops over them: LogUtility's
+expressions written out, bit for bit the same, with no call into a utility
+per agent. The welfare theta is market.social_welfare, the same sum the
+engine records each round.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 from .clearing import BID_FLOOR, first_passing, sweep_guess
-from .market import BuyerState, MarketParams, SellerState, seller_supply, social_welfare
+from .market import BuyerState, MarketParams, SellerState, seller_supplies, social_welfare
+from .utility import _FMAX
 
 
 @dataclass(frozen=True)
@@ -41,10 +49,22 @@ class WelfareSolution:
         return self.mu_star is None
 
 
-def _buyer_response(buyer: BuyerState, bid: float, mu: float, p: float) -> float:
-    if bid <= BID_FLOOR:
-        return 0.0
-    return min(buyer.utility.inverse_marginal(mu), bid / p)
+def _demands(constants: list[tuple[float, float, float]], mu: float) -> list[float]:
+    """Each active buyer's demand at price mu: clip(x/mu - 1/y, 0, b/p).
+
+    constants holds (x, 1/y, b/p) per active buyer. x/mu - 1/y is
+    LogUtility.inverse_marginal written out, with its check on mu; min and
+    max are inline by CPython's rule (see clearing.clear_market_proximal),
+    so each result is bit for bit min(inverse_marginal(mu), b/p).
+    """
+    if not 0.0 < mu <= _FMAX:
+        raise ValueError(f"marginal value must be positive and finite, got {mu}")
+    demands = []
+    for x, inv_y, cap in constants:
+        q = x / mu - inv_y
+        q = 0.0 if 0.0 > q else q
+        demands.append(cap if cap < q else q)
+    return demands
 
 
 def solve_welfare(
@@ -101,9 +121,7 @@ def solve_welfare(
         return autarky()
 
     def excess(mu: float) -> float:
-        demand = math.fsum(_buyer_response(buyers[i], bids[i], mu, p) for i in active_b)
-        supply = math.fsum(seller_supply(sellers[j], avails[j], mu) for j in active_s)
-        return demand - supply
+        return math.fsum(_demands(buyer_k, mu)) - math.fsum(seller_supplies(seller_k, mu))
 
     # Buyer i demands clip(x/mu - 1/y, 0, b/p): capped below marginal(b/p),
     # zero above marginal(0). Seller j supplies g - max(x/mu - 1/y, 0) clipped
@@ -113,19 +131,32 @@ def solve_welfare(
     # all buyers demand their cap and all sellers supply 0, so B starts at the
     # sum of the caps. Every kink is positive, so the sweep runs the surplus
     # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
+    # Each kink is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
+    # marginal(0) is x*y exactly, and a cap b/p that overflows fails
+    # marginal's check on q.
+    buyer_k = []
+    seller_k = []
     events = []
     cap_sum = 0.0
     for i in active_b:
-        u = buyers[i].utility
+        x, y = buyers[i].x, buyers[i].y
         cap = bids[i] / p
+        if not cap <= _FMAX:
+            raise ValueError(f"quantity must be finite and >= 0, got {cap}")
+        xy, inv_y = x * y, 1.0 / y
         cap_sum += cap
-        events.append((u.marginal(cap), 1.0 / u.y + cap, -u.x))
-        events.append((u.marginal(0.0), -1.0 / u.y, u.x))
+        buyer_k.append((x, inv_y, cap))
+        events.append((xy / (y * cap + 1.0), inv_y + cap, -x))
+        events.append((xy, -inv_y, x))
     for j in active_s:
-        u, g = sellers[j].utility, sellers[j].g
-        top = min(avails[j], g)
-        events.append((u.marginal(g), g + 1.0 / u.y, -u.x))
-        events.append((u.marginal(g - top), top - (g + 1.0 / u.y), u.x))
+        seller, a = sellers[j], avails[j]
+        x, y, g = seller.x, seller.y, seller.g
+        xy, inv_y = x * y, 1.0 / y
+        # min(a, g) inline, by CPython's rule
+        top = g if g < a else a
+        seller_k.append((x, inv_y, g, a))
+        events.append((xy / (y * g + 1.0), g + inv_y, -x))
+        events.append((xy / (y * (g - top) + 1.0), top - (g + inv_y), x))
     grid, guess = sweep_guess(events, -cap_sum, 0.0, p)
 
     # The exact fsum test is monotone in mu, so the first kink not in excess
@@ -159,10 +190,10 @@ def solve_welfare(
 
     d = [0.0] * len(buyers)
     s = [0.0] * len(sellers)
-    for i in active_b:
-        d[i] = _buyer_response(buyers[i], bids[i], mu, p)
-    for j in active_s:
-        s[j] = seller_supply(sellers[j], avails[j], mu)
+    for i, q in zip(active_b, _demands(buyer_k, mu)):
+        d[i] = q
+    for j, q in zip(active_s, seller_supplies(seller_k, mu)):
+        s[j] = q
     if math.fsum(d) <= 0.0 or math.fsum(s) <= 0.0:
         return autarky()
     theta = social_welfare(buyers, sellers, d, s)

@@ -14,8 +14,8 @@ from microgrid_auction.engine import (
     auction_step,
     run_auction,
 )
-from microgrid_auction.experiments import mix_seed
-from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.experiments import mix_seed, verify_outcome
+from microgrid_auction.market import BuyerState, MarketParams, SellerState, compute_payoffs
 from microgrid_auction.utility import LogUtility
 
 from oracles import equilibrium_gaps, equilibrium_reference
@@ -686,6 +686,52 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
         outcome.bids, outcome.asks,
     )
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+def test_settlement_payoffs_are_pinned_bit_for_bit():
+    """compute_payoffs at the final quotes and allocations of the first 100
+    corpus markets, every bit as recorded while it still called
+    LogUtility.value per agent."""
+    config = AuctionConfig(max_iters=2500, record_trace=False)
+    digest = hashlib.sha256()
+    for k in range(100):
+        buyers, sellers = _corpus_market(k)
+        outcome = run_auction(buyers, sellers, P, config)
+        clearing = outcome.clearing
+        payoffs = compute_payoffs(
+            buyers, sellers, outcome.bids, clearing.d, outcome.asks, clearing.s
+        )
+        digest.update(repr(payoffs).encode())
+    assert digest.hexdigest() == "5bf1efaaec5ce3e83b5da75c303fd7a1128a6aa6ce1b83dbb3fdcb94be5868f2"
+
+
+@pytest.mark.parametrize(
+    "market",
+    [lambda: _corpus_market(2), lambda: _large_market(0)],
+    ids=["corpus k=2", "large (300, 150) seed=0 m=0"],
+)
+def test_full_information_evaluations_make_no_utility_calls(monkeypatch, market):
+    """The planner, social welfare, settlement and the outcome check read
+    each agent's x, y and g and write the utility out, so once the agents
+    exist nothing builds or calls a LogUtility: not an auction with its
+    per-round welfare trace, nor anything evaluated on its outcome."""
+    buyers, sellers = market()
+
+    def refuse(self, *args):
+        raise AssertionError("a LogUtility was built or called")
+
+    for name in ("__post_init__", "value", "marginal", "inverse_marginal"):
+        monkeypatch.setattr(LogUtility, name, refuse)
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500))
+    clearing = outcome.clearing
+    assert outcome.converged and len(outcome.trace) == outcome.iterations
+    verify_outcome(outcome, buyers, sellers)
+    payoffs = compute_payoffs(buyers, sellers, outcome.bids, clearing.d, outcome.asks, clearing.s)
+    assert payoffs == outcome.payoffs
+    sol = welfare.solve_welfare(buyers, sellers, outcome.bids, outcome.avails, P)
+    assert not sol.no_trade
+    theta = welfare.social_welfare(buyers, sellers, clearing.d, clearing.s)
+    assert theta == outcome.trace[-1].theta <= sol.theta
 
 
 def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):

@@ -70,6 +70,36 @@ def test_compute_payoffs_rejects_quotes_of_another_length(bids, d, asks, s):
         compute_payoffs(buyers, sellers, bids, d, asks, s)
 
 
+@pytest.mark.parametrize(
+    "d, s, bad",
+    [
+        ((-0.5, 0.0), (0.9, 0.0), "-0.5"),
+        ((math.nan, 0.0), (0.9, 0.0), "nan"),
+        ((math.inf, 0.0), (0.9, 0.0), "inf"),
+        ((0.9, 0.0), (-math.inf, 0.0), "inf"),
+        ((0.9, 0.0), (math.nan, 0.0), "nan"),
+    ],
+    ids=["negative d", "nan d", "infinite d", "s of -inf", "nan s"],
+)
+def test_compute_payoffs_rejects_a_quantity_the_utility_cannot_value(d, s, bad):
+    # u(d) and v(max(g - s, 0)) are evaluated in place of LogUtility.value,
+    # with its check and message.
+    buyers = [BuyerState(x=1.2, y=1.5), BuyerState(x=0.7, y=1.3)]
+    sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
+    with pytest.raises(ValueError, match=f"quantity must be finite and >= 0, got {bad}$"):
+        compute_payoffs(buyers, sellers, (0.41, 0.0), d, (0.17, 0.23), s)
+
+
+def test_agents_check_their_parameters_as_the_utility_does():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for build in (lambda: BuyerState(bad, 1.0), lambda: SellerState(bad, 1.0, 2.0)):
+            with pytest.raises(ValueError, match=f"utility scale x must be positive and finite, got {bad}"):
+                build()
+        for build in (lambda: BuyerState(1.0, bad), lambda: SellerState(1.0, bad, 2.0)):
+            with pytest.raises(ValueError, match=f"utility shape y must be positive and finite, got {bad}"):
+                build()
+
+
 @given(x=coef, y=coef, g=gen)
 def test_availability_within_generation(x, y, g):
     a = declare_availability(SellerState(x=x, y=y, g=g), P)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from microgrid_auction import welfare
 from microgrid_auction.clearing import BID_FLOOR, ClearingResult, clear_market, kkt_residual
-from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.market import BuyerState, MarketParams, SellerState, seller_supplies
 from microgrid_auction.welfare import (
     efficiency_gap,
     social_welfare,
@@ -205,6 +206,25 @@ def test_input_value_validation(bad):
         solve_welfare(buyers, sellers, (1.0, 1.0), (bad, 1.0), P)
 
 
+@pytest.mark.parametrize(
+    "buyer, seller, bid, message",
+    [
+        (BuyerState(1.0, 1.0), SellerState(0.3, 1.0, 2.0), 1e308,
+         "quantity must be finite and >= 0, got inf"),
+        (BuyerState(1e200, 1e200), SellerState(0.3, 1.0, 2.0), 1.0,
+         "marginal value must be positive and finite, got inf"),
+        (BuyerState(1.0, 1.0), SellerState(1e-200, 1e-200, 2.0), 1.0,
+         "marginal value must be positive and finite, got 0.0"),
+    ],
+    ids=["budget cap b/p overflows", "choke price x*y overflows", "seller kink x*y underflows"],
+)
+def test_planner_keeps_the_utility_checks(buyer, seller, bid, message):
+    # The planner writes LogUtility.marginal and inverse_marginal out; a
+    # breakpoint or price outside their domain still fails their checks.
+    with pytest.raises(ValueError, match=message):
+        solve_welfare([buyer], [seller], (bid,), (1.0,), P)
+
+
 @st.composite
 def welfare_markets(draw):
     """Up to 60 agents per side. Bids are parked (<= BID_FLOOR), small enough
@@ -281,3 +301,85 @@ def test_welfare_price_when_the_sweep_misplaces_the_bracket(missed_guesses, x_ke
     assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
     total_d = math.fsum(sol.d_star)
     assert abs(total_d - math.fsum(sol.s_star)) <= 1e-12 * max(1.0, total_d)
+
+
+def test_planner_outputs_are_pinned_bit_for_bit():
+    """A change that only speeds the planner up leaves every bit of its
+    solutions as it is. The digest was recorded while the planner still
+    called LogUtility per agent. Every third market has a parked buyer and a
+    seller with nothing to offer, and buyer scales from 0.02 leave five of
+    the 240 markets without trade."""
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    no_trade = 0
+    for n in range(240):
+        nb, ns = rng.randint(1, 30), rng.randint(1, 30)
+        buyers, sellers, bids, avails = _random_instance(rng, nb, ns, buyer_x=(0.02, 1.5))
+        if n % 3 == 0:
+            bids[0] = 0.0
+            avails[-1] = 0.0
+        sol = solve_welfare(buyers, sellers, bids, avails, P)
+        no_trade += sol.no_trade
+        digest.update(repr((sol.d_star, sol.s_star, sol.mu_star, sol.theta)).encode())
+    assert no_trade == 5
+    assert digest.hexdigest() == "f93ab9f34357f4a50cd72851772947571756f8d6f33ee8dd1beef46fc63b8bcd"
+
+
+def test_written_out_responses_match_the_utility_exactly(monkeypatch):
+    """The planner's buyer demand and the seller supply rule, evaluated from
+    per-agent constants, are bit for bit min(inverse_marginal(mu), b/p) and
+    min(max(g - inverse_marginal(mu), 0), a) at every breakpoint the planner
+    sorts and at random prices between and beyond them."""
+    grids = []
+    sweep = welfare.sweep_guess
+
+    def spy(events, slope, total, p):
+        grid, guess = sweep(events, slope, total, p)
+        grids.append(list(grid))
+        return grid, guess
+
+    monkeypatch.setattr(welfare, "sweep_guess", spy)
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(40):
+        buyers, sellers, bids, avails = _random_instance(
+            rng, rng.randint(1, 12), rng.randint(1, 12), buyer_x=(0.02, 1.5)
+        )
+        avails[0] = 2.0 * sellers[0].g  # an availability above g caps at g
+        solve_welfare(buyers, sellers, bids, avails, P)
+        grid = grids.pop()
+        prices = grid + [rng.uniform(0.5 * grid[0], 2.0 * grid[-1]) for _ in range(20)]
+        buyer_k = [(b.x, 1.0 / b.y, bid / P.p) for b, bid in zip(buyers, bids)]
+        seller_k = [(s.x, 1.0 / s.y, s.g, a) for s, a in zip(sellers, avails)]
+        for mu in prices:
+            demands = [
+                min(b.utility.inverse_marginal(mu), bid / P.p) for b, bid in zip(buyers, bids)
+            ]
+            supplies = [
+                min(max(s.g - s.utility.inverse_marginal(mu), 0.0), a)
+                for s, a in zip(sellers, avails)
+            ]
+            assert [q.hex() for q in welfare._demands(buyer_k, mu)] == [q.hex() for q in demands]
+            assert [q.hex() for q in seller_supplies(seller_k, mu)] == [q.hex() for q in supplies]
+            checked += 1
+    assert checked >= 40 * 20 + 40 * 4
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the planner's no-trade verdict is decided by rounding at a buyer's choke price",
+)
+def test_planner_trades_where_the_reference_trades_at_a_choke_price():
+    """At mu = fl(x*y) the buyer's demand x/mu - 1/y rounds to 5.55e-17, not
+    0, so the planner's exact excess stays positive at the choke kink and it
+    roots the segment above it, where demand is 0, and reports no trade. In
+    exact arithmetic the market trades the first seller's 9.1e-273 just
+    below the choke price, where the reference puts mu."""
+    buyers = [BuyerState(0.015335030174911238, 2.5838785505539272)]
+    sellers = [SellerState(0.1, 0.5, 0.99999), SellerState(1.0, 1.0, 1.0)]
+    bids, avails = (1e-4,), (9.1e-273, 0.5)
+    mu = welfare_price_reference(buyers, sellers, bids, avails, P.p)
+    assert mu == 0.039623855541050385
+    sol = solve_welfare(buyers, sellers, bids, avails, P)
+    assert not sol.no_trade
+    assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
