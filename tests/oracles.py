@@ -84,9 +84,13 @@ def proximal_clearing_reference(
     prev_j in [0, a_j]; buyers bidding above 1e-9 demand sum(b)/max(mu, p).
     Every kink of the supply curve, plus p, is visited in increasing order
     until supply covers demand. On the segment that ends there, supply is
-    S0 + K*(mu - m0), where K sums 1/w_j over the sellers strictly between
-    their bounds, and the price has a closed form. Returns (mu, s), or None
-    when either side of the market is empty.
+    the line through the float supply sums S0 and S1 at its ends, and the
+    price has a closed form. Its slope is (S1 - S0)/(m1 - m0), as in the
+    solver, not the exact sum of 1/w_j over the sellers between their
+    bounds: the rounding of S0 moves the price by up to the largest weight
+    times as much, and the two slopes put the price over 1e-12 apart on
+    inelastic segments. Returns (mu, s), or None when either side of the
+    market is empty.
     """
     total_bid = math.fsum(b for b in bids if b > 1e-9)
     sellers = [j for j, a in enumerate(avails) if a > 0]
@@ -114,7 +118,7 @@ def proximal_clearing_reference(
     else:
         m0, m1 = kinks[first - 1], kinks[first]
         s0 = supply(m0)
-        slope = math.fsum(1.0 / weights[j] for j in sellers if lower[j] <= m0 and upper[j] >= m1)
+        slope = (supply(m1) - s0) / (m1 - m0)
         if m1 <= p:
             # demand is flat at total_bid/p
             mu = m0 + (total_bid / p - s0) / slope if slope > 0 else m0

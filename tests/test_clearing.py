@@ -377,6 +377,33 @@ def sold_out_boundary_markets(draw):
 # demand 0.5 meets the one seller's cap at its upper kink 0.175 and stays
 # there up to p: the linear scan says 0.175, clearing says 0.25
 @example(case=(((0.125,), (0.25, 0.125), (0.0, 0.5), (0.0, 0.0), (1.0, 0.1)), False))
+# demand 1e-9 below all that is offered, met by sellers with weights 1000 and
+# 3210 on inelastic segments: a linear scan with the exact slope from the
+# rounded S0 put the price 1.2e-12 and 1.6e-11 relative off the solver's
+@example(
+    case=(
+        (
+            (1.2499999987500001,),
+            (0.125, 0.25, 0.25, 0.25, 0.25, 0.25),
+            (4.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+            (4.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+            (1.0, 1.0, 1.0, 1.0, 1.0, 1000.0),
+        ),
+        True,
+    )
+)
+@example(
+    case=(
+        (
+            (0.020367743717946016, 1.429677386990264, 5.902528496637213e-92),
+            (0.01287526309958164, 0.01287526309958164, 0.01287526309958164, 0.05466784067457277),
+            (1.6605769698159882, 0.0, 0.0, 4.139603558817032),
+            (1.6605769698159882, 0.0, 0.0, 4.139603558817032),
+            (133.33448470216828, 12.015590334940212, 1.0, 3209.8856484795333),
+        ),
+        True,
+    )
+)
 def test_proximal_price_at_the_edge_of_the_sold_out_screen(case):
     # Above the edge a round clears without the breakpoint search; at it and
     # below, the search runs. Both must match the linear scan, in the price
