@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .utility import _FMAX, LogUtility, check_parameters
+from .utility import LogUtility, check_parameters, check_price, check_quantity
 
 # Slack, scaled by max(1, g) for sellers, within which social_welfare accepts
 # an allocation just outside its bounds.
@@ -109,8 +109,7 @@ def seller_supplies(
     CPython's rule (see clearing.clear_market_proximal), so each result is
     bit for bit min(max(g - inverse_marginal(mu), 0.0), a).
     """
-    if not 0.0 < mu <= _FMAX:
-        raise ValueError(f"marginal value must be positive and finite, got {mu}")
+    check_price(mu)
     supplies = []
     for x, inv_y, g, a in constants:
         retained = x / mu - inv_y
@@ -145,23 +144,21 @@ def compute_payoffs(
     their own ask: pi_j = v(g_j - s_j) + c_j * s_j. The controller keeps the
     difference, mc_revenue = sum(b) - sum(c * s), which is nonnegative at any
     clearing solution. Raises ValueError when a quote or allocation list is
-    not as long as its agent list, and, as LogUtility.value would, when a
-    buyer's allocation or a seller's retained stock max(g - s, 0) is not
-    finite and >= 0.
+    not as long as its agent list, and, through LogUtility.value's own check,
+    when a buyer's allocation or a seller's retained stock max(g - s, 0) is
+    not finite and >= 0.
     """
     log1p = math.log1p
     buyer_pi = []
     for buyer, b, q in zip(buyers, bids, d, strict=True):
-        if not 0.0 <= q <= _FMAX:
-            raise ValueError(f"quantity must be finite and >= 0, got {q}")
+        check_quantity(q)
         buyer_pi.append(buyer.x * log1p(buyer.y * q) - b)
     seller_pi = []
     for seller, c, q in zip(sellers, asks, s, strict=True):
         # max(g - q, 0.0) inline, by CPython's rule
         retained = seller.g - q
         retained = 0.0 if 0.0 > retained else retained
-        if not 0.0 <= retained <= _FMAX:
-            raise ValueError(f"quantity must be finite and >= 0, got {retained}")
+        check_quantity(retained)
         seller_pi.append(seller.x * log1p(seller.y * retained) + c * q)
     revenue = math.fsum(bids) - math.fsum([c * q for c, q in zip(asks, s)])
     return Payoffs(tuple(buyer_pi), tuple(seller_pi), revenue)

@@ -32,6 +32,26 @@ def check_parameters(x: float, y: float) -> None:
         raise ValueError(f"utility shape y must be positive and finite, got {y}")
 
 
+def check_quantity(q: float) -> None:
+    """Raise ValueError unless quantity q is finite and >= 0.
+
+    value and marginal run it on q, and so do the loops that write those
+    expressions out.
+    """
+    if not 0.0 <= q <= _FMAX:
+        raise ValueError(f"quantity must be finite and >= 0, got {q}")
+
+
+def check_price(m: float) -> None:
+    """Raise ValueError unless marginal value m is positive and finite.
+
+    inverse_marginal runs it on m, and so do the supply and demand loops
+    that write it out, once per price.
+    """
+    if not 0.0 < m <= _FMAX:
+        raise ValueError(f"marginal value must be positive and finite, got {m}")
+
+
 @dataclass(frozen=True)
 class LogUtility:
     """x * log(y * q + 1): the utility family for both roles.
@@ -48,16 +68,13 @@ class LogUtility:
         check_parameters(self.x, self.y)
 
     def value(self, q: float) -> float:
-        if not 0.0 <= q <= _FMAX:
-            raise ValueError(f"quantity must be finite and >= 0, got {q}")
+        check_quantity(q)
         return self.x * math.log1p(self.y * q)
 
     def marginal(self, q: float) -> float:
-        if not 0.0 <= q <= _FMAX:
-            raise ValueError(f"quantity must be finite and >= 0, got {q}")
+        check_quantity(q)
         return self.x * self.y / (self.y * q + 1.0)
 
     def inverse_marginal(self, m: float) -> float:
-        if not 0.0 < m <= _FMAX:
-            raise ValueError(f"marginal value must be positive and finite, got {m}")
+        check_price(m)
         return max(self.x / m - 1.0 / self.y, 0.0)

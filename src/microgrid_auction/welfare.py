@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .clearing import BID_FLOOR, first_passing, sweep_guess
 from .market import BuyerState, MarketParams, SellerState, seller_supplies, social_welfare
-from .utility import _FMAX
+from .utility import check_price, check_quantity
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def _demands(constants: list[tuple[float, float, float]], mu: float) -> list[flo
     max are inline by CPython's rule (see clearing.clear_market_proximal),
     so each result is bit for bit min(inverse_marginal(mu), b/p).
     """
-    if not 0.0 < mu <= _FMAX:
-        raise ValueError(f"marginal value must be positive and finite, got {mu}")
+    check_price(mu)
     demands = []
     for x, inv_y, cap in constants:
         q = x / mu - inv_y
@@ -141,8 +140,7 @@ def solve_welfare(
     for i in active_b:
         x, y = buyers[i].x, buyers[i].y
         cap = bids[i] / p
-        if not cap <= _FMAX:
-            raise ValueError(f"quantity must be finite and >= 0, got {cap}")
+        check_quantity(cap)
         xy, inv_y = x * y, 1.0 / y
         cap_sum += cap
         buyer_k.append((x, inv_y, cap))

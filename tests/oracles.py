@@ -3,7 +3,8 @@
 Deliberately different algorithms from the ones under test: the clearing
 objective is maximized with scipy's SLSQP from several starts, the
 regularized clearing price and the welfare price are found by linear scans
-over every kink of the response curves, the auction's equilibrium by a scan
+over every kink of the response curves (the clearing price also by exact
+rational bisection), the auction's equilibrium by a scan
 over the buyers' choke prices when every seller is sold out and by plain
 bisection otherwise, the welfare objective with a zooming grid search, and
 the clearing optimality residual as the max of a list of every violation.
@@ -12,6 +13,7 @@ Slow but trustworthy.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import LinearConstraint, minimize
@@ -84,13 +86,9 @@ def proximal_clearing_reference(
     prev_j in [0, a_j]; buyers bidding above 1e-9 demand sum(b)/max(mu, p).
     Every kink of the supply curve, plus p, is visited in increasing order
     until supply covers demand. On the segment that ends there, supply is
-    the line through the float supply sums S0 and S1 at its ends, and the
-    price has a closed form. Its slope is (S1 - S0)/(m1 - m0), as in the
-    solver, not the exact sum of 1/w_j over the sellers between their
-    bounds: the rounding of S0 moves the price by up to the largest weight
-    times as much, and the two slopes put the price over 1e-12 apart on
-    inelastic segments. Returns (mu, s), or None when either side of the
-    market is empty.
+    S0 + K*(mu - m0), where K sums 1/w_j over the sellers strictly between
+    their bounds, and the price has a closed form. Returns (mu, s), or None
+    when either side of the market is empty.
     """
     total_bid = math.fsum(b for b in bids if b > 1e-9)
     sellers = [j for j, a in enumerate(avails) if a > 0]
@@ -118,7 +116,7 @@ def proximal_clearing_reference(
     else:
         m0, m1 = kinks[first - 1], kinks[first]
         s0 = supply(m0)
-        slope = (supply(m1) - s0) / (m1 - m0)
+        slope = math.fsum(1.0 / weights[j] for j in sellers if lower[j] <= m0 and upper[j] >= m1)
         if m1 <= p:
             # demand is flat at total_bid/p
             mu = m0 + (total_bid / p - s0) / slope if slope > 0 else m0
@@ -132,6 +130,53 @@ def proximal_clearing_reference(
         mu = min(max(mu, m0), m1)
     s = tuple(response(j, mu) if avails[j] > 0 else 0.0 for j in range(len(avails)))
     return mu, s
+
+
+def proximal_price_exact(
+    bids: tuple[float, ...],
+    asks: tuple[float, ...],
+    avails: tuple[float, ...],
+    p: float,
+    prev: tuple[float, ...],
+    weights: tuple[float, ...],
+) -> Fraction | None:
+    """The regularized clearing price of the float inputs, in exact arithmetic.
+
+    The same market as proximal_clearing_reference, with every sum and
+    quotient taken over fractions: the first kink where supply covers
+    demand brackets the price, and 200 halvings of that segment leave it
+    within 2**-200 of the segment's length above the exact root. Returns
+    None when either side of the market is empty.
+    """
+    total_bid = sum(Fraction(b) for b in bids if b > 1e-9)
+    sellers = [j for j, a in enumerate(avails) if a > 0]
+    if total_bid <= 0 or not sellers:
+        return None
+    c = {j: Fraction(asks[j]) for j in sellers}
+    w = {j: Fraction(weights[j]) for j in sellers}
+    a = {j: Fraction(avails[j]) for j in sellers}
+    s0 = {j: Fraction(prev[j]) for j in sellers}
+    floor = Fraction(p)
+
+    def excess(mu: Fraction) -> Fraction:
+        supply = sum(min(max(s0[j] + (mu - c[j]) / w[j], Fraction(0)), a[j]) for j in sellers)
+        return total_bid / max(mu, floor) - supply
+
+    kinks = sorted({floor, *(c[j] - w[j] * s0[j] for j in sellers), *(c[j] + w[j] * (a[j] - s0[j]) for j in sellers)})
+    first = next((k for k, m in enumerate(kinks) if excess(m) <= 0), None)
+    if first is None:
+        # every seller sits at its availability; demand meets that flat line
+        return max(total_bid / sum(a.values()), kinks[-1])
+    if first == 0:
+        return kinks[0]
+    lo, hi = kinks[first - 1], kinks[first]
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def kkt_residual_reference(result, bids, asks, avails, p: float) -> float:
