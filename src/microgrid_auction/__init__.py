@@ -53,7 +53,6 @@ from .scenario import (
     Scenario,
     generate_scenario,
     load_scenario,
-    save_scenario,
     scenario_from_json,
     scenario_to_json,
 )

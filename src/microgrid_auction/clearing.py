@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable
@@ -51,21 +51,23 @@ _FMAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class ClearingResult:
-    """Allocations and price from one clearing.
+    """Allocations and price from one clearing, and the quotes it cleared.
 
     mu is None when either market side is empty (no trade); allocations are
     then all zero. buyer_budget_active flags buyers whose budget cap binds
-    (equivalently, mu <= p). inputs holds the (bids, asks, avails, params)
-    that were cleared.
+    (equivalently, mu <= p). bids, asks, avails and params are the inputs
+    that were cleared, as floats: the one record of a round's quotes, which
+    an auction outcome and its trace read from here.
     """
 
     d: tuple[float, ...]
     s: tuple[float, ...]
     mu: float | None
     buyer_budget_active: tuple[bool, ...]
-    inputs: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], MarketParams] = field(
-        repr=False
-    )
+    bids: tuple[float, ...]
+    asks: tuple[float, ...]
+    avails: tuple[float, ...]
+    params: MarketParams
 
     @property
     def no_trade(self) -> bool:
@@ -75,11 +77,11 @@ class ClearingResult:
     def kkt_residual(self) -> float:
         """The dimensionless maximum violation of the optimality system.
 
-        Computed by :func:`kkt_residual` on this result and its inputs at
-        the first read, and kept: the auction engine reads it only for a
-        round whose quotes and allocations have already settled.
+        Computed by :func:`kkt_residual` on this result and the quotes it
+        cleared at the first read, and kept: the auction engine reads it only
+        for a round whose quotes and allocations have already settled.
         """
-        return kkt_residual(self, *self.inputs)
+        return kkt_residual(self, self.bids, self.asks, self.avails, self.params)
 
 
 def _validate_inputs(
@@ -125,7 +127,10 @@ def _no_trade(
         s=(0.0,) * len(asks),
         mu=None,
         buyer_budget_active=(False,) * len(bids),
-        inputs=(bids, asks, avails, params),
+        bids=bids,
+        asks=asks,
+        avails=avails,
+        params=params,
     )
 
 
@@ -205,7 +210,7 @@ def _settle(
         budget_active = tuple([b > BID_FLOOR for b in bids])
     else:
         budget_active = (False,) * len(bids)
-    return ClearingResult(d, tuple(s), mu, budget_active, (bids, asks, avails, params))
+    return ClearingResult(d, tuple(s), mu, budget_active, bids, asks, avails, params)
 
 
 def clear_market(

@@ -172,8 +172,6 @@ def _load_market(args: argparse.Namespace) -> Scenario:
                 params=MarketParams(p=args.price_floor),
                 buyers=scenario.buyers,
                 sellers=scenario.sellers,
-                seed=scenario.seed,
-                label=scenario.label,
             )
         return scenario
     params = MarketParams(p=args.price_floor if args.price_floor is not None else 0.25)
@@ -190,9 +188,9 @@ def _outcome_csv(outcome: AuctionOutcome, red: RedistributionResult | None = Non
     clearing = outcome.clearing
     header = ["agent_kind", "agent_id", "quote", "alloc", "unit_price", "alloc_redistributed"]
     rows: list[list[Any]] = []
-    for i, bid in enumerate(outcome.bids):
+    for i, bid in enumerate(clearing.bids):
         rows.append(["buyer", i, bid, clearing.d[i], outcome.unit_prices[i], clearing.d[i]])
-    for j, ask in enumerate(outcome.asks):
+    for j, ask in enumerate(clearing.asks):
         served = clearing.s[j] > 0
         rows.append(
             [
@@ -210,10 +208,11 @@ def _outcome_csv(outcome: AuctionOutcome, red: RedistributionResult | None = Non
 def _trace_csv(outcome: AuctionOutcome) -> str:
     rows: list[list[Any]] = []
     for rec in outcome.trace:
-        for i, bid in enumerate(rec.bids):
-            rows.append([rec.iteration, "buyer", i, bid, rec.d[i], rec.mu, rec.phi, rec.theta])
-        for j, ask in enumerate(rec.asks):
-            rows.append([rec.iteration, "seller", j, ask, rec.s[j], rec.mu, rec.phi, rec.theta])
+        clearing = rec.clearing
+        for i, (bid, d) in enumerate(zip(clearing.bids, clearing.d)):
+            rows.append([rec.iteration, "buyer", i, bid, d, clearing.mu, rec.phi, rec.theta])
+        for j, (ask, s) in enumerate(zip(clearing.asks, clearing.s)):
+            rows.append([rec.iteration, "seller", j, ask, s, clearing.mu, rec.phi, rec.theta])
     return to_csv(TRACE_HEADER, rows)
 
 

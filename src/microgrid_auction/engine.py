@@ -67,11 +67,10 @@ from .market import (
     social_welfare,
 )
 
-# Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to
-# _PROX_WEIGHT_FACTOR times the seller's curvature estimate; at 1 that is
-# the proximal Newton weight (see the module docstring).
+# Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to the
+# seller's curvature estimate, the proximal Newton weight (see the module
+# docstring).
 _PROX_WEIGHT = 0.5
-_PROX_WEIGHT_FACTOR = 1.0
 _PROX_WEIGHT_MIN = 1e-4
 _PROX_WEIGHT_MAX = 1e4
 # Allocations at or below this count as not served in unit_prices.
@@ -117,14 +116,12 @@ class AuctionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One loop pass: the quotes that were cleared and what they produced."""
+    """One loop pass: its clearing, which holds the quotes it cleared and
+    what they produced, and the controller objective phi and social welfare
+    theta of that clearing's allocation."""
 
     iteration: int
-    bids: tuple[float, ...]
-    asks: tuple[float, ...]
-    d: tuple[float, ...]
-    s: tuple[float, ...]
-    mu: float | None
+    clearing: ClearingResult
     phi: float
     theta: float
 
@@ -136,14 +133,14 @@ class AuctionState:
     bids/asks are the quotes to clear next. prev_s anchors the proximal
     clearing and carries the previous allocations; last_targets and curv_ema
     drive the per-seller weight adaptation. clearing holds the result of the
-    most recent step, i.e. the clearing of the PREVIOUS state's quotes, and
-    prev_bids the bids that state cleared (empty before the first step);
-    extrapolation reads them. A bid of exactly 0.0 marks a parked buyer, out
-    of the market for good: every other bid is the opening bid p or at
-    least BID_FLOOR. buyer_constants holds (x*y, y) per buyer and
-    seller_constants (x*y, y, g) per seller: built once from the agents'
-    private parameters and carried unchanged, so a re-quote is plain
-    arithmetic, bit for bit LogUtility.marginal, with no call per agent.
+    most recent step, i.e. the clearing of the PREVIOUS state's quotes (None
+    before the first step); extrapolation reads its bids and d. A bid of
+    exactly 0.0 marks a parked buyer, out of the market for good: every
+    other bid is the opening bid p or at least BID_FLOOR. buyer_constants
+    holds (x*y, y) per buyer and seller_constants (x*y, y, g) per seller:
+    built once from the agents' private parameters and carried unchanged,
+    so a re-quote is plain arithmetic, bit for bit LogUtility.marginal,
+    with no call per agent.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -160,23 +157,20 @@ class AuctionState:
     last_targets: tuple[float, ...]
     iteration: int = 0
     clearing: ClearingResult | None = None
-    prev_bids: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class AuctionOutcome:
-    """Final clearing plus the quotes that produced it and settlement data.
+    """Final clearing plus settlement data.
 
-    bids/asks are the inputs of the final clearing (at convergence the next
-    quotes coincide within tol_rel). unit_prices holds b_i/d_i per served
-    buyer, None for buyers below the reporting threshold.
+    clearing.bids/asks/avails/params are the inputs of the final clearing
+    (at convergence the next quotes coincide within tol_rel). unit_prices
+    holds b_i/d_i per served buyer, None for buyers below the reporting
+    threshold. The trace, when recorded, ends with a record of this same
+    clearing.
     """
 
     clearing: ClearingResult
-    bids: tuple[float, ...]
-    asks: tuple[float, ...]
-    avails: tuple[float, ...]
-    params: MarketParams
     unit_prices: tuple[float | None, ...]
     payoffs: Payoffs
     iterations: int
@@ -249,9 +243,9 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     """Clear the current quotes, then let every agent re-quote its target.
 
     A buyer bids u'(d)*d and a seller asks min(v'(g - s), p). On every
-    _EXTRAPOLATION_PERIOD-th step, once prev_bids is known, each active
-    buyer's new bid is extrapolated (see _extrapolate) from its two previous
-    bids and the two allocations they cleared to, before the floor test.
+    _EXTRAPOLATION_PERIOD-th step after the first, each active buyer's new
+    bid is extrapolated (see _extrapolate) from its two previous bids and
+    the two allocations they cleared to, before the floor test.
     No setting of config reaches the step; it keeps the signature that
     run_auction and the benchmark's tracer call.
     """
@@ -262,10 +256,11 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
 
     p = state.params.p
 
-    extrapolate = bool(state.prev_bids) and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0
+    extrapolate = (
+        state.clearing is not None and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0
+    )
     if extrapolate:
-        assert state.clearing is not None
-        prev_bids, prev_d = state.prev_bids, state.clearing.d
+        prev_bids, prev_d = state.clearing.bids, state.clearing.d
     else:
         prev_bids, prev_d = state.bids, result.d
     # Each target is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
@@ -300,8 +295,7 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
             if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
                 slope = abs(target - last) / abs(ds)
                 e = 0.5 * e + 0.5 * slope
-                w = _PROX_WEIGHT_FACTOR * e
-                w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > w else w
+                w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > e else e
                 w = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
         weights.append(w)
         ema.append(e)
@@ -321,7 +315,6 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         last_targets=tuple(targets),
         iteration=state.iteration + 1,
         clearing=result,
-        prev_bids=state.bids,
     )
 
 
@@ -350,32 +343,24 @@ def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig
     return result.kkt_residual <= config.inner_kkt_tol
 
 
-def _settle(
-    state_before: AuctionState,
-    result: ClearingResult,
-    iterations: int,
-    converged: bool,
-    trace: list[IterationRecord],
-) -> AuctionOutcome:
+def _settle(state: AuctionState, converged: bool, trace: list[IterationRecord]) -> AuctionOutcome:
+    """The outcome of a run that stopped at state, settled at its clearing."""
+    result = state.clearing
+    assert result is not None
     payoffs = compute_payoffs(
-        state_before.buyers, state_before.sellers,
-        state_before.bids, result.d, state_before.asks, result.s,
+        state.buyers, state.sellers, result.bids, result.d, result.asks, result.s
     )
     prices: list[float | None] = []
-    for i, d in enumerate(result.d):
+    for b, d in zip(result.bids, result.d):
         if d > _REPORT_THRESHOLD:
-            prices.append(state_before.bids[i] / d)
+            prices.append(b / d)
         else:
             prices.append(None)
     return AuctionOutcome(
         clearing=result,
-        bids=state_before.bids,
-        asks=state_before.asks,
-        avails=state_before.avails,
-        params=state_before.params,
         unit_prices=tuple(prices),
         payoffs=payoffs,
-        iterations=iterations,
+        iterations=state.iteration,
         converged=converged,
         trace=tuple(trace),
     )
@@ -403,18 +388,14 @@ def run_auction(
             trace.append(
                 IterationRecord(
                     iteration=nxt.iteration,
-                    bids=state.bids,
-                    asks=state.asks,
-                    d=result.d,
-                    s=result.s,
-                    mu=result.mu,
-                    phi=clearing_objective(state.bids, state.asks, result.d, result.s),
+                    clearing=result,
+                    phi=clearing_objective(result.bids, result.asks, result.d, result.s),
                     theta=social_welfare(state.buyers, state.sellers, result.d, result.s),
                 )
             )
         if _stationary(state, nxt, config):
-            return _settle(state, result, nxt.iteration, True, trace)
+            return _settle(nxt, True, trace)
         if nxt.iteration >= config.max_iters:
-            return _settle(state, result, nxt.iteration, False, trace)
+            return _settle(nxt, False, trace)
         state = nxt
 

@@ -115,13 +115,13 @@ def verify_outcome(
     total_s = math.fsum(clearing.s)
     if abs(total_d - total_s) > _BALANCE_TOL * max(1.0, total_d):
         raise RuntimeError(f"balance violated: sum d {total_d} vs sum s {total_s}")
-    for j, (sj, aj) in enumerate(zip(clearing.s, outcome.avails)):
+    for j, (sj, aj) in enumerate(zip(clearing.s, clearing.avails)):
         if sj < -_BOUND_TOL or sj > aj + _BOUND_TOL * max(1.0, aj):
             raise RuntimeError(f"seller {j} allocation {sj} outside [0, {aj}]")
-    for i, (di, bi) in enumerate(zip(clearing.d, outcome.bids)):
+    for i, (di, bi) in enumerate(zip(clearing.d, clearing.bids)):
         if di < -_BOUND_TOL:
             raise RuntimeError(f"buyer {i} allocation {di} negative")
-        if outcome.params.p * di > bi + _BOUND_TOL * max(1.0, bi):
+        if clearing.params.p * di > bi + _BOUND_TOL * max(1.0, bi):
             raise RuntimeError(f"buyer {i} allocation {di} breaks budget {bi}")
     if outcome.payoffs.mc_revenue < -_REVENUE_TOL:
         raise RuntimeError(f"controller revenue negative: {outcome.payoffs.mc_revenue}")
@@ -299,7 +299,7 @@ def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
                     "y": buyer.y,
                     "gen": None,
                     "avail": None,
-                    "quote": outcome.bids[i],
+                    "quote": clearing.bids[i],
                     "alloc": clearing.d[i],
                     "unit_price": prices[i],
                     "alloc_redistributed": clearing.d[i],
@@ -315,10 +315,10 @@ def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
                     "x": seller.x,
                     "y": seller.y,
                     "gen": seller.g,
-                    "avail": outcome.avails[j],
-                    "quote": outcome.asks[j],
+                    "avail": clearing.avails[j],
+                    "quote": clearing.asks[j],
                     "alloc": clearing.s[j],
-                    "unit_price": outcome.asks[j] if clearing.s[j] > 0 else None,
+                    "unit_price": clearing.asks[j] if clearing.s[j] > 0 else None,
                     "alloc_redistributed": red.s_r[j],
                     "price_redistributed": red.c_r if red.s_r[j] > 0 else None,
                 }
@@ -380,8 +380,7 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
         theta_trade = social_welfare(buyers, sellers, clearing.d, clearing.s)
         theta_redist = social_welfare(buyers, sellers, clearing.d, red.s_r)
         saturated = all(
-            abs(clearing.s[j] - outcome.avails[j]) <= _BOUND_TOL * max(1.0, outcome.avails[j])
-            for j in range(cfg.n_sellers)
+            abs(s - a) <= _BOUND_TOL * max(1.0, a) for s, a in zip(clearing.s, clearing.avails)
         )
         records.append(
             {
@@ -437,7 +436,9 @@ def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:
         verify_outcome(outcome, buyers, sellers)
         final_gap = None
         for rec in outcome.trace:
-            benchmark = solve_welfare(buyers, sellers, rec.bids, outcome.avails, cfg.params)
+            benchmark = solve_welfare(
+                buyers, sellers, rec.clearing.bids, rec.clearing.avails, cfg.params
+            )
             gap = efficiency_gap(rec.theta, benchmark.theta)
             records.append(
                 {

@@ -115,8 +115,8 @@ def redistribute(
     traded = math.fsum(clearing.s)
     if clearing.no_trade or traded <= 0:
         return RedistributionResult(s_r=clearing.s, c_r=0.0, K=0.0, kappa_F=0.0)
-    s_r, level = water_fill(outcome.avails, traded)
-    c_r = uniform_reprice(outcome.asks, clearing.s)
+    s_r, level = water_fill(clearing.avails, traded)
+    c_r = uniform_reprice(clearing.asks, clearing.s)
     theta_auction = social_welfare(buyers, sellers, clearing.d, clearing.s)
     theta_redistributed = social_welfare(buyers, sellers, clearing.d, s_r)
     return RedistributionResult(

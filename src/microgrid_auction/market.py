@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
-from .utility import LogUtility, check_parameters, check_price, check_quantity
+from .utility import check_parameters, check_price, check_quantity
 
 # Slack, scaled by max(1, g) for sellers, within which social_welfare accepts
 # an allocation just outside its bounds.
@@ -60,10 +59,6 @@ class BuyerState:
     def __post_init__(self) -> None:
         check_parameters(self.x, self.y)
 
-    @cached_property
-    def utility(self) -> LogUtility:
-        return LogUtility(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class SellerState:
@@ -83,10 +78,6 @@ class SellerState:
         check_parameters(self.x, self.y)
         if not (math.isfinite(self.g) and self.g > 0):
             raise ValueError(f"generation must be positive and finite, got {self.g}")
-
-    @cached_property
-    def utility(self) -> LogUtility:
-        return LogUtility(self.x, self.y)
 
 
 @dataclass(frozen=True)

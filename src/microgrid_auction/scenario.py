@@ -7,8 +7,8 @@ therefore reproducible from (seed, counts, ranges) on any platform.
 
 Scenario files are JSON: {"p": float, "buyers": [{"x", "y"}...],
 "sellers": [{"x", "y", "g"}...]}, floats at 17 significant digits so a
-round-trip preserves exact values. Seed and label are not persisted; the
-file carries the market, not its provenance.
+round-trip preserves exact values. The file carries the market, not the
+seed it was drawn from.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ class Scenario:
     params: MarketParams
     buyers: tuple[BuyerState, ...]
     sellers: tuple[SellerState, ...]
-    seed: int | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buyers", tuple(self.buyers))
@@ -99,7 +97,6 @@ def generate_scenario(
     n_sellers: int,
     ranges: ParameterRanges = ParameterRanges(),
     params: MarketParams = MarketParams(),
-    label: str = "",
 ) -> Scenario:
     """Draw a random market; identical arguments give identical scenarios."""
     if n_buyers < 0 or n_sellers < 0:
@@ -107,7 +104,7 @@ def generate_scenario(
     rng = random.Random(seed)
     buyers = draw_buyers(rng, n_buyers, ranges)
     sellers = draw_sellers(rng, n_sellers, ranges)
-    return Scenario(params=params, buyers=buyers, sellers=sellers, seed=seed, label=label)
+    return Scenario(params=params, buyers=buyers, sellers=sellers)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -139,11 +136,6 @@ def scenario_from_json(text: str) -> Scenario:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario JSON: {exc}") from exc
     return Scenario(params=params, buyers=buyers, sellers=sellers)
-
-
-def save_scenario(path: str, scenario: Scenario) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario_to_json(scenario))
 
 
 def load_scenario(path: str) -> Scenario:

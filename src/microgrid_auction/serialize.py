@@ -33,9 +33,9 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _emit(obj: Any, indent: int, depth: int, out: list[str]) -> None:
-    pad = " " * (indent * depth)
-    inner = " " * (indent * (depth + 1))
+def _emit(obj: Any, depth: int, out: list[str]) -> None:
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -55,7 +55,7 @@ def _emit(obj: Any, indent: int, depth: int, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f'{inner}"{key.translate(_ESCAPES)}": ')
-            _emit(value, indent, depth + 1, out)
+            _emit(value, depth + 1, out)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -65,7 +65,7 @@ def _emit(obj: Any, indent: int, depth: int, out: list[str]) -> None:
         out.append("[\n")
         for k, value in enumerate(obj):
             out.append(inner)
-            _emit(value, indent, depth + 1, out)
+            _emit(value, depth + 1, out)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -83,10 +83,11 @@ for _c in range(0x20):
     _ESCAPES.setdefault(_c, f"\\u{_c:04x}")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with stable key order and 17-digit floats."""
+def dumps(obj: Any) -> str:
+    """Serialize to JSON with stable key order, 17-digit floats and a
+    two-space indent."""
     out: list[str] = []
-    _emit(obj, indent, 0, out)
+    _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -107,15 +108,12 @@ def csv_cell(value: Any) -> str:
 
 
 def to_csv(header: list[str] | tuple[str, ...], rows: list[Any]) -> str:
-    """Rows of dicts (keyed by header) or sequences, as deterministic CSV."""
+    """Rows of sequences, one cell per header column, as deterministic CSV."""
     lines = [",".join(header)]
     for row in rows:
-        if isinstance(row, dict):
-            lines.append(",".join(csv_cell(row.get(col)) for col in header))
-        else:
-            if len(row) != len(header):
-                raise ValueError(f"row width {len(row)} vs header width {len(header)}")
-            lines.append(",".join(csv_cell(v) for v in row))
+        if len(row) != len(header):
+            raise ValueError(f"row width {len(row)} vs header width {len(header)}")
+        lines.append(",".join(csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -128,10 +126,10 @@ def outcome_payload(
         "converged": outcome.converged,
         "iterations": outcome.iterations,
         "mu": clearing.mu,
-        "p": outcome.params.p,
-        "bids": list(outcome.bids),
-        "asks": list(outcome.asks),
-        "avails": list(outcome.avails),
+        "p": clearing.params.p,
+        "bids": list(clearing.bids),
+        "asks": list(clearing.asks),
+        "avails": list(clearing.avails),
         "d": list(clearing.d),
         "s": list(clearing.s),
         "budget_active": list(clearing.buyer_budget_active),
@@ -191,10 +189,6 @@ def load_outcome(path: str) -> AuctionOutcome:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-        bids = tuple(float(v) for v in raw["bids"])
-        asks = tuple(float(v) for v in raw["asks"])
-        avails = tuple(float(v) for v in raw["avails"])
-        params = MarketParams(p=float(raw["p"]))
         # An auction never writes a negative count or residual, nor a price
         # at or below zero (mu is null only when nothing traded).
         iterations = _exactly("iterations", raw["iterations"], int)
@@ -213,17 +207,16 @@ def load_outcome(path: str) -> AuctionOutcome:
             buyer_budget_active=tuple(
                 _exactly("budget_active", v, bool) for v in raw["budget_active"]
             ),
-            inputs=(bids, asks, avails, params),
+            bids=tuple(float(v) for v in raw["bids"]),
+            asks=tuple(float(v) for v in raw["asks"]),
+            avails=tuple(float(v) for v in raw["avails"]),
+            params=MarketParams(p=float(raw["p"])),
         )
         # The residual the file holds, in the cache a read would fill: it is
         # not computed again from the file's numbers.
         object.__setattr__(clearing, "kkt_residual", residual)
         outcome = AuctionOutcome(
             clearing=clearing,
-            bids=bids,
-            asks=asks,
-            avails=avails,
-            params=params,
             unit_prices=tuple(None if v is None else float(v) for v in raw["unit_prices"]),
             payoffs=Payoffs(
                 buyer_payoffs=tuple(float(v) for v in raw["payoffs"]["buyers"]),
@@ -235,15 +228,15 @@ def load_outcome(path: str) -> AuctionOutcome:
             trace=(),
         )
         _same_length({
-            "bids": outcome.bids,
+            "bids": clearing.bids,
             "d": clearing.d,
             "budget_active": clearing.buyer_budget_active,
             "unit_prices": outcome.unit_prices,
             "payoffs.buyers": outcome.payoffs.buyer_payoffs,
         })
         _same_length({
-            "asks": outcome.asks,
-            "avails": outcome.avails,
+            "asks": clearing.asks,
+            "avails": clearing.avails,
             "s": clearing.s,
             "payoffs.sellers": outcome.payoffs.seller_payoffs,
         })

@@ -21,15 +21,23 @@ _FMAX = sys.float_info.max
 
 
 def check_parameters(x: float, y: float) -> None:
-    """Raise ValueError unless scale x and shape y are positive and finite.
+    """Raise ValueError unless scale x, shape y and the choke price x*y are
+    positive and finite.
 
     LogUtility runs it at construction, and so do the agents, which hold x
-    and y without building a utility until one is asked for.
+    and y and never build a utility. x*y is marginal(0), the top of every
+    price an agent quotes: a product that overflows to inf or underflows to
+    0.0 would reach the auction and the planner as a quote or a kink outside
+    their domain.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"utility scale x must be positive and finite, got {x}")
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"utility shape y must be positive and finite, got {y}")
+    if not 0.0 < x * y <= _FMAX:
+        raise ValueError(
+            f"choke price x*y must be positive and finite, got {x * y} (x={x}, y={y})"
+        )
 
 
 def check_quantity(q: float) -> None:

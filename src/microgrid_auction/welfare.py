@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .clearing import BID_FLOOR, first_passing, sweep_guess
 from .market import BuyerState, MarketParams, SellerState, seller_supplies, social_welfare
-from .utility import check_price, check_quantity
+from .utility import check_price
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def solve_welfare(
     buyers demand u'^-1(mu) capped at b/p, sellers supply down to the stock
     whose retained marginal value is mu, capped at their availability. Bids and
     availabilities are taken as given, typically the auction's final ones, and
-    must be finite and >= 0.
+    must be finite and >= 0; each bid's budget cap b/p must be finite too.
 
     The price search uses sorted response breakpoints and a closed-form root
     on the bracketing segment: O(N log N), no rescale. With log utility every
@@ -100,13 +100,15 @@ def solve_welfare(
         raise ValueError(f"{len(avails)} availabilities vs {len(sellers)} sellers")
     bids = tuple(float(b) for b in bids)
     avails = tuple(float(a) for a in avails)
-    for b in bids:
+    p = params.p
+    for i, b in enumerate(bids):
         if not math.isfinite(b) or b < 0:
-            raise ValueError(f"bids must be finite and >= 0, got {b}")
+            raise ValueError(f"bids must be finite and >= 0, got {b} from buyer {i}")
+        if math.isinf(b / p):
+            raise ValueError(f"budget cap b/p of buyer {i} overflows: bid {b} at floor price {p}")
     for a in avails:
         if not math.isfinite(a) or a < 0:
             raise ValueError(f"availabilities must be finite and >= 0, got {a}")
-    p = params.p
 
     active_b = [i for i, b in enumerate(bids) if b > BID_FLOOR]
     active_s = [j for j, a in enumerate(avails) if a > 0]
@@ -131,8 +133,8 @@ def solve_welfare(
     # sum of the caps. Every kink is positive, so the sweep runs the surplus
     # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
     # Each kink is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
-    # marginal(0) is x*y exactly, and a cap b/p that overflows fails
-    # marginal's check on q.
+    # marginal(0) is x*y exactly, which each agent keeps positive and finite;
+    # a cap b/p that overflows is refused above, naming its buyer.
     buyer_k = []
     seller_k = []
     events = []
@@ -140,7 +142,6 @@ def solve_welfare(
     for i in active_b:
         x, y = buyers[i].x, buyers[i].y
         cap = bids[i] / p
-        check_quantity(cap)
         xy, inv_y = x * y, 1.0 / y
         cap_sum += cap
         buyer_k.append((x, inv_y, cap))

@@ -365,13 +365,13 @@ def equilibrium_gaps(outcome, reference) -> tuple[set[int], float, float, float]
     """
     mu, d, s, bids, asks = reference
     clearing = outcome.clearing
-    zero_bids = {i for i, b in enumerate(outcome.bids) if b == 0.0}
+    zero_bids = {i for i, b in enumerate(outcome.clearing.bids) if b == 0.0}
     mismatch = zero_bids ^ {i for i, b in enumerate(bids) if b == 0.0}
     alloc = max(
         abs(q - ref) / max(1.0, ref)
         for q, ref in zip((*clearing.d, *clearing.s), (*d, *s), strict=True)
     )
-    ask = max(abs(c - ref) / ref for c, ref in zip(outcome.asks, asks, strict=True))
+    ask = max(abs(c - ref) / ref for c, ref in zip(outcome.clearing.asks, asks, strict=True))
     return mismatch, abs(clearing.mu - mu) / mu, alloc, ask
 
 

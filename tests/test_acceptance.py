@@ -21,6 +21,7 @@ from microgrid_auction.experiments import (
 )
 from microgrid_auction.fairness import uniform_reprice, water_fill
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.utility import LogUtility
 from microgrid_auction.welfare import social_welfare, solve_welfare
 
 from oracles import (
@@ -171,7 +172,7 @@ def test_c04_individual_rationality(corpus):
         for payoff in outcome.payoffs.buyer_payoffs:
             assert payoff >= -1e-6
         for seller, payoff in zip(sellers, outcome.payoffs.seller_payoffs):
-            assert payoff >= seller.utility.value(seller.g) - 1e-6
+            assert payoff >= LogUtility(seller.x, seller.y).value(seller.g) - 1e-6
     print(f"C4 PASS: both-side individual rationality on {checked} converged auctions")
 
 
@@ -190,7 +191,8 @@ def test_c05_quasi_efficiency():
             outcome = run_auction(buyers, sellers, P, config)
             assert outcome.converged
             runs += 1
-            optimum = solve_welfare(buyers, sellers, outcome.bids, outcome.avails, P)
+            final = outcome.clearing
+            optimum = solve_welfare(buyers, sellers, final.bids, final.avails, P)
             theta = social_welfare(buyers, sellers, outcome.clearing.d, outcome.clearing.s)
             gap = 100.0 * (optimum.theta - theta) / optimum.theta
             worst_gap = max(worst_gap, gap)
@@ -255,7 +257,8 @@ def test_c07_low_demand_price_pinning():
         outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=3000))
         assert outcome.converged
         # the criterion's premise: supply strictly exceeds capped demand
-        if math.fsum(outcome.avails) <= math.fsum(b / P.p for b in outcome.bids):
+        final = outcome.clearing
+        if math.fsum(final.avails) <= math.fsum(b / P.p for b in final.bids):
             continue
         prices = [c for c in outcome.unit_prices if c is not None]
         assert prices

@@ -220,7 +220,7 @@ def kkt_cases(draw):
         for a in avails
     )
     budget_active = tuple(draw(st.booleans()) for _ in bids)
-    return ClearingResult(d, s, mu, budget_active, (bids, asks, avails, P)), bids, asks, avails
+    return ClearingResult(d, s, mu, budget_active, bids, asks, avails, P), bids, asks, avails
 
 
 @settings(deadline=None, max_examples=300)
@@ -441,7 +441,7 @@ def test_proximal_price_is_the_exact_root_on_inelastic_segments(market):
 @settings(deadline=None, max_examples=200)
 @given(market=proximal_markets(), exact=st.booleans(), priced_out=st.booleans())
 def test_kkt_residual_read_matches_the_reference(market, exact, priced_out):
-    # A result computes its residual when first read, from the inputs it
+    # A result computes its residual when first read, from the quotes it
     # cleared; bidding nothing makes it a no-trade result.
     bids, asks, avails, prev, weights = market
     if priced_out:

@@ -35,7 +35,7 @@ def _mixed_market(rng, nb, ns):
 
 
 def _seller_payoff(seller: SellerState, ask: float, sold: float) -> float:
-    return seller.utility.value(seller.g - sold) + ask * sold
+    return LogUtility(seller.x, seller.y).value(seller.g - sold) + ask * sold
 
 
 def test_engine_does_not_import_the_welfare_module():
@@ -62,8 +62,8 @@ def test_analytic_fixed_point():
     assert outcome.converged
     assert outcome.clearing.d[0] == pytest.approx(1.0, rel=1e-5)
     assert outcome.clearing.s[0] == pytest.approx(1.0, rel=1e-5)
-    assert outcome.bids[0] == pytest.approx(0.5, rel=1e-5)
-    assert outcome.asks[0] == pytest.approx(0.25, rel=1e-5)
+    assert outcome.clearing.bids[0] == pytest.approx(0.5, rel=1e-5)
+    assert outcome.clearing.asks[0] == pytest.approx(0.25, rel=1e-5)
     assert outcome.clearing.mu == pytest.approx(0.5, rel=1e-5)
     assert outcome.unit_prices[0] == pytest.approx(0.5, rel=1e-5)
     assert outcome.payoffs.mc_revenue == pytest.approx(0.25, rel=1e-4)
@@ -84,10 +84,10 @@ def test_zero_supply_decays_bids_and_terminates():
     # the seller retains everything at the floor price, so availability is 0
     buyers = [BuyerState(1.0, 1.0)]
     sellers = [SellerState(1.0, 1.0, 1.0)]
-    assert sellers[0].utility.marginal(1.0) > P.p
+    assert LogUtility(sellers[0].x, sellers[0].y).marginal(1.0) > P.p
     outcome = run_auction(buyers, sellers, P, CFG)
     assert outcome.converged
-    assert outcome.avails == (0.0,)
+    assert outcome.clearing.avails == (0.0,)
     assert outcome.clearing.no_trade
     assert outcome.payoffs.buyer_payoffs[0] >= -1e-6
     assert outcome.payoffs.mc_revenue == 0.0
@@ -99,11 +99,11 @@ def test_priced_out_buyer_parks_at_zero_immediately():
     sellers = [SellerState(0.2, 1.0, 4.0)]
     outcome = run_auction(buyers, sellers, P, CFG)
     assert outcome.converged
-    assert outcome.bids[0] == 0.0
+    assert outcome.clearing.bids[0] == 0.0
     assert outcome.clearing.d[0] == 0.0
     assert outcome.clearing.d[1] > 0.0
     for rec in outcome.trace:
-        assert rec.bids[0] == 0.0
+        assert rec.clearing.bids[0] == 0.0
 
 
 def test_individual_rationality_and_budget_balance_on_random_runs():
@@ -120,16 +120,16 @@ def test_individual_rationality_and_budget_balance_on_random_runs():
         for payoff in outcome.payoffs.buyer_payoffs:
             assert payoff >= -1e-6
         for seller, payoff in zip(sellers, outcome.payoffs.seller_payoffs):
-            assert payoff >= seller.utility.value(seller.g) - 1e-6
-        for bid, d in zip(outcome.bids, outcome.clearing.d):
+            assert payoff >= LogUtility(seller.x, seller.y).value(seller.g) - 1e-6
+        for bid, d in zip(outcome.clearing.bids, outcome.clearing.d):
             assert P.p * d <= bid + 1e-9
     assert converged_runs == 40
 
 
 def _deviation_payoff(outcome, sellers, j, perturbed):
-    asks = list(outcome.asks)
+    asks = list(outcome.clearing.asks)
     asks[j] = perturbed
-    redo = clear_market(outcome.bids, asks, outcome.avails, P)
+    redo = clear_market(outcome.clearing.bids, asks, outcome.clearing.avails, P)
     return _seller_payoff(sellers[j], perturbed, redo.s[j])
 
 
@@ -157,16 +157,16 @@ def test_interior_sellers_cannot_gain_by_overbidding():
         assert outcome.converged
         settled = outcome.clearing.s
         for j, seller in enumerate(sellers):
-            c = outcome.asks[j]
-            a = outcome.avails[j]
+            c = outcome.clearing.asks[j]
+            a = outcome.clearing.avails[j]
             interior = 1e-6 * max(1.0, a) < settled[j] < a - 1e-6 * max(1.0, a)
             raised = min(1.1 * c, P.p)
             if not interior or raised <= c:
                 continue
             absorb = math.fsum(
-                outcome.avails[k] - settled[k]
+                outcome.clearing.avails[k] - settled[k]
                 for k in range(len(sellers))
-                if k != j and outcome.asks[k] < raised
+                if k != j and outcome.clearing.asks[k] < raised
             )
             if absorb < settled[j]:
                 continue
@@ -189,7 +189,7 @@ def test_no_seller_gains_by_underbidding():
         assert outcome.converged
         settled = outcome.clearing.s
         for j, seller in enumerate(sellers):
-            c = outcome.asks[j]
+            c = outcome.clearing.asks[j]
             if c <= 0 or settled[j] <= 1e-9:
                 continue
             base_payoff = _seller_payoff(seller, c, settled[j])
@@ -203,8 +203,8 @@ def test_every_agent_requotes_its_target_outright():
     undamped and equal bit for bit to LogUtility.marginal: an active buyer
     bids u'(d)*d, or parks at 0.0 below BID_FLOOR, and a seller asks
     min(v'(g - s), p). Checked over the first 8 steps of a hand market,
-    corpus k = 2 and the first large market, with prev_bids cleared so that
-    no bid is extrapolated."""
+    corpus k = 2 and the first large market, with the previous clearing
+    dropped so that no bid is extrapolated."""
     hand = (
         [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)],
         [SellerState(0.2, 1.3, 3.0), SellerState(0.3, 1.5, 4.0)],
@@ -213,16 +213,17 @@ def test_every_agent_requotes_its_target_outright():
     for buyers, sellers in (hand, _corpus_market(2), _large_market(0)):
         state = engine._initial_state(buyers, sellers, P)
         for _ in range(8):
-            nxt = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+            nxt = auction_step(dataclasses.replace(state, clearing=None), CFG)
             for buyer, b, new_b, d in zip(buyers, state.bids, nxt.bids, nxt.clearing.d):
                 if b == 0.0:
                     assert new_b == 0.0
                     continue
-                target = buyer.utility.marginal(d) * d
+                target = LogUtility(buyer.x, buyer.y).marginal(d) * d
                 assert new_b == (0.0 if target < BID_FLOOR else target)
                 requoted += 1
             for seller, ask, s in zip(sellers, nxt.asks, nxt.clearing.s):
-                assert ask == min(seller.utility.marginal(max(seller.g - s, 0.0)), P.p)
+                target = LogUtility(seller.x, seller.y).marginal(max(seller.g - s, 0.0))
+                assert ask == min(target, P.p)
                 requoted += 1
             state = nxt
     assert requoted > 8 * (300 + 150)
@@ -259,7 +260,7 @@ def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
         for j, seller in enumerate(sellers):
             a, s, ds = state.avails[j], nxt.prev_s[j], nxt.prev_s[j] - state.prev_s[j]
             if a > 0 and abs(ds) > 1e-12 * max(1.0, a):
-                target = seller.utility.marginal(max(seller.g - s, 0.0))
+                target = LogUtility(seller.x, seller.y).marginal(max(seller.g - s, 0.0))
                 slope = abs(target - state.last_targets[j]) / abs(ds)
                 assert nxt.curv_ema[j] == 0.5 * state.curv_ema[j] + 0.5 * slope
                 assert nxt.prox_weights[j] == min(max(nxt.curv_ema[j], 1e-4), 1e4)
@@ -304,9 +305,9 @@ def test_asks_never_exceed_the_retail_price():
     buyers, sellers = _mixed_market(rng, 5, 4)
     outcome = run_auction(buyers, sellers, P, CFG)
     for rec in outcome.trace:
-        for ask in rec.asks:
+        for ask in rec.clearing.asks:
             assert ask <= P.p + 1e-12
-    for ask in outcome.asks:
+    for ask in outcome.clearing.asks:
         assert ask <= P.p + 1e-12
 
 
@@ -314,12 +315,11 @@ def test_outcome_quotes_are_the_final_clearing_inputs():
     rng = random.Random(23)
     buyers, sellers = _mixed_market(rng, 3, 2)
     outcome = run_auction(buyers, sellers, P, CFG)
-    last = outcome.trace[-1]
-    assert outcome.bids == last.bids
-    assert outcome.asks == last.asks
-    assert outcome.clearing.d == last.d
-    assert outcome.clearing.s == last.s
-    replay = clear_market(outcome.bids, outcome.asks, outcome.avails, P)
+    # one record per clearing: the trace's last entry holds the very result
+    # the outcome settled on, not a copy of its quotes
+    assert outcome.trace[-1].clearing is outcome.clearing
+    final = outcome.clearing
+    replay = clear_market(final.bids, final.asks, final.avails, P)
     assert replay.mu == pytest.approx(outcome.clearing.mu, rel=1e-9)
     assert math.fsum(replay.s) == pytest.approx(math.fsum(outcome.clearing.s), rel=1e-9)
 
@@ -335,7 +335,7 @@ def test_trace_recording_toggle():
     )
     assert silent.trace == ()
     assert silent.converged == with_trace.converged
-    assert silent.bids == with_trace.bids
+    assert silent.clearing.bids == with_trace.clearing.bids
 
 
 def test_extrapolation_lands_a_geometric_sequence_on_its_limit():
@@ -400,20 +400,20 @@ def _extrapolation_market():
 def test_buyers_extrapolate_on_every_fourth_step_only():
     buyers, sellers = _extrapolation_market()
     state = engine._initial_state(buyers, sellers, P)
-    assert state.prev_bids == () and state.bids[0] == 0.0
+    assert state.clearing is None and state.bids[0] == 0.0
     jumps = 0
     while state.iteration < 12:
         nxt = auction_step(state, CFG)
-        plain = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+        plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
         # asks never extrapolate
         assert nxt.asks == plain.asks
-        assert nxt.prev_bids == state.bids
+        assert nxt.clearing.bids == state.bids
         if state.iteration % 4 != 3:
             assert nxt.bids == plain.bids
         else:
             expected = tuple(
                 0.0 if b1 == 0.0 else engine._extrapolate(b0, b1, b2)
-                for b0, b1, b2 in zip(state.prev_bids, state.bids, plain.bids)
+                for b0, b1, b2 in zip(state.clearing.bids, state.bids, plain.bids)
             )
             assert nxt.bids == expected
             jumps += nxt.bids != plain.bids
@@ -428,7 +428,9 @@ def test_parked_buyers_never_extrapolate():
         state = auction_step(state, CFG)
     assert state.bids[0] == 0.0 and (state.iteration + 1) % 4 == 0
     # a previous bid that would extrapolate if the buyer were active
-    state = dataclasses.replace(state, prev_bids=(0.3,) + state.prev_bids[1:])
+    previous = state.clearing
+    previous = dataclasses.replace(previous, bids=(0.3,) + previous.bids[1:])
+    state = dataclasses.replace(state, clearing=previous)
     nxt = auction_step(state, CFG)
     assert nxt.bids[0] == 0.0
 
@@ -441,8 +443,8 @@ def _wide_jump_state():
     while state.iteration < 100:
         nxt = auction_step(state, CFG)
         if (state.iteration + 1) % 4 == 0:
-            plain = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
-            for i, (b0, b1, b2) in enumerate(zip(state.prev_bids, state.bids, plain.bids)):
+            plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
+            for i, (b0, b1, b2) in enumerate(zip(state.clearing.bids, state.bids, plain.bids)):
                 if nxt.bids[i] != plain.bids[i] and engine._extrapolate(b0, b1, b2) == b2:
                     return state, i
         state = nxt
@@ -452,10 +454,10 @@ def _wide_jump_state():
 def test_step_compares_unit_prices_of_the_last_two_clearings():
     state, i = _wide_jump_state()
     nxt = auction_step(state, CFG)
-    plain = auction_step(dataclasses.replace(state, prev_bids=()), CFG)
+    plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
     d0, d1 = state.clearing.d[i], nxt.clearing.d[i]
     assert d0 > 0.0 and d1 > 0.0
-    expected = engine._extrapolate(state.prev_bids[i], state.bids[i], plain.bids[i], d0, d1)
+    expected = engine._extrapolate(state.clearing.bids[i], state.bids[i], plain.bids[i], d0, d1)
     assert nxt.bids[i] == expected != plain.bids[i]
 
 
@@ -486,9 +488,10 @@ def test_sold_out_sellers_ask_their_retained_marginal_value(large_markets):
     checked = 0
     for buyers, sellers, outcome in large_markets:
         assert outcome.converged
-        for seller, c, s, a in zip(sellers, outcome.asks, outcome.clearing.s, outcome.avails):
+        clearing = outcome.clearing
+        for seller, c, s, a in zip(sellers, clearing.asks, clearing.s, clearing.avails):
             if s == a > 0:
-                expected = min(seller.utility.marginal(seller.g - a), P.p)
+                expected = min(LogUtility(seller.x, seller.y).marginal(seller.g - a), P.p)
                 assert math.isclose(c, expected, rel_tol=1e-12)
                 checked += 1
     assert checked >= 1000
@@ -551,8 +554,8 @@ def test_determinism_across_runs():
     buyers, sellers = _mixed_market(rng, 4, 3)
     first = run_auction(buyers, sellers, P, CFG)
     second = run_auction(buyers, sellers, P, CFG)
-    assert first.bids == second.bids
-    assert first.asks == second.asks
+    assert first.clearing.bids == second.clearing.bids
+    assert first.clearing.asks == second.clearing.asks
     assert first.clearing == second.clearing
     assert first.iterations == second.iterations
 
@@ -584,7 +587,7 @@ def test_the_breakpoint_sweep_guesses_every_corpus_bracket(missed_guesses):
     for k in range(300):
         buyers, sellers = _corpus_market(k)
         outcome = run_auction(buyers, sellers, P, config)
-        welfare.solve_welfare(buyers, sellers, outcome.bids, outcome.avails, P)
+        welfare.solve_welfare(buyers, sellers, outcome.clearing.bids, outcome.clearing.avails, P)
     assert len(welfare_misses) == 300 and len(clearing_misses) >= 300
     assert not any(clearing_misses) and not any(welfare_misses)
 
@@ -683,7 +686,7 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     assert (outcome.iterations, outcome.converged) == (iterations, converged)
     key = (
         outcome.iterations, outcome.converged, clearing.mu, clearing.d, clearing.s,
-        outcome.bids, outcome.asks,
+        clearing.bids, clearing.asks,
     )
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
@@ -699,7 +702,7 @@ def test_settlement_payoffs_are_pinned_bit_for_bit():
         outcome = run_auction(buyers, sellers, P, config)
         clearing = outcome.clearing
         payoffs = compute_payoffs(
-            buyers, sellers, outcome.bids, clearing.d, outcome.asks, clearing.s
+            buyers, sellers, clearing.bids, clearing.d, clearing.asks, clearing.s
         )
         digest.update(repr(payoffs).encode())
     assert digest.hexdigest() == "5bf1efaaec5ce3e83b5da75c303fd7a1128a6aa6ce1b83dbb3fdcb94be5868f2"
@@ -726,9 +729,11 @@ def test_full_information_evaluations_make_no_utility_calls(monkeypatch, market)
     clearing = outcome.clearing
     assert outcome.converged and len(outcome.trace) == outcome.iterations
     verify_outcome(outcome, buyers, sellers)
-    payoffs = compute_payoffs(buyers, sellers, outcome.bids, clearing.d, outcome.asks, clearing.s)
+    payoffs = compute_payoffs(
+        buyers, sellers, clearing.bids, clearing.d, clearing.asks, clearing.s
+    )
     assert payoffs == outcome.payoffs
-    sol = welfare.solve_welfare(buyers, sellers, outcome.bids, outcome.avails, P)
+    sol = welfare.solve_welfare(buyers, sellers, clearing.bids, clearing.avails, P)
     assert not sol.no_trade
     theta = welfare.social_welfare(buyers, sellers, clearing.d, clearing.s)
     assert theta == outcome.trace[-1].theta <= sol.theta
@@ -758,7 +763,7 @@ def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):
     assert not outcome.converged
     final = outcome.clearing
     assert final.kkt_residual == residual(
-        final, outcome.bids, outcome.asks, outcome.avails, outcome.params
+        final, final.bids, final.asks, final.avails, final.params
     )
 
 
@@ -808,7 +813,7 @@ def test_asks_stop_within_2e_6_of_the_reference(k):
     buyers, sellers = _corpus_market(k)
     outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
     assert outcome.converged
-    for got, want in zip(outcome.asks, _REFERENCE_ASKS[k], strict=True):
+    for got, want in zip(outcome.clearing.asks, _REFERENCE_ASKS[k], strict=True):
         assert abs(got - want) <= 2e-6 * want
 
 
@@ -875,10 +880,10 @@ def test_sold_out_markets_converge_to_the_saturated_fixed_point(k):
     buyers, sellers = _corpus_market(k)
     outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
     assert outcome.converged
-    for s, a in zip(outcome.clearing.s, outcome.avails):
+    for s, a in zip(outcome.clearing.s, outcome.clearing.avails):
         assert math.isclose(s, a, rel_tol=1e-12)
     reference = equilibrium_reference(buyers, sellers, P.p)
-    assert reference[2] == list(outcome.avails)
+    assert reference[2] == list(outcome.clearing.avails)
     zero_bid_mismatch, mu_gap, _, _ = equilibrium_gaps(outcome, reference)
     assert not zero_bid_mismatch
     assert mu_gap <= 1e-6

@@ -72,7 +72,7 @@ def test_verify_outcome_accepts_an_honest_run():
 
 def test_verify_outcome_rejects_bound_violations():
     outcome, buyers, sellers = _converged()
-    bad_s = tuple(a + 0.5 for a in outcome.avails)
+    bad_s = tuple(a + 0.5 for a in outcome.clearing.avails)
     broken = dataclasses.replace(
         outcome, clearing=dataclasses.replace(outcome.clearing, s=bad_s)
     )
@@ -91,7 +91,7 @@ def test_verify_outcome_rejects_negative_revenue():
 
 def test_verify_outcome_rejects_budget_overrun():
     outcome, buyers, sellers = _converged()
-    bad_d = tuple(d + (b / P.p) for d, b in zip(outcome.clearing.d, outcome.bids))
+    bad_d = tuple(d + (b / P.p) for d, b in zip(outcome.clearing.d, outcome.clearing.bids))
     broken = dataclasses.replace(
         outcome, clearing=dataclasses.replace(outcome.clearing, d=bad_d)
     )

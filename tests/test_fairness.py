@@ -136,10 +136,10 @@ def test_redistribute_conserves_energy_and_reimbursement():
     result = redistribute(outcome, buyers, sellers)
     s = outcome.clearing.s
     assert math.fsum(result.s_r) == pytest.approx(math.fsum(s), abs=1e-9)
-    paid_before = math.fsum(c * v for c, v in zip(outcome.asks, s))
+    paid_before = math.fsum(c * v for c, v in zip(outcome.clearing.asks, s))
     paid_after = result.c_r * math.fsum(result.s_r)
     assert paid_after == pytest.approx(paid_before, abs=1e-9)
-    for sj, aj in zip(result.s_r, outcome.avails):
+    for sj, aj in zip(result.s_r, outcome.clearing.avails):
         assert -1e-12 <= sj <= aj + 1e-9
         assert sj == pytest.approx(min(aj, result.K), abs=1e-9)
 
@@ -160,7 +160,7 @@ def test_redistribute_saturated_dispatch_is_a_fixed_point():
     outcome, buyers, sellers = _converged_outcome(
         13, 8, 2, buyer_x=(1.2, 1.6), seller_x=(0.1, 0.2)
     )
-    for sj, aj in zip(outcome.clearing.s, outcome.avails):
+    for sj, aj in zip(outcome.clearing.s, outcome.clearing.avails):
         assert sj == pytest.approx(aj, rel=1e-6)
     result = redistribute(outcome, buyers, sellers)
     assert result.s_r == pytest.approx(outcome.clearing.s, abs=1e-9)

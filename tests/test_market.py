@@ -49,7 +49,7 @@ def test_compute_payoffs_settles_at_communicated_scalars():
     assert payoffs.buyer_payoffs[1] == 0.0
     assert payoffs.seller_payoffs[0] == pytest.approx(0.2 * math.log(1 + 1.4 * 2.1) + 0.17 * 0.9)
     # a seller that sells nothing keeps exactly its walk-away value
-    assert payoffs.seller_payoffs[1] == sellers[1].utility.value(2.5)
+    assert payoffs.seller_payoffs[1] == LogUtility(sellers[1].x, sellers[1].y).value(2.5)
     assert payoffs.mc_revenue == pytest.approx(0.41 - 0.17 * 0.9)
 
 

@@ -6,7 +6,6 @@ from microgrid_auction.scenario import (
     Scenario,
     generate_scenario,
     load_scenario,
-    save_scenario,
     scenario_from_json,
     scenario_to_json,
 )
@@ -59,7 +58,7 @@ def test_json_roundtrip(tmp_path):
     assert back.sellers == scenario.sellers
     # file path round trip too
     path = tmp_path / "scen.json"
-    save_scenario(str(path), scenario)
+    path.write_text(scenario_to_json(scenario), encoding="utf-8")
     assert load_scenario(str(path)).sellers == scenario.sellers
 
 

@@ -74,10 +74,12 @@ def test_csv_cells():
     assert csv_cell('say "hi"') == '"say ""hi"""'
 
 
-def test_to_csv_dict_and_sequence_rows():
+def test_to_csv_sequence_rows():
     header = ("a", "b")
-    text = to_csv(header, [{"a": 1, "b": None}, [2.5, "x"]])
+    text = to_csv(header, [[1, None], (2.5, "x")])
     assert text == "a,b\n1,\n2.5,x\n"
+    with pytest.raises(ValueError, match="row width 1 vs header width 2"):
+        to_csv(header, [[1]])
 
 
 def test_outcome_file_round_trips_byte_for_byte(tmp_path):

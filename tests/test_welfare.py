@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from microgrid_auction import welfare
 from microgrid_auction.clearing import BID_FLOOR, ClearingResult, clear_market, kkt_residual
 from microgrid_auction.market import BuyerState, MarketParams, SellerState, seller_supplies
+from microgrid_auction.utility import LogUtility
 from microgrid_auction.welfare import (
     efficiency_gap,
     social_welfare,
@@ -122,19 +123,22 @@ def test_optimum_satisfies_clearing_kkt_under_truthful_quotes():
         if sol.no_trade or sol.mu_star <= P.p:
             continue
         mapped_bids = tuple(sol.mu_star * di for di in sol.d_star)
-        mapped_asks = []
+        mapped_asks: list[float] = []
         for seller, sj, aj in zip(sellers, sol.s_star, avails):
             if aj <= 0:
                 mapped_asks.append(0.0)
                 continue
-            ask = seller.utility.marginal(seller.g - sj)
+            ask = LogUtility(seller.x, seller.y).marginal(seller.g - sj)
             mapped_asks.append(min(ask, sol.mu_star))
         result = ClearingResult(
             d=sol.d_star,
             s=sol.s_star,
             mu=sol.mu_star,
             buyer_budget_active=(False,) * nb,
-            inputs=(mapped_bids, tuple(mapped_asks), tuple(avails), P),
+            bids=mapped_bids,
+            asks=tuple(mapped_asks),
+            avails=tuple(avails),
+            params=P,
         )
         residual = kkt_residual(result, mapped_bids, tuple(mapped_asks), tuple(avails), P)
         assert residual <= 1e-6
@@ -209,20 +213,23 @@ def test_input_value_validation(bad):
 @pytest.mark.parametrize(
     "buyer, seller, bid, message",
     [
-        (BuyerState(1.0, 1.0), SellerState(0.3, 1.0, 2.0), 1e308,
-         "quantity must be finite and >= 0, got inf"),
-        (BuyerState(1e200, 1e200), SellerState(0.3, 1.0, 2.0), 1.0,
-         "marginal value must be positive and finite, got inf"),
-        (BuyerState(1.0, 1.0), SellerState(1e-200, 1e-200, 2.0), 1.0,
-         "marginal value must be positive and finite, got 0.0"),
+        ((1.0, 1.0), (0.3, 1.0, 2.0), 1e308,
+         r"budget cap b/p of buyer 0 overflows: bid 1e\+308 at floor price 0.25"),
+        ((1e200, 1e200), (0.3, 1.0, 2.0), 1.0,
+         r"choke price x\*y must be positive and finite, got inf \(x=1e\+200, y=1e\+200\)"),
+        ((1.0, 1.0), (1e-200, 1e-200, 2.0), 1.0,
+         r"choke price x\*y must be positive and finite, got 0.0 \(x=1e-200, y=1e-200\)"),
     ],
     ids=["budget cap b/p overflows", "choke price x*y overflows", "seller kink x*y underflows"],
 )
 def test_planner_keeps_the_utility_checks(buyer, seller, bid, message):
-    # The planner writes LogUtility.marginal and inverse_marginal out; a
-    # breakpoint or price outside their domain still fails their checks.
+    # The planner writes LogUtility.marginal and inverse_marginal out, so a
+    # breakpoint or price outside their domain must be refused before it:
+    # an overflowing budget cap by the planner, naming the buyer, and a
+    # choke price x*y out of range by the agent, naming x and y. The agents
+    # are built here, since a refused one cannot be built at collection.
     with pytest.raises(ValueError, match=message):
-        solve_welfare([buyer], [seller], (bid,), (1.0,), P)
+        solve_welfare([BuyerState(*buyer)], [SellerState(*seller)], (bid,), (1.0,), P)
 
 
 @st.composite
@@ -353,10 +360,11 @@ def test_written_out_responses_match_the_utility_exactly(monkeypatch):
         seller_k = [(s.x, 1.0 / s.y, s.g, a) for s, a in zip(sellers, avails)]
         for mu in prices:
             demands = [
-                min(b.utility.inverse_marginal(mu), bid / P.p) for b, bid in zip(buyers, bids)
+                min(LogUtility(b.x, b.y).inverse_marginal(mu), bid / P.p)
+                for b, bid in zip(buyers, bids)
             ]
             supplies = [
-                min(max(s.g - s.utility.inverse_marginal(mu), 0.0), a)
+                min(max(s.g - LogUtility(s.x, s.y).inverse_marginal(mu), 0.0), a)
                 for s, a in zip(sellers, avails)
             ]
             assert [q.hex() for q in welfare._demands(buyer_k, mu)] == [q.hex() for q in demands]
