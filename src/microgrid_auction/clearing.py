@@ -29,24 +29,20 @@ Two solvers live here:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, filterfalse
 from operator import itemgetter
 from typing import Callable
 
 from .market import MarketParams
+from .utility import check_nonnegative, check_positive
 
 #: Bids at or below this are excluded from clearing and receive d = 0.
 BID_FLOOR = 1e-9
 
 #: Relative tolerance under which two asks count as one price level.
 TIE_REL_TOL = 1e-12
-
-# 0 <= x <= _FMAX holds exactly for the finite x >= 0: NaN fails every
-# comparison and the infinities fall outside, so one chained comparison
-# is the whole check.
-_FMAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -77,34 +73,37 @@ class ClearingResult:
     def kkt_residual(self) -> float:
         """The dimensionless maximum violation of the optimality system.
 
-        Computed by :func:`kkt_residual` on this result and the quotes it
-        cleared at the first read, and kept: the auction engine reads it only
-        for a round whose quotes and allocations have already settled.
+        Computed by :func:`kkt_residual` at the first read, and kept: the
+        auction engine reads it only for a round whose quotes and allocations
+        have already settled.
         """
-        return kkt_residual(self, self.bids, self.asks, self.avails, self.params)
+        return kkt_residual(self)
 
 
-def _validate_inputs(
-    bids: tuple[float, ...],
-    asks: tuple[float, ...],
-    avails: tuple[float, ...],
-) -> None:
+_Quotes = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float, float]
+
+
+def _quotes(
+    bids: tuple[float, ...] | list[float],
+    asks: tuple[float, ...] | list[float],
+    avails: tuple[float, ...] | list[float],
+    params: MarketParams,
+) -> _Quotes | ClearingResult:
+    """The input step both solvers share: the quotes as checked float tuples
+    with the active bid and availability totals, or the no-trade result.
+
+    Every active bid exceeds BID_FLOOR > 0 and every active availability is
+    positive, so a zero total is the same as an empty side. fsum raises
+    OverflowError when finite terms sum past the largest float.
+    """
+    bids = tuple(map(float, bids))
+    asks = tuple(map(float, asks))
+    avails = tuple(map(float, avails))
     if len(asks) != len(avails):
         raise ValueError(f"{len(asks)} asks vs {len(avails)} availabilities")
-    for b in bids:
-        if not 0.0 <= b <= _FMAX:
-            raise ValueError(f"bids must be finite and >= 0, got {b}")
-    for c, a in zip(asks, avails):
-        if not 0.0 <= a <= _FMAX:
-            raise ValueError(f"availabilities must be finite and >= 0, got {a}")
-        if a > 0 and not 0.0 < c <= _FMAX:
-            raise ValueError(f"asks of offering sellers must be positive, got {c}")
-
-
-def _totals(bids: tuple[float, ...], avails: tuple[float, ...]) -> tuple[float, float]:
-    # Every active bid exceeds BID_FLOOR > 0 and every active availability
-    # is positive, so a zero total is the same as an empty side. fsum raises
-    # OverflowError when finite terms sum past the largest float.
+    check_nonnegative("bids", *bids)
+    check_nonnegative("availabilities", *avails)
+    check_positive("asks of offering sellers", *compress(asks, avails))
     try:
         total_bid = math.fsum([b for b in bids if b > BID_FLOOR])
     except OverflowError:
@@ -113,25 +112,12 @@ def _totals(bids: tuple[float, ...], avails: tuple[float, ...]) -> tuple[float, 
         total_avail = math.fsum(avails)
     except OverflowError:
         raise ValueError("the availabilities sum past the largest float") from None
-    return total_bid, total_avail
-
-
-def _no_trade(
-    bids: tuple[float, ...],
-    asks: tuple[float, ...],
-    avails: tuple[float, ...],
-    params: MarketParams,
-) -> ClearingResult:
-    return ClearingResult(
-        d=(0.0,) * len(bids),
-        s=(0.0,) * len(asks),
-        mu=None,
-        buyer_budget_active=(False,) * len(bids),
-        bids=bids,
-        asks=asks,
-        avails=avails,
-        params=params,
-    )
+    if total_bid <= 0 or total_avail <= 0:
+        n_b, n_s = len(bids), len(asks)
+        return ClearingResult(
+            (0.0,) * n_b, (0.0,) * n_s, None, (False,) * n_b, bids, asks, avails, params
+        )
+    return bids, asks, avails, total_bid, total_avail
 
 
 def first_passing(n: int, guess: int, passes: Callable[[int], bool]) -> int:
@@ -230,14 +216,11 @@ def clear_market(
     exception; bids or availabilities whose total overflows a float raise
     ValueError.
     """
-    bids = tuple(map(float, bids))
-    asks = tuple(map(float, asks))
-    avails = tuple(map(float, avails))
-    _validate_inputs(bids, asks, avails)
+    quotes = _quotes(bids, asks, avails, params)
+    if isinstance(quotes, ClearingResult):
+        return quotes
+    bids, asks, avails, total_bid, total_avail = quotes
     p = params.p
-    total_bid, total_avail = _totals(bids, avails)
-    if total_bid <= 0 or total_avail <= 0:
-        return _no_trade(bids, asks, avails, params)
     active_sellers = [j for j, a in enumerate(avails) if a > 0]
 
     # Group active sellers into price levels (ties within TIE_REL_TOL).
@@ -297,12 +280,11 @@ def clear_market_proximal(
     """Clearing with seller allocations regularized toward prev_s.
 
     Every call converts its inputs with one map(float) pass each and checks
-    them, weights and prev_s included, with one chained comparison per value,
-    so NaN, infinite and negative inputs raise ValueError before any work at
-    little cost to the engine, which calls this once per iteration (a finite
-    prev_s_j outside [0, a_j] is clipped, not refused), as do bids or
-    availabilities whose total overflows a float and weights that are not
-    one per seller. Solves the clearing objective minus
+    them before any work, one helper call per list: weights one per seller
+    and positive, prev_s one per seller and finite (a finite prev_s_j
+    outside [0, a_j] is clipped, not refused), then the quotes as in
+    clear_market. A failed check raises ValueError. Solves the clearing
+    objective minus
     sum(w_j/2 * (s_j - prev_s_j)^2), whose seller response
     s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is continuous in the
     asks; it is written once and gives both the exact supply sums and the
@@ -322,27 +304,24 @@ def clear_market_proximal(
     fixed points satisfy the exact clearing optimality system. The result
     computes its kkt_residual only when it is first read.
     """
-    bids = tuple(map(float, bids))
-    asks = tuple(map(float, asks))
-    avails = tuple(map(float, avails))
-    _validate_inputs(bids, asks, avails)
-    p = params.p
     n_s = len(asks)
     try:
         weights = tuple(map(float, weights))
     except TypeError:
         weights = ()  # a scalar: refused below, like a list of another length
-    if len(weights) != n_s or not all(0.0 < w <= _FMAX for w in weights):
-        raise ValueError("proximal weights must be positive, one per seller")
+    if len(weights) != n_s:
+        raise ValueError(f"{len(weights)} proximal weights vs {n_s} sellers")
+    check_positive("proximal weights", *weights)
     prev_s = tuple(map(float, prev_s))
     if len(prev_s) != n_s:
         raise ValueError(f"{len(prev_s)} previous allocations vs {n_s} sellers")
-    for v in prev_s:
-        if not -_FMAX <= v <= _FMAX:
-            raise ValueError(f"previous allocations must be finite, got {v}")
-    total_bid, total_avail = _totals(bids, avails)
-    if total_bid <= 0 or total_avail <= 0:
-        return _no_trade(bids, asks, avails, params)
+    for v in filterfalse(math.isfinite, prev_s):
+        raise ValueError(f"previous allocations must be finite, got {v}")
+    quotes = _quotes(bids, asks, avails, params)
+    if isinstance(quotes, ClearingResult):
+        return quotes
+    bids, asks, avails, total_bid, total_avail = quotes
+    p = params.p
     # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller. CPython
     # evaluates max(u, v) as `v if v > u else u` and min(u, v) as
     # `v if v < u else u`; per-agent loops spell the clamps out that way,
@@ -450,13 +429,7 @@ def clearing_objective(
     return total - math.fsum(c * sj for c, sj in zip(asks, s))
 
 
-def kkt_residual(
-    result: ClearingResult,
-    bids: tuple[float, ...] | list[float],
-    asks: tuple[float, ...] | list[float],
-    avails: tuple[float, ...] | list[float],
-    params: MarketParams,
-) -> float:
+def kkt_residual(result: ClearingResult) -> float:
     """Dimensionless maximum violation of the clearing optimality system.
 
     Checks primal feasibility (budgets, availability bounds, energy balance),
@@ -464,8 +437,7 @@ def kkt_residual(
     capped ones; asks vs mu by dispatch status), and complementary slackness.
     Price mismatches are normalized by max(mu, p), balance by max(1, total
     traded); bound violations are absolute, so a one-unit overdispatch
-    contributes at least 1. result only needs the d, s, mu and
-    buyer_budget_active of a :class:`ClearingResult`.
+    contributes at least 1. The quotes are the ones result cleared.
     """
     # A running max over the violations in a fixed order; `v > worst`
     # replaces worst exactly when max() over the same list would. worst
@@ -473,7 +445,7 @@ def kkt_residual(
     # written x / q: when x <= 0 it cannot replace worst either way. The
     # walks zip each quote with its field strictly, so fields of another
     # length raise instead of being cut short.
-    p = params.p
+    p = result.params.p
     worst = 0.0
     if result.mu is None:
         for v in result.d:
@@ -488,7 +460,7 @@ def kkt_residual(
 
     mu = result.mu
     scale = max(mu, p)
-    for b, d, capped in zip(bids, result.d, result.buyer_budget_active, strict=True):
+    for b, d, capped in zip(result.bids, result.d, result.buyer_budget_active, strict=True):
         if -d > worst:
             worst = -d
         v = (p * d - b) / max(1.0, b)
@@ -507,7 +479,7 @@ def kkt_residual(
             v = abs(b / d - mu) / scale
         if v > worst:
             worst = v
-    for c, a, s in zip(asks, avails, result.s, strict=True):
+    for c, a, s in zip(result.asks, result.avails, result.s, strict=True):
         if -s > worst:
             worst = -s
         v = s - a

@@ -50,13 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clearing import (
-    _FMAX,
-    BID_FLOOR,
-    ClearingResult,
-    clear_market_proximal,
-    clearing_objective,
-)
+from .clearing import BID_FLOOR, ClearingResult, clear_market_proximal, clearing_objective
 from .market import (
     BuyerState,
     MarketParams,
@@ -66,6 +60,7 @@ from .market import (
     declare_availability,
     social_welfare,
 )
+from .utility import check_positive
 
 # Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to the
 # seller's curvature estimate, the proximal Newton weight (see the module
@@ -108,10 +103,8 @@ class AuctionConfig:
         max_iters = self.max_iters
         if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-        for name in ("tol_rel", "inner_kkt_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value <= _FMAX:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive("tol_rel", self.tol_rel)
+        check_positive("inner_kkt_tol", self.inner_kkt_tol)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .market import BuyerState, SellerState, social_welfare
+from .utility import check_nonnegative
 
 if TYPE_CHECKING:
     from .engine import AuctionOutcome
@@ -48,11 +49,8 @@ def water_fill(avails: tuple[float, ...] | list[float], total: float) -> tuple[t
     splits that respect the caps and sum to total. O(n log n).
     """
     avails = tuple(float(a) for a in avails)
-    for a in avails:
-        if not math.isfinite(a) or a < 0:
-            raise ValueError(f"availabilities must be finite and >= 0, got {a}")
-    if not math.isfinite(total) or total < 0:
-        raise ValueError(f"total energy must be finite and >= 0, got {total}")
+    check_nonnegative("availabilities", *avails)
+    check_nonnegative("total energy", total)
     cap_sum = math.fsum(avails)
     if total > cap_sum * (1 + 1e-9) + 1e-12:
         raise InfeasibleTotal(f"cannot place {total} energy into caps summing to {cap_sum}")

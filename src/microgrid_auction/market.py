@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .utility import check_parameters, check_price, check_quantity
+from .utility import check_nonnegative, check_parameters, check_positive
 
 # Slack, scaled by max(1, g) for sellers, within which social_welfare accepts
 # an allocation just outside its bounds.
@@ -40,8 +40,7 @@ class MarketParams:
     p: float = 0.25
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 0):
-            raise ValueError(f"price floor must be positive and finite, got {self.p}")
+        check_positive("price floor", self.p)
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,13 @@ class SellerState:
 
     def __post_init__(self) -> None:
         check_parameters(self.x, self.y)
-        if not (math.isfinite(self.g) and self.g > 0):
-            raise ValueError(f"generation must be positive and finite, got {self.g}")
+        check_positive("generation", self.g)
+        # The lowest price the seller can quote, marginal(g); the asks and the
+        # planner's kinks lie at or above it, so none of them reaches 0.0.
+        if self.x * self.y / (self.y * self.g + 1.0) == 0.0:
+            raise ValueError(
+                f"lowest ask x*y/(y*g + 1) underflows to 0.0 (x={self.x}, y={self.y}, g={self.g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def seller_supplies(
     CPython's rule (see clearing.clear_market_proximal), so each result is
     bit for bit min(max(g - inverse_marginal(mu), 0.0), a).
     """
-    check_price(mu)
+    check_positive("marginal value", mu)
     supplies = []
     for x, inv_y, g, a in constants:
         retained = x / mu - inv_y
@@ -142,14 +146,14 @@ def compute_payoffs(
     log1p = math.log1p
     buyer_pi = []
     for buyer, b, q in zip(buyers, bids, d, strict=True):
-        check_quantity(q)
+        check_nonnegative("quantity", q)
         buyer_pi.append(buyer.x * log1p(buyer.y * q) - b)
     seller_pi = []
     for seller, c, q in zip(sellers, asks, s, strict=True):
         # max(g - q, 0.0) inline, by CPython's rule
         retained = seller.g - q
         retained = 0.0 if 0.0 > retained else retained
-        check_quantity(retained)
+        check_nonnegative("quantity", retained)
         seller_pi.append(seller.x * log1p(seller.y * retained) + c * q)
     revenue = math.fsum(bids) - math.fsum([c * q for c, q in zip(asks, s)])
     return Payoffs(tuple(buyer_pi), tuple(seller_pi), revenue)

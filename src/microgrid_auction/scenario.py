@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .market import BuyerState, MarketParams, SellerState
-from .serialize import dumps
+from .serialize import dumps, read_number
 
 
 def _check_range(name: str, bounds: tuple[float, float], positive: bool = True) -> None:
@@ -125,15 +125,16 @@ def scenario_from_json(text: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ValueError("scenario JSON must be an object")
     try:
-        params = MarketParams(p=float(raw["p"]))
+        params = MarketParams(p=read_number("p", raw["p"]))
         buyers = tuple(
-            BuyerState(x=float(b["x"]), y=float(b["y"])) for b in raw.get("buyers", [])
+            BuyerState(*(read_number(f"buyer {k}", b[k]) for k in ("x", "y")))
+            for b in raw.get("buyers", [])
         )
         sellers = tuple(
-            SellerState(x=float(s["x"]), y=float(s["y"]), g=float(s["g"]))
+            SellerState(*(read_number(f"seller {k}", s[k]) for k in ("x", "y", "g")))
             for s in raw.get("sellers", [])
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed scenario JSON: {exc}") from exc
     return Scenario(params=params, buyers=buyers, sellers=sellers)
 

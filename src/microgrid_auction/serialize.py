@@ -172,6 +172,18 @@ def _exactly(name: str, value: Any, kind: type) -> Any:
     return value
 
 
+def read_number(name: str, value: Any) -> float:
+    """value as a float if it is a JSON number, else ValueError naming the
+    field. float() alone would read "0.25" and true as numbers."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(name: str, values: Any) -> tuple[float, ...]:
+    return tuple(read_number(name, v) for v in values)
+
+
 def _same_length(lists: dict[str, tuple[Any, ...]]) -> None:
     if len({len(values) for values in lists.values()}) > 1:
         counts = ", ".join(f"{len(values)} {name}" for name, values in lists.items())
@@ -184,7 +196,8 @@ def load_outcome(path: str) -> AuctionOutcome:
     Raises ValueError naming the path when the file is not such an outcome,
     including when one side's per-agent lists disagree in length, a flag
     or the iteration count is not a JSON boolean or integer, or the count,
-    the price or the residual is out of range (negative, or mu <= 0).
+    the price or the residual is out of range (negative, or mu <= 0), or a
+    number is a string or a boolean.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -194,34 +207,36 @@ def load_outcome(path: str) -> AuctionOutcome:
         iterations = _exactly("iterations", raw["iterations"], int)
         if iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {iterations}")
-        mu = None if raw["mu"] is None else float(raw["mu"])
+        mu = None if raw["mu"] is None else read_number("mu", raw["mu"])
         if mu is not None and not mu > 0:
             raise ValueError(f"mu must be positive or null, got {mu!r}")
-        residual = float(raw["kkt_residual"])
+        residual = read_number("kkt_residual", raw["kkt_residual"])
         if residual < 0:
             raise ValueError(f"kkt_residual must be >= 0, got {residual!r}")
         clearing = ClearingResult(
-            d=tuple(float(v) for v in raw["d"]),
-            s=tuple(float(v) for v in raw["s"]),
+            d=_numbers("d", raw["d"]),
+            s=_numbers("s", raw["s"]),
             mu=mu,
             buyer_budget_active=tuple(
                 _exactly("budget_active", v, bool) for v in raw["budget_active"]
             ),
-            bids=tuple(float(v) for v in raw["bids"]),
-            asks=tuple(float(v) for v in raw["asks"]),
-            avails=tuple(float(v) for v in raw["avails"]),
-            params=MarketParams(p=float(raw["p"])),
+            bids=_numbers("bids", raw["bids"]),
+            asks=_numbers("asks", raw["asks"]),
+            avails=_numbers("avails", raw["avails"]),
+            params=MarketParams(p=read_number("p", raw["p"])),
         )
         # The residual the file holds, in the cache a read would fill: it is
         # not computed again from the file's numbers.
         object.__setattr__(clearing, "kkt_residual", residual)
         outcome = AuctionOutcome(
             clearing=clearing,
-            unit_prices=tuple(None if v is None else float(v) for v in raw["unit_prices"]),
+            unit_prices=tuple(
+                None if v is None else read_number("unit_prices", v) for v in raw["unit_prices"]
+            ),
             payoffs=Payoffs(
-                buyer_payoffs=tuple(float(v) for v in raw["payoffs"]["buyers"]),
-                seller_payoffs=tuple(float(v) for v in raw["payoffs"]["sellers"]),
-                mc_revenue=float(raw["payoffs"]["mc_revenue"]),
+                buyer_payoffs=_numbers("payoffs.buyers", raw["payoffs"]["buyers"]),
+                seller_payoffs=_numbers("payoffs.sellers", raw["payoffs"]["sellers"]),
+                mc_revenue=read_number("payoffs.mc_revenue", raw["payoffs"]["mc_revenue"]),
             ),
             iterations=iterations,
             converged=_exactly("converged", raw["converged"], bool),

@@ -7,6 +7,12 @@ out over per-agent constants instead of calling them, bit for bit the same,
 so their per-agent loops make no call into a utility. The full-information
 welfare solver relies on this family: its responses are x/m - 1/y clipped
 to bounds, so its price has a closed form between kinks.
+
+This module also holds the two input rules every module shares, each
+written once with its message: check_nonnegative (finite and >= 0) for
+quantities, bids and availabilities, and check_positive (positive and
+finite) for prices, parameters, weights and tolerances. Callers check a
+whole list in one call.
 """
 
 from __future__ import annotations
@@ -15,9 +21,24 @@ import math
 import sys
 from dataclasses import dataclass
 
-# 0 <= q <= _FMAX holds exactly for the finite q >= 0 (-0.0 included): NaN
-# fails every comparison and +inf exceeds the largest finite float.
+# 0 <= v <= _FMAX holds exactly for the finite v >= 0 (-0.0 included): NaN
+# fails every comparison and the infinities fall outside, so one chained
+# comparison is the whole check.
 _FMAX = sys.float_info.max
+
+
+def check_nonnegative(name: str, *values: float) -> None:
+    """Raise ValueError unless every value is finite and >= 0."""
+    for v in values:
+        if not 0.0 <= v <= _FMAX:
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
+
+def check_positive(name: str, *values: float) -> None:
+    """Raise ValueError unless every value is positive and finite."""
+    for v in values:
+        if not 0.0 < v <= _FMAX:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def check_parameters(x: float, y: float) -> None:
@@ -30,34 +51,12 @@ def check_parameters(x: float, y: float) -> None:
     0.0 would reach the auction and the planner as a quote or a kink outside
     their domain.
     """
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"utility scale x must be positive and finite, got {x}")
-    if not (math.isfinite(y) and y > 0):
-        raise ValueError(f"utility shape y must be positive and finite, got {y}")
+    check_positive("utility scale x", x)
+    check_positive("utility shape y", y)
     if not 0.0 < x * y <= _FMAX:
         raise ValueError(
             f"choke price x*y must be positive and finite, got {x * y} (x={x}, y={y})"
         )
-
-
-def check_quantity(q: float) -> None:
-    """Raise ValueError unless quantity q is finite and >= 0.
-
-    value and marginal run it on q, and so do the loops that write those
-    expressions out.
-    """
-    if not 0.0 <= q <= _FMAX:
-        raise ValueError(f"quantity must be finite and >= 0, got {q}")
-
-
-def check_price(m: float) -> None:
-    """Raise ValueError unless marginal value m is positive and finite.
-
-    inverse_marginal runs it on m, and so do the supply and demand loops
-    that write it out, once per price.
-    """
-    if not 0.0 < m <= _FMAX:
-        raise ValueError(f"marginal value must be positive and finite, got {m}")
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,13 @@ class LogUtility:
         check_parameters(self.x, self.y)
 
     def value(self, q: float) -> float:
-        check_quantity(q)
+        check_nonnegative("quantity", q)
         return self.x * math.log1p(self.y * q)
 
     def marginal(self, q: float) -> float:
-        check_quantity(q)
+        check_nonnegative("quantity", q)
         return self.x * self.y / (self.y * q + 1.0)
 
     def inverse_marginal(self, m: float) -> float:
-        check_price(m)
+        check_positive("marginal value", m)
         return max(self.x / m - 1.0 / self.y, 0.0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .clearing import BID_FLOOR, first_passing, sweep_guess
 from .market import BuyerState, MarketParams, SellerState, seller_supplies, social_welfare
-from .utility import check_price
+from .utility import check_nonnegative, check_positive
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def _demands(constants: list[tuple[float, float, float]], mu: float) -> list[flo
     max are inline by CPython's rule (see clearing.clear_market_proximal),
     so each result is bit for bit min(inverse_marginal(mu), b/p).
     """
-    check_price(mu)
+    check_positive("marginal value", mu)
     demands = []
     for x, inv_y, cap in constants:
         q = x / mu - inv_y
@@ -79,7 +79,8 @@ def solve_welfare(
     buyers demand u'^-1(mu) capped at b/p, sellers supply down to the stock
     whose retained marginal value is mu, capped at their availability. Bids and
     availabilities are taken as given, typically the auction's final ones, and
-    must be finite and >= 0; each bid's budget cap b/p must be finite too.
+    must be finite and >= 0; each bid's budget cap b/p must be finite, and
+    the kink where it binds, x*y/(y*b/p + 1), must not underflow to 0.0.
 
     The price search uses sorted response breakpoints and a closed-form root
     on the bracketing segment: O(N log N), no rescale. With log utility every
@@ -101,14 +102,19 @@ def solve_welfare(
     bids = tuple(float(b) for b in bids)
     avails = tuple(float(a) for a in avails)
     p = params.p
-    for i, b in enumerate(bids):
+    for i, (buyer, b) in enumerate(zip(buyers, bids)):
         if not math.isfinite(b) or b < 0:
             raise ValueError(f"bids must be finite and >= 0, got {b} from buyer {i}")
-        if math.isinf(b / p):
+        cap = b / p
+        if math.isinf(cap):
             raise ValueError(f"budget cap b/p of buyer {i} overflows: bid {b} at floor price {p}")
-    for a in avails:
-        if not math.isfinite(a) or a < 0:
-            raise ValueError(f"availabilities must be finite and >= 0, got {a}")
+        x, y = buyer.x, buyer.y
+        if x * y / (y * cap + 1.0) == 0.0:
+            raise ValueError(
+                f"cap kink x*y/(y*b/p + 1) of buyer {i} underflows to 0.0: "
+                f"bid {b} (x={x}, y={y})"
+            )
+    check_nonnegative("availabilities", *avails)
 
     active_b = [i for i, b in enumerate(bids) if b > BID_FLOOR]
     active_s = [j for j, a in enumerate(avails) if a > 0]
@@ -134,7 +140,9 @@ def solve_welfare(
     # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
     # Each kink is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
     # marginal(0) is x*y exactly, which each agent keeps positive and finite;
-    # a cap b/p that overflows is refused above, naming its buyer.
+    # a cap b/p that overflows, or whose kink underflows to 0.0, is refused
+    # above, naming its buyer. A seller refuses its own lowest kink
+    # x*y/(y*g + 1) of 0.0, and its other kink is no lower.
     buyer_k = []
     seller_k = []
     events = []

@@ -14,7 +14,9 @@ from microgrid_auction.clearing import (
     clearing_objective,
     kkt_residual,
 )
-from microgrid_auction.market import MarketParams
+from microgrid_auction.fairness import water_fill
+from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.welfare import solve_welfare
 
 from oracles import (
     best_clearing_objective,
@@ -99,10 +101,10 @@ _BAD_PROX_INPUTS = [
     ("bids", (1.0, math.inf), "bids must be finite and >= 0, got inf"),
     ("bids", (-math.inf, 0.5), "bids must be finite and >= 0, got -inf"),
     ("bids", (1.0, -1.0), "bids must be finite and >= 0, got -1.0"),
-    ("asks", (math.nan, 0.3), "asks of offering sellers must be positive, got nan"),
-    ("asks", (0.2, math.inf), "asks of offering sellers must be positive, got inf"),
-    ("asks", (0.0, 0.3), "asks of offering sellers must be positive, got 0.0"),
-    ("asks", (0.2, -1.0), "asks of offering sellers must be positive, got -1.0"),
+    ("asks", (math.nan, 0.3), "asks of offering sellers must be positive and finite, got nan"),
+    ("asks", (0.2, math.inf), "asks of offering sellers must be positive and finite, got inf"),
+    ("asks", (0.0, 0.3), "asks of offering sellers must be positive and finite, got 0.0"),
+    ("asks", (0.2, -1.0), "asks of offering sellers must be positive and finite, got -1.0"),
     ("avails", (math.nan, 1.0), "availabilities must be finite and >= 0, got nan"),
     ("avails", (2.0, math.inf), "availabilities must be finite and >= 0, got inf"),
     ("avails", (-1.0, 1.0), "availabilities must be finite and >= 0, got -1.0"),
@@ -111,14 +113,17 @@ _BAD_PROX_INPUTS = [
     ("prev_s", (math.nan, 0.0), "previous allocations must be finite, got nan"),
     ("prev_s", (0.0, math.inf), "previous allocations must be finite, got inf"),
     ("prev_s", (-math.inf, 0.0), "previous allocations must be finite, got -inf"),
-    ("weights", (0.5,), "proximal weights must be positive, one per seller"),
-    ("weights", 0.5, "proximal weights must be positive, one per seller"),
+    ("weights", (0.5,), "1 proximal weights vs 2 sellers"),
+    ("weights", 0.5, "0 proximal weights vs 2 sellers"),
     ("bids", (1e308, 1e308), "the bids sum past the largest float"),
     ("avails", (1e308, 1e308), "the availabilities sum past the largest float"),
 ] + [
-    ("weights", weights, "proximal weights must be positive, one per seller")
+    ("weights", weights, message)
     for w in (math.nan, math.inf, 0.0, -1.0)
-    for weights in (w, (0.5, w))
+    for weights, message in (
+        (w, "0 proximal weights vs 2 sellers"),
+        ((0.5, w), f"proximal weights must be positive and finite, got {w}"),
+    )
 ]
 
 
@@ -135,6 +140,25 @@ def test_proximal_input_validation(name, value, message):
             prev_s=inputs["prev_s"], weights=inputs["weights"],
         )
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_every_solver_refuses_a_bad_availability_with_one_message(bad):
+    # The rule and its message are written once, so all four read the same.
+    avails = (bad, 1.0)
+    sellers = [SellerState(0.3, 1.0, 2.0), SellerState(0.2, 1.2, 3.0)]
+    calls = [
+        lambda: clear_market((1.0,), (0.2, 0.3), avails, P),
+        lambda: clear_market_proximal(
+            (1.0,), (0.2, 0.3), avails, P, prev_s=(0.0, 0.0), weights=(0.5, 0.5)
+        ),
+        lambda: solve_welfare([BuyerState(1.0, 1.0)], sellers, (1.0,), avails, P),
+        lambda: water_fill(avails, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"availabilities must be finite and >= 0, got {bad}"
 
 
 def test_proximal_clips_finite_previous_allocations_to_the_availability():
@@ -169,9 +193,9 @@ def test_determinism_bit_identical():
 
 def test_kkt_residual_flags_constructed_violation():
     result = clear_market((1.0,), (0.2,), (2.0,), P)
-    assert kkt_residual(result, (1.0,), (0.2,), (2.0,), P) <= 1e-7
+    assert kkt_residual(result) <= 1e-7
     bad = dataclasses.replace(result, s=(result.s[0] + 1.0,))
-    assert kkt_residual(bad, (1.0,), (0.2,), (2.0,), P) >= 1.0
+    assert kkt_residual(bad) >= 1.0
 
 
 @st.composite
@@ -228,7 +252,7 @@ def kkt_cases(draw):
 def test_kkt_residual_matches_list_reference(case):
     # The running max must return bit for bit what max() over the list does.
     result, bids, asks, avails = case
-    assert kkt_residual(result, bids, asks, avails, P) == kkt_residual_reference(
+    assert kkt_residual(result) == kkt_residual_reference(
         result, bids, asks, avails, P.p
     )
 

@@ -268,6 +268,29 @@ def test_redistribute_rejects_a_converged_flag_that_is_not_a_boolean(capsys, tmp
     assert f"{outcome_path} is not an outcome file: converged must be a JSON boolean" in captured.err
 
 
+def test_files_with_a_string_or_boolean_for_a_number_exit_4(capsys, tmp_path):
+    # float() read "0.25" and true as numbers, so both files used to load
+    scenario_path = tmp_path / "market.json"
+    outcome_path = tmp_path / "outcome.json"
+    main(["scenario", "gen", "--seed", "5", "--buyers", "4", "--sellers", "3", "--out", str(scenario_path)])
+    main(["auction", "--scenario", str(scenario_path), "--out", str(outcome_path)])
+    capsys.readouterr()
+    market = json.loads(scenario_path.read_text())
+    saved = json.loads(outcome_path.read_text())
+    bad_market = tmp_path / "bad_market.json"
+    bad_market.write_text(json.dumps({**market, "p": "0.25"}))
+    code = main(["auction", "--scenario", str(bad_market)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "p must be a JSON number, got '0.25'" in captured.err
+    outcome_path.write_text(json.dumps({**saved, "d": [True, *saved["d"][1:]]}))
+    code = main(["redistribute", "--scenario", str(scenario_path), "--outcome", str(outcome_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"{outcome_path} is not an outcome file: d must be a JSON number, got True" in captured.err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("iterations", -3), ("mu", -1.0), ("kkt_residual", -5.0)],

@@ -762,9 +762,7 @@ def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):
     )
     assert not outcome.converged
     final = outcome.clearing
-    assert final.kkt_residual == residual(
-        final, final.bids, final.asks, final.avails, final.params
-    )
+    assert final.kkt_residual == residual(final)
 
 
 # Corpus markets that used to hit max_iters=2500 before buyers extrapolated.

@@ -1,8 +1,11 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and imports no private
+name from another package module.
 
 A stdlib stand-in for a linter's unused-import rule. A name counts as used
 when it appears anywhere in the module, string annotations included, such as
-"AuctionOutcome" behind an ``if TYPE_CHECKING:`` import.
+"AuctionOutcome" behind an ``if TYPE_CHECKING:`` import. A name that starts
+with an underscore belongs to its own module: one that another module needs
+is public, or lives where both can reach it.
 """
 
 import ast
@@ -49,3 +52,18 @@ def test_modules_use_every_name_they_import():
         if names:
             unused[path.name] = names
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_modules_import_no_private_name_from_each_other():
+    private = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            internal = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").partition(".")[0] == _PACKAGE.name
+            )
+            if internal:
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                if names:
+                    private.setdefault(path.name, []).extend(names)
+    assert not private, f"private names imported from another package module: {private}"

@@ -100,6 +100,17 @@ def test_agents_check_their_parameters_as_the_utility_does():
                 build()
 
 
+def test_seller_refuses_a_lowest_ask_that_underflows():
+    # x*y = 1e-50 passes, but y*g overflows, so the ask at full stock,
+    # marginal(g), would reach the auction as 0.0 from an offering seller
+    with pytest.raises(ValueError) as err:
+        SellerState(1e-150, 1e100, 1e200)
+    assert str(err.value) == (
+        "lowest ask x*y/(y*g + 1) underflows to 0.0 (x=1e-150, y=1e+100, g=1e+200)"
+    )
+    assert SellerState(1e-150, 1e100, 1e40).g == 1e40
+
+
 @given(x=coef, y=coef, g=gen)
 def test_availability_within_generation(x, y, g):
     a = declare_availability(SellerState(x=x, y=y, g=g), P)

@@ -69,3 +69,21 @@ def test_malformed_json_is_a_value_error():
         scenario_from_json('["list", "not", "object"]')
     with pytest.raises(ValueError):
         scenario_from_json('{"p": 0.25, "buyers": [{"x": 1.0}], "sellers": []}')
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"p": "0.25", "buyers": [], "sellers": []}', "p must be a JSON number, got '0.25'"),
+        ('{"p": 0.25, "buyers": [{"x": true, "y": 1.0}], "sellers": []}',
+         "buyer x must be a JSON number, got True"),
+        ('{"p": 0.25, "buyers": [], "sellers": [{"x": 0.2, "y": 1.0, "g": "2"}]}',
+         "seller g must be a JSON number, got '2'"),
+    ],
+    ids=["p string", "x boolean", "g string"],
+)
+def test_scenario_reads_only_json_numbers_as_numbers(text, message):
+    # float("0.25") and float(True) would read a string or a boolean as one
+    with pytest.raises(ValueError) as err:
+        scenario_from_json(text)
+    assert str(err.value) == message

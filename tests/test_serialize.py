@@ -145,3 +145,26 @@ def test_load_outcome_refuses_values_no_auction_writes(tmp_path, field, value, m
     with pytest.raises(ValueError) as err:
         load_outcome(str(path))
     assert str(err.value) == f"{path} is not an outcome file: {message}"
+
+
+_NOT_NUMBERS = [
+    ({"p": "0.25"}, "p must be a JSON number, got '0.25'"),
+    ({"d": [True]}, "d must be a JSON number, got True"),
+    ({"mu": "0.3"}, "mu must be a JSON number, got '0.3'"),
+    ({"unit_prices": [False]}, "unit_prices must be a JSON number, got False"),
+    ({"payoffs": {"buyers": [0.0], "sellers": [0.0], "mc_revenue": "0.1"}},
+     "payoffs.mc_revenue must be a JSON number, got '0.1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, message", _NOT_NUMBERS, ids=[next(iter(fields)) for fields, _ in _NOT_NUMBERS]
+)
+def test_load_outcome_reads_only_json_numbers_as_numbers(tmp_path, fields, message):
+    # float("0.25") and float(True) would read a string or a boolean as one
+    outcome = run_auction([BuyerState(1.0, 1.0)], [SellerState(0.2, 1.0, 4.0)], MarketParams())
+    path = tmp_path / "outcome.json"
+    path.write_text(dumps({**outcome_payload(outcome), **fields}), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_outcome(str(path))
+    assert str(err.value) == f"{path} is not an outcome file: {message}"

@@ -140,7 +140,7 @@ def test_optimum_satisfies_clearing_kkt_under_truthful_quotes():
             avails=tuple(avails),
             params=P,
         )
-        residual = kkt_residual(result, mapped_bids, tuple(mapped_asks), tuple(avails), P)
+        residual = kkt_residual(result)
         assert residual <= 1e-6
         checked += 1
     assert checked >= 100
@@ -219,15 +219,23 @@ def test_input_value_validation(bad):
          r"choke price x\*y must be positive and finite, got inf \(x=1e\+200, y=1e\+200\)"),
         ((1.0, 1.0), (1e-200, 1e-200, 2.0), 1.0,
          r"choke price x\*y must be positive and finite, got 0.0 \(x=1e-200, y=1e-200\)"),
+        ((1e-150, 1e100), (0.3, 1.0, 2.0), 1e300,
+         r"cap kink x\*y/\(y\*b/p \+ 1\) of buyer 0 underflows to 0.0: "
+         r"bid 1e\+300 \(x=1e-150, y=1e\+100\)"),
     ],
-    ids=["budget cap b/p overflows", "choke price x*y overflows", "seller kink x*y underflows"],
+    ids=[
+        "budget cap b/p overflows", "choke price x*y overflows", "seller kink x*y underflows",
+        "buyer cap kink underflows",
+    ],
 )
 def test_planner_keeps_the_utility_checks(buyer, seller, bid, message):
     # The planner writes LogUtility.marginal and inverse_marginal out, so a
     # breakpoint or price outside their domain must be refused before it:
     # an overflowing budget cap by the planner, naming the buyer, and a
-    # choke price x*y out of range by the agent, naming x and y. The agents
-    # are built here, since a refused one cannot be built at collection.
+    # choke price x*y out of range by the agent, naming x and y, and a cap
+    # kink x*y/(y*b/p + 1) that underflows to 0.0 by the planner, naming the
+    # buyer. The agents are built here, since a refused one cannot be built
+    # at collection.
     with pytest.raises(ValueError, match=message):
         solve_welfare([BuyerState(*buyer)], [SellerState(*seller)], (bid,), (1.0,), P)
 
