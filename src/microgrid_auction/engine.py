@@ -44,11 +44,20 @@ a buyer's unit price b/d agrees with the one at the previous clearing to
 moves, so wide a window overshoots. Each buyer's step reads nothing but its
 own bids and allocations. Sellers need no such step: a seller whose target
 holds still asks it in the next round.
+
+A seller re-quotes only when a clearing moved its allocation. One whose
+allocation equals the previous one, bit for bit, has the target it last
+quoted and takes no slope sample, so it carries its ask, target, weight and
+curvature estimate into the next round unchanged; on a (300, 150) market
+most seller-rounds do. The Aitken step runs once per extrapolating round,
+over every buyer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import ne
 
 from .clearing import BID_FLOOR, ClearingResult, clear_market_proximal, clearing_objective
 from .market import (
@@ -57,7 +66,7 @@ from .market import (
     Payoffs,
     SellerState,
     compute_payoffs,
-    declare_availability,
+    seller_supplies,
     social_welfare,
 )
 from .utility import check_positive
@@ -134,6 +143,11 @@ class AuctionState:
     built once from the agents' private parameters and carried unchanged,
     so a re-quote is plain arithmetic, bit for bit LogUtility.marginal,
     with no call per agent.
+
+    Invariant: when clearing is set, asks, last_targets, prox_weights and
+    curv_ema are what the previous step produced from prev_s. A step relies
+    on it to carry the quote of every seller whose allocation equals prev_s
+    instead of re-quoting it; a state with clearing None re-quotes all.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -199,7 +213,9 @@ def _initial_state(
         params=params,
         bids=tuple(p if xy > p else 0.0 for xy, _ in buyer_constants),
         asks=asks,
-        avails=tuple(declare_availability(seller, params) for seller in sellers),
+        avails=tuple(
+            seller_supplies([(s.x, 1.0 / s.y, s.g, s.g) for s in sellers], p)
+        ),
         prev_s=(0.0,) * n_s,
         prox_weights=(_PROX_WEIGHT,) * n_s,
         curv_ema=(_PROX_WEIGHT / 2.0,) * n_s,
@@ -208,37 +224,52 @@ def _initial_state(
 
 
 def _extrapolate(
-    b0: float, b1: float, b2: float, d0: float = 0.0, d1: float = 0.0
-) -> float:
-    """Aitken's delta-squared step on one buyer's bids b0, b1, b2, safeguarded.
+    b0s: tuple[float, ...],
+    b1s: tuple[float, ...],
+    b2s: list[float],
+    d0s: tuple[float, ...],
+    d1s: tuple[float, ...],
+) -> list[float]:
+    """Aitken's delta-squared step on each buyer's bids b0, b1, b2, safeguarded.
 
-    b0, b1, b2 are the buyer's last two bids and its re-quoted new bid.
-    Returns b2 itself unless the step ratio r = (b2 - b1)/(b1 - b0) lies in
-    (0, _EXTRAPOLATION_MAX_RATIO); otherwise the limit of the geometric
+    Takes the round's lists, one entry per buyer, and returns the new bids.
+    b0, b1, b2 are a buyer's last two bids and its re-quoted new bid. Its
+    new bid is b2 itself unless the step ratio r = (b2 - b1)/(b1 - b0) lies
+    in (0, _EXTRAPOLATION_MAX_RATIO); otherwise the limit of the geometric
     sequence with ratio r, but at least _EXTRAPOLATION_MIN_SHARE of b2.
     d0 and d1 are the allocations that b0 and b1 cleared to. When both are
     positive and the unit prices b0/d0 and b1/d1 agree within
     _SETTLED_PRICE_TOL relative, the window widens to r < _SETTLED_MAX_RATIO.
+    A parked buyer (b1 = b2 = 0.0) has no ratio in either window and keeps 0.0.
     """
-    if b1 == b0:
-        return b2
-    r = (b2 - b1) / (b1 - b0)
-    if not 0.0 < r < _EXTRAPOLATION_MAX_RATIO:
-        if not (0.0 < r < _SETTLED_MAX_RATIO and d0 > 0.0 and d1 > 0.0):
-            return b2
-        u = b1 / d1
-        if abs(u - b0 / d0) > _SETTLED_PRICE_TOL * u:
-            return b2
-    return max(b2 + (b2 - b1) * r / (1 - r), b2 * _EXTRAPOLATION_MIN_SHARE)
+    bids = []
+    for b0, b1, b2, d0, d1 in zip(b0s, b1s, b2s, d0s, d1s):
+        if b1 != b0:
+            r = (b2 - b1) / (b1 - b0)
+            if 0.0 < r < _EXTRAPOLATION_MAX_RATIO or (
+                0.0 < r < _SETTLED_MAX_RATIO
+                and d0 > 0.0
+                and d1 > 0.0
+                and not abs(b1 / d1 - b0 / d0) > _SETTLED_PRICE_TOL * (b1 / d1)
+            ):
+                # max(jump, floor) inline, by CPython's rule
+                jump = b2 + (b2 - b1) * r / (1 - r)
+                floor = b2 * _EXTRAPOLATION_MIN_SHARE
+                b2 = floor if floor > jump else jump
+        bids.append(b2)
+    return bids
 
 
 def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
-    """Clear the current quotes, then let every agent re-quote its target.
+    """Clear the current quotes, then let the agents re-quote their targets.
 
     A buyer bids u'(d)*d and a seller asks min(v'(g - s), p). On every
-    _EXTRAPOLATION_PERIOD-th step after the first, each active buyer's new
-    bid is extrapolated (see _extrapolate) from its two previous bids and
-    the two allocations they cleared to, before the floor test.
+    _EXTRAPOLATION_PERIOD-th step after the first, the active buyers' new
+    bids are extrapolated (see _extrapolate) from their two previous bids
+    and the two allocations those cleared to, before the floor test. Once
+    the state holds a clearing, only the sellers whose allocation moved
+    re-quote; the others carry their ask, target, weight and curvature
+    estimate, which the previous step computed from that same allocation.
     No setting of config reaches the step; it keeps the signature that
     run_auction and the benchmark's tracer call.
     """
@@ -247,51 +278,56 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         prev_s=state.prev_s, weights=state.prox_weights,
     )
 
-    p = state.params.p
-
-    extrapolate = (
-        state.clearing is not None and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0
-    )
-    if extrapolate:
-        prev_bids, prev_d = state.clearing.bids, state.clearing.d
-    else:
-        prev_bids, prev_d = state.bids, result.d
     # Each target is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
     # a bid is that quotient times d, never x*y*d/(y*d + 1.0), which rounds
-    # differently.
-    new_bids = []
-    for (xy, y), b, b0, d, d0 in zip(
-        state.buyer_constants, state.bids, prev_bids, result.d, prev_d
-    ):
-        if b != 0.0:
-            target = xy / (y * d + 1.0) * d
-            b = _extrapolate(b0, b, target, d0, d) if extrapolate else target
-            if b < BID_FLOOR:
-                b = 0.0
-        new_bids.append(b)
+    # differently. A parked buyer's 0.0 stays 0.0; a bid below BID_FLOOR,
+    # extrapolated or not, parks its buyer.
+    previous = state.clearing
+    quotes = zip(state.buyer_constants, state.bids, result.d)
+    if previous is not None and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0:
+        requoted = [0.0 if b == 0.0 else xy / (y * d + 1.0) * d for (xy, y), b, d in quotes]
+        bids = [
+            0.0 if b < BID_FLOOR else b
+            for b in _extrapolate(previous.bids, state.bids, requoted, previous.d, result.d)
+        ]
+    else:
+        bids = [
+            0.0 if b == 0.0 or (t := xy / (y * d + 1.0) * d) < BID_FLOOR else t
+            for (xy, y), b, d in quotes
+        ]
 
-    new_asks = []
-    targets = []
-    weights = []
-    ema = []
-    for (xy, y, g), a, s, prev, last, w, e in zip(
-        state.seller_constants, state.avails, result.s,
-        state.prev_s, state.last_targets, state.prox_weights, state.curv_ema,
-    ):
+    # A seller whose allocation equals prev_s has the target the previous
+    # step computed from it, so the same ask, and takes no slope sample
+    # (ds = 0), so the same weight and estimate. The first step re-quotes
+    # every seller: its opening ask and target are clamped at p.
+    s_new, prev_s, last = result.s, state.prev_s, state.last_targets
+    constants, avails = state.seller_constants, state.avails
+    asks = list(state.asks)
+    targets = list(last)
+    weights = list(state.prox_weights)
+    ema = list(state.curv_ema)
+    if previous is None:
+        moved = range(len(s_new))
+    else:
+        moved = compress(count(), map(ne, s_new, prev_s))
+    p = state.params.p
+    for j in moved:
+        xy, y, g = constants[j]
+        s = s_new[j]
         # min and max inline, by CPython's rule (see clear_market_proximal).
         q = g - s
         target = xy / (y * (0.0 if 0.0 > q else q) + 1.0)
-        targets.append(target)
-        new_asks.append(p if p < target else target)
+        targets[j] = target
+        asks[j] = p if p < target else target
+        a = avails[j]
         if a > 0:
-            ds = s - prev
+            ds = s - prev_s[j]
             if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
-                slope = abs(target - last) / abs(ds)
-                e = 0.5 * e + 0.5 * slope
+                slope = abs(target - last[j]) / abs(ds)
+                e = 0.5 * ema[j] + 0.5 * slope
+                ema[j] = e
                 w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > e else e
-                w = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
-        weights.append(w)
-        ema.append(e)
+                weights[j] = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
 
     return AuctionState(
         buyers=state.buyers,
@@ -299,10 +335,10 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         buyer_constants=state.buyer_constants,
         seller_constants=state.seller_constants,
         params=state.params,
-        bids=tuple(new_bids),
-        asks=tuple(new_asks),
+        bids=tuple(bids),
+        asks=tuple(asks),
         avails=state.avails,
-        prev_s=result.s,
+        prev_s=s_new,
         prox_weights=tuple(weights),
         curv_ema=tuple(ema),
         last_targets=tuple(targets),

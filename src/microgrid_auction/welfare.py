@@ -80,7 +80,8 @@ def solve_welfare(
     whose retained marginal value is mu, capped at their availability. Bids and
     availabilities are taken as given, typically the auction's final ones, and
     must be finite and >= 0; each bid's budget cap b/p must be finite, and
-    the kink where it binds, x*y/(y*b/p + 1), must not underflow to 0.0.
+    the kink where it binds, x*y/(y*b/p + 1) or, where y*b/p overflows, the
+    same value as x/(b/p + 1/y), must not underflow to 0.0.
 
     The price search uses sorted response breakpoints and a closed-form root
     on the bracketing segment: O(N log N), no rescale. With log utility every
@@ -102,6 +103,7 @@ def solve_welfare(
     bids = tuple(float(b) for b in bids)
     avails = tuple(float(a) for a in avails)
     p = params.p
+    cap_kinks = []
     for i, (buyer, b) in enumerate(zip(buyers, bids)):
         if not math.isfinite(b) or b < 0:
             raise ValueError(f"bids must be finite and >= 0, got {b} from buyer {i}")
@@ -109,11 +111,16 @@ def solve_welfare(
         if math.isinf(cap):
             raise ValueError(f"budget cap b/p of buyer {i} overflows: bid {b} at floor price {p}")
         x, y = buyer.x, buyer.y
-        if x * y / (y * cap + 1.0) == 0.0:
-            raise ValueError(
-                f"cap kink x*y/(y*b/p + 1) of buyer {i} underflows to 0.0: "
-                f"bid {b} (x={x}, y={y})"
-            )
+        kink = x * y / (y * cap + 1.0)
+        if kink == 0.0:
+            # y*b/p may have overflowed to inf: the same kink without it
+            kink = x / (cap + 1.0 / y)
+            if kink == 0.0:
+                raise ValueError(
+                    f"cap kink x*y/(y*b/p + 1) of buyer {i} underflows to 0.0: "
+                    f"bid {b} (x={x}, y={y})"
+                )
+        cap_kinks.append(kink)
     check_nonnegative("availabilities", *avails)
 
     active_b = [i for i, b in enumerate(bids) if b > BID_FLOOR]
@@ -140,9 +147,11 @@ def solve_welfare(
     # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
     # Each kink is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
     # marginal(0) is x*y exactly, which each agent keeps positive and finite;
-    # a cap b/p that overflows, or whose kink underflows to 0.0, is refused
-    # above, naming its buyer. A seller refuses its own lowest kink
-    # x*y/(y*g + 1) of 0.0, and its other kink is no lower.
+    # the cap kinks come from the checks above, which take x/(b/p + 1/y)
+    # where y*b/p overflows, and refuse a cap b/p that overflows, or whose
+    # kink underflows to 0.0 either way, naming its buyer. A seller refuses
+    # its own lowest kink x*y/(y*g + 1) of 0.0, and its other kink is no
+    # lower.
     buyer_k = []
     seller_k = []
     events = []
@@ -153,7 +162,7 @@ def solve_welfare(
         xy, inv_y = x * y, 1.0 / y
         cap_sum += cap
         buyer_k.append((x, inv_y, cap))
-        events.append((xy / (y * cap + 1.0), inv_y + cap, -x))
+        events.append((cap_kinks[i], inv_y + cap, -x))
         events.append((xy, -inv_y, x))
     for j in active_s:
         seller, a = sellers[j], avails[j]

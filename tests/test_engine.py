@@ -272,6 +272,59 @@ def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
     assert moved >= 20
 
 
+def _requoted_sellers(sellers, state, nxt):
+    """Every seller's (asks, last_targets, prox_weights, curv_ema) after the
+    step from state to nxt, re-quoted outright through LogUtility: the ask
+    min(v'(g - s), p), and the weight update of a seller whose allocation
+    moved by more than 1e-12 * max(1, a)."""
+    asks, targets, weights, ema = [], [], [], []
+    for j, seller in enumerate(sellers):
+        s, a = nxt.clearing.s[j], state.avails[j]
+        target = LogUtility(seller.x, seller.y).marginal(max(seller.g - s, 0.0))
+        w, e = state.prox_weights[j], state.curv_ema[j]
+        ds = s - state.prev_s[j]
+        if a > 0 and abs(ds) > 1e-12 * max(1.0, a):
+            e = 0.5 * e + 0.5 * (abs(target - state.last_targets[j]) / abs(ds))
+            w = min(max(e, 1e-4), 1e4)
+        asks.append(min(target, P.p))
+        targets.append(target)
+        weights.append(w)
+        ema.append(e)
+    return tuple(asks), tuple(targets), tuple(weights), tuple(ema)
+
+
+def test_a_seller_whose_allocation_held_still_keeps_its_quote():
+    """With the previous clearing kept, a step re-quotes only the sellers
+    whose allocation moved and carries the rest, so every seller's ask,
+    target, weight and curvature estimate must still equal, bit for bit, a
+    re-quote of every seller. The hand market's second seller offers
+    nothing (a = 0), so its allocation never moves, and its opening target
+    v'(g) = 0.5 lies above p: the first step must re-quote it, since its
+    opening ask and target are clamped at p. On the first large market
+    most seller-rounds carry their quote."""
+    hand = (
+        [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)],
+        [SellerState(0.2, 1.3, 3.0), SellerState(1.0, 1.0, 1.0)],
+    )
+    assert LogUtility(1.0, 1.0).marginal(1.0) > P.p
+    markets = [hand, _large_market(0)] + [_corpus_market(k) for k in range(2, 7)]
+    for n, (buyers, sellers) in enumerate(markets):
+        state = engine._initial_state(buyers, sellers, P)
+        carried = rounds = 0
+        while state.iteration < 13:
+            nxt = auction_step(state, CFG)
+            quotes = (nxt.asks, nxt.last_targets, nxt.prox_weights, nxt.curv_ema)
+            assert quotes == _requoted_sellers(sellers, state, nxt)
+            if state.clearing is not None:
+                carried += sum(s == prev for s, prev in zip(nxt.prev_s, state.prev_s))
+                rounds += len(sellers)
+            state = nxt
+        if n == 0:
+            assert state.avails[1] == 0.0 and state.last_targets[1] == 0.5
+        if n == 1:
+            assert carried > rounds / 2
+
+
 @pytest.mark.parametrize(
     "buyer, seller, bound",
     [
@@ -338,16 +391,22 @@ def test_trace_recording_toggle():
     assert silent.clearing.bids == with_trace.clearing.bids
 
 
+def _extrapolate_one(b0, b1, b2, d0=0.0, d1=0.0):
+    """The engine's per-round Aitken pass on a round of one buyer."""
+    (bid,) = engine._extrapolate((b0,), (b1,), [b2], (d0,), (d1,))
+    return bid
+
+
 def test_extrapolation_lands_a_geometric_sequence_on_its_limit():
     for limit, scale, ratio in ((0.3, 0.2, 0.9), (0.3, -0.2, 0.5), (0.3, 0.1, 0.998)):
         b0, b1, b2 = (limit + scale * ratio**n for n in range(3))
-        assert engine._extrapolate(b0, b1, b2) == pytest.approx(limit, rel=1e-9)
+        assert _extrapolate_one(b0, b1, b2) == pytest.approx(limit, rel=1e-9)
 
 
 def test_extrapolation_at_most_halves_a_bid():
     # limits 0.0385 and below zero: the jump stops at half the re-quoted bid
-    assert engine._extrapolate(1.0, 0.5, 0.26) == 0.13
-    assert engine._extrapolate(1.0, 0.6, 0.3) == 0.15
+    assert _extrapolate_one(1.0, 0.5, 0.26) == 0.13
+    assert _extrapolate_one(1.0, 0.6, 0.3) == 0.15
 
 
 @pytest.mark.parametrize(
@@ -362,7 +421,7 @@ def test_extrapolation_at_most_halves_a_bid():
     ],
 )
 def test_extrapolation_skips_ratios_outside_its_window(bids):
-    assert engine._extrapolate(*bids) == bids[2]
+    assert _extrapolate_one(*bids) == bids[2]
 
 
 def _settled_bids(ratio):
@@ -374,20 +433,20 @@ def _settled_bids(ratio):
 
 def test_settled_unit_price_widens_the_ratio_window():
     b0, b1, b2, d0, d1 = _settled_bids(0.9995)
-    assert engine._extrapolate(b0, b1, b2, d0, d1) == pytest.approx(0.3, rel=1e-6)
+    assert _extrapolate_one(b0, b1, b2, d0, d1) == pytest.approx(0.3, rel=1e-6)
     # the same ratio without a settled unit price (here 1e-7 apart) stays
     # outside the window
-    assert engine._extrapolate(b0, b1, b2) == b2
-    assert engine._extrapolate(b0, b1, b2, d0 * (1 + 1e-7), d1) == b2
+    assert _extrapolate_one(b0, b1, b2) == b2
+    assert _extrapolate_one(b0, b1, b2, d0 * (1 + 1e-7), d1) == b2
     # no allocation on either side: no unit price to compare
-    assert engine._extrapolate(b0, b1, b2, 0.0, d1) == b2
-    assert engine._extrapolate(b0, b1, b2, d0, 0.0) == b2
+    assert _extrapolate_one(b0, b1, b2, 0.0, d1) == b2
+    assert _extrapolate_one(b0, b1, b2, d0, 0.0) == b2
 
 
 @pytest.mark.parametrize("ratio", [0.999991, 1.0, 1.5, -0.5])
 def test_settled_window_stops_below_0_99999(ratio):
     b0, b1, b2, d0, d1 = _settled_bids(ratio)
-    assert engine._extrapolate(b0, b1, b2, d0, d1) == b2
+    assert _extrapolate_one(b0, b1, b2, d0, d1) == b2
 
 
 def _extrapolation_market():
@@ -412,7 +471,7 @@ def test_buyers_extrapolate_on_every_fourth_step_only():
             assert nxt.bids == plain.bids
         else:
             expected = tuple(
-                0.0 if b1 == 0.0 else engine._extrapolate(b0, b1, b2)
+                0.0 if b1 == 0.0 else _extrapolate_one(b0, b1, b2)
                 for b0, b1, b2 in zip(state.clearing.bids, state.bids, plain.bids)
             )
             assert nxt.bids == expected
@@ -445,7 +504,7 @@ def _wide_jump_state():
         if (state.iteration + 1) % 4 == 0:
             plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
             for i, (b0, b1, b2) in enumerate(zip(state.clearing.bids, state.bids, plain.bids)):
-                if nxt.bids[i] != plain.bids[i] and engine._extrapolate(b0, b1, b2) == b2:
+                if nxt.bids[i] != plain.bids[i] and _extrapolate_one(b0, b1, b2) == b2:
                     return state, i
         state = nxt
     raise AssertionError("no buyer jumped on a settled unit price in 100 steps")
@@ -457,7 +516,7 @@ def test_step_compares_unit_prices_of_the_last_two_clearings():
     plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
     d0, d1 = state.clearing.d[i], nxt.clearing.d[i]
     assert d0 > 0.0 and d1 > 0.0
-    expected = engine._extrapolate(state.clearing.bids[i], state.bids[i], plain.bids[i], d0, d1)
+    expected = _extrapolate_one(state.clearing.bids[i], state.bids[i], plain.bids[i], d0, d1)
     assert nxt.bids[i] == expected != plain.bids[i]
 
 
@@ -466,6 +525,78 @@ def test_parked_buyers_never_extrapolate_on_a_settled_price():
     bids = state.bids[:i] + (0.0,) + state.bids[i + 1:]
     nxt = auction_step(dataclasses.replace(state, bids=bids), CFG)
     assert nxt.bids[i] == 0.0
+
+
+def _aitken_reference(b0, b1, b2, d0, d1):
+    """One buyer's Aitken step as the engine's docstring states it: a ratio
+    r = (b2 - b1)/(b1 - b0) in (0, 0.999), or in (0, 0.99999) once the unit
+    prices b0/d0 and b1/d1 agree to 1e-8, jumps to the geometric limit, but
+    never below half of b2."""
+    if b1 == b0:
+        return b2
+    r = (b2 - b1) / (b1 - b0)
+    settled = d0 > 0.0 and d1 > 0.0 and abs(b1 / d1 - b0 / d0) <= 1e-8 * (b1 / d1)
+    if 0.0 < r < 0.999 or (settled and 0.0 < r < 0.99999):
+        return max(b2 + (b2 - b1) * r / (1 - r), 0.5 * b2)
+    return b2
+
+
+@pytest.mark.parametrize(
+    "market, buyer",
+    [(lambda: _large_market(0), None), (lambda: _corpus_market(966), 13)],
+    ids=["large (300, 150) seed=0 m=0", "corpus k=966"],
+)
+def test_the_aitken_pass_matches_a_per_buyer_reference(market, buyer):
+    """On every extrapolating step of a run, each buyer's new bid is the
+    per-buyer rule applied to its own bids and allocations, then floored:
+    a parked buyer stays at 0.0. On corpus k = 966 this includes the jumps
+    of buyer 13, whose bid stops furthest from the equilibrium."""
+    buyers, sellers = market()
+    config = AuctionConfig(max_iters=2500, record_trace=False)
+    iterations = run_auction(buyers, sellers, P, config).iterations
+    state = engine._initial_state(buyers, sellers, P)
+    jumped = set()
+    while state.iteration < iterations:
+        nxt = auction_step(state, CFG)
+        if state.iteration % 4 == 3:
+            previous = state.clearing
+            for i, (agent, b1, new) in enumerate(zip(buyers, state.bids, nxt.bids)):
+                if b1 == 0.0:
+                    assert new == 0.0
+                    continue
+                d1 = nxt.clearing.d[i]
+                target = LogUtility(agent.x, agent.y).marginal(d1) * d1
+                bid = _aitken_reference(previous.bids[i], b1, target, previous.d[i], d1)
+                assert new == (0.0 if bid < BID_FLOOR else bid)
+                if bid != target:
+                    jumped.add(i)
+        state = nxt
+    assert jumped and (buyer is None or buyer in jumped)
+
+
+def test_an_extrapolating_step_calls_the_aitken_pass_once(monkeypatch):
+    """The Aitken rule runs once per extrapolating round over every buyer,
+    never once per buyer, and a plain round does not call it."""
+    calls = []
+    extrapolate = engine._extrapolate
+
+    def counted(*rounds):
+        calls.append(len(rounds[0]))
+        return extrapolate(*rounds)
+
+    monkeypatch.setattr(engine, "_extrapolate", counted)
+    state = engine._initial_state(*_large_market(0), P)
+    passes = 0
+    while state.iteration < 13:
+        calls.clear()
+        extrapolating = state.iteration % 4 == 3
+        state = auction_step(state, CFG)
+        if extrapolating:
+            assert calls in ([], [300])
+            passes += len(calls)
+        else:
+            assert calls == []
+    assert passes == 3
 
 
 @pytest.fixture(scope="module")
