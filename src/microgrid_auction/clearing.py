@@ -15,15 +15,22 @@ Two solvers live here:
   a small proximal penalty pulling seller allocations toward their previous
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
-  in near-tied asks and re-quoting alone cannot stabilize that. A sold-out
-  round, where demand at the top breakpoint exceeds all that is offered, is
-  recognised from each seller's upper kink and cleared in O(N_s) without a
-  sort. Otherwise the price search guesses the bracketing segment with
-  :func:`sweep_guess`, then confirms the guess with :func:`first_passing` and
-  the exact O(N_s) supply sum at the segment's two ends (bisecting the rest
-  of the grid if the guess was off): O(N_s log N_s) per clearing, two exact
-  sums in the usual case. The welfare planner finds its price with the same
-  two functions.
+  in near-tied asks and re-quoting alone cannot stabilize that. After the
+  shared input step, which is O(N_b + N_s), a round clears in one of three
+  regimes:
+
+  - all-capped sold out: prev_s equals the availabilities and demand at
+    the top breakpoint exceeds all that is offered. The closed form makes
+    no Python-level pass over the sellers: O(N_b + N_s), the seller part
+    in C.
+  - sold out: demand at the top breakpoint exceeds all that is offered, as
+    read from each seller's upper kink. O(N_s), without a sort.
+  - otherwise the price search guesses the bracketing segment with
+    :func:`sweep_guess`, then confirms the guess with :func:`first_passing`
+    and the exact O(N_s) supply sum at the segment's two ends (bisecting
+    the rest of the grid if the guess was off): O(N_s log N_s), two exact
+    sums in the usual case. The welfare planner finds its price with the
+    same two functions.
 """
 
 from __future__ import annotations
@@ -199,6 +206,21 @@ def _settle(
     return ClearingResult(d, tuple(s), mu, budget_active, bids, asks, avails, params)
 
 
+def _all_capped(
+    bids: tuple[float, ...],
+    asks: tuple[float, ...],
+    avails: tuple[float, ...],
+    params: MarketParams,
+    mu: float,
+) -> ClearingResult:
+    # A sold-out round at mu >= every offering ask, from sellers that all sat
+    # at their availability: each response prev_j + (mu - c_j)/w_j is at least
+    # a_j and clips to exactly a_j. A seller with nothing to offer sells 0.0.
+    # Availabilities are checked >= 0, so abs is `a if a > 0 else 0.0`: it
+    # keeps every a_j and maps -0.0 to 0.0.
+    return _settle(bids, asks, avails, params, mu, list(map(abs, avails)))
+
+
 def clear_market(
     bids: tuple[float, ...] | list[float],
     asks: tuple[float, ...] | list[float],
@@ -293,7 +315,10 @@ def clear_market_proximal(
     first breakpoint in surplus brackets the root. When demand at the top
     breakpoint, p or the highest upper kink, exceeds total availability, no
     breakpoint is in surplus: every seller is capped and the price is where
-    demand meets total availability, found in O(N_s) with no sort. Otherwise
+    demand meets total availability, found in O(N_s) with no sort. If
+    prev_s equals the availabilities, every upper kink is the seller's ask,
+    so that test and the capped allocations need no pass over the sellers
+    at all (:func:`_all_capped`). Otherwise
     :func:`sweep_guess` sorts the breakpoints once and sweeps a running
     supply line to guess that breakpoint; the exact supply sum then confirms
     the guess and its left neighbour, and only a wrong guess falls back to
@@ -322,6 +347,12 @@ def clear_market_proximal(
         return quotes
     bids, asks, avails, total_bid, total_avail = quotes
     p = params.p
+    if prev_s == avails:
+        # Every offering seller was capped last round, so its upper kink is
+        # c_j + w_j*0.0 = c_j and top is p or the highest offering ask.
+        top = max(p, max(compress(asks, avails)))
+        if total_bid / top > total_avail:
+            return _all_capped(bids, asks, avails, params, max(total_bid / total_avail, top))
     # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller. CPython
     # evaluates max(u, v) as `v if v > u else u` and min(u, v) as
     # `v if v < u else u`; per-agent loops spell the clamps out that way,

@@ -266,7 +266,10 @@ def welfare_price_reference(
 
     kinks = set()
     for x, y, cap in demanders:
-        kinks.update((x * y / (y * cap + 1.0), x * y))
+        # x*y/(y*cap + 1) rounds to 0.0 once y*cap overflows; the same kink
+        # written without that product is x/(cap + 1/y)
+        y_cap = y * cap
+        kinks.update((x / (cap + 1.0 / y) if math.isinf(y_cap) else x * y / (y_cap + 1.0), x * y))
     for x, y, g, a in suppliers:
         kinks.update((x * y / (y * g + 1.0), x * y / (y * max(g - a, 0.0) + 1.0)))
     kinks = sorted(kinks)

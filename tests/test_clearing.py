@@ -505,6 +505,47 @@ def test_proximal_price_regimes_match_reference(regime, market):
     assert reached[regime]
 
 
+@pytest.mark.parametrize(
+    "market, sold_out",
+    [
+        # top is the ask 0.4 above p: demand 1.0 / 0.4 falls short of the 3.0
+        # offered, though 1.0 / p would exceed it
+        (((0.6, 0.4), (0.4, 0.1), (1.0, 2.0), (1.0, 2.0), (1.0, 0.5)), False),
+        (((3.0, 0.4), (0.4, 0.1), (1.0, 2.0), (1.0, 2.0), (1.0, 0.5)), True),
+        # the highest ask belongs to a seller with nothing to offer: top is p
+        (((0.9, 0.0), (0.1, 0.2, 5.0), (1.0, 2.0, 0.0), (1.0, 2.0, 0.0), (0.5, 2.0, 1.0)), True),
+        # an availability of -0.0 sells 0.0, not -0.0
+        (((1.0,), (0.15, 0.1), (-0.0, 2.0), (-0.0, 2.0), (1.0, 1.0)), True),
+        (((1.0,), (0.15, 0.1), (-0.0, 2.0), (0.0, 2.0), (1.0, 1.0)), True),
+        # every seller was capped, but demand at top is within the offer
+        (((0.5,), (0.1, 0.2), (1.0, 2.0), (1.0, 2.0), (0.5, 0.5)), False),
+    ],
+)
+def test_proximal_clearing_from_sellers_all_at_their_availability(monkeypatch, market, sold_out):
+    # prev_s equals the availabilities. Sold out, every offering seller sells
+    # exactly its availability at total_bid / total_avail, with no breakpoint
+    # search; otherwise the search runs. Both match the linear scan.
+    sweeps = []
+    sweep = clearing.sweep_guess
+
+    def counted_sweep(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(clearing, "sweep_guess", counted_sweep)
+    bids, asks, avails, prev, weights = market
+    result = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=weights)
+    assert len(sweeps) == (not sold_out)
+    if not sold_out:
+        _assert_proximal_matches_reference(*market)
+        assert result.s != tuple(a if a > 0 else 0.0 for a in avails)
+        return
+    mu, s = proximal_clearing_reference(bids, asks, avails, P.p, prev, weights)
+    assert result.mu == mu == math.fsum(bids) / math.fsum(avails)
+    assert [v.hex() for v in result.s] == [v.hex() for v in s] == [(a if a > 0 else 0.0).hex() for a in avails]
+    assert result.d == tuple(b / max(mu, P.p) if b > BID_FLOOR else 0.0 for b in bids)
+
+
 def test_proximal_price_keeps_digits_with_inelastic_supply():
     # One capped seller and one interior seller with weight 1e4: the root of
     # k*mu^2 + beta*mu = B with beta >> k*mu, where the textbook form

@@ -763,6 +763,40 @@ def test_a_sold_out_round_clears_without_the_breakpoint_sweep(monkeypatch):
     assert 0 < len(sweeps) == not_sold_out < outcome.iterations
 
 
+def test_an_all_capped_sold_out_round_clears_without_a_seller_pass(monkeypatch):
+    """A sold-out round whose sellers all sat at their availability last
+    round clears in closed form, with no pass over the sellers. On
+    large-market seed 0, m = 0, the closed form runs for exactly the rounds
+    where prev_s equals the availabilities and total_bid / top exceeds
+    total_avail, and for most rounds of the auction."""
+    shortcuts = []
+    all_capped = clearing._all_capped
+
+    def counted_all_capped(*args):
+        shortcuts.append(args)
+        return all_capped(*args)
+
+    rounds = []
+    clear = engine.clear_market_proximal
+
+    def watched(bids, asks, avails, params, prev_s, weights):
+        rounds.append((bids, asks, avails, prev_s, weights))
+        return clear(bids, asks, avails, params, prev_s=prev_s, weights=weights)
+
+    monkeypatch.setattr(clearing, "_all_capped", counted_all_capped)
+    monkeypatch.setattr(engine, "clear_market_proximal", watched)
+    outcome = run_auction(*_large_market(0), P, AuctionConfig(max_iters=2500, record_trace=False))
+    all_capped_sold_out = 0
+    for bids, asks, avails, prev_s, weights in rounds:
+        if tuple(prev_s) != tuple(avails):
+            continue
+        total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+        top = max([P.p] + [c + w * (a - v) for c, a, v, w in zip(asks, avails, prev_s, weights) if a > 0])
+        all_capped_sold_out += total_bid / top > math.fsum(avails)
+    assert len(rounds) == outcome.iterations
+    assert len(shortcuts) == all_capped_sold_out > outcome.iterations / 2
+
+
 @pytest.mark.parametrize(
     "market, iterations, converged, digest",
     [

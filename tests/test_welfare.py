@@ -244,14 +244,16 @@ def test_planner_takes_a_cap_kink_whose_y_b_over_p_overflows():
     """A buyer bidding its scale x, as the auction can settle it, where
     y*b/p overflows: x*y/(y*b/p + 1) rounds to 0.0, but the kink is
     x/(b/p + 1/y) = 0.25, which the planner must use, not refuse. The
-    linear-scan oracle computes the kink the first way and divides by it,
-    so the price is checked by balance instead: the buyer demands
-    x/mu - 1/y, below its cap, and takes all the seller offers."""
+    linear-scan oracle takes the kink the second way too, and agrees: the
+    buyer demands x/mu - 1/y, below its cap, and takes all the seller
+    offers."""
     x, y = 1.1089155930442293e188, 1.2011709478848512e120
     assert math.isinf(y * (x / P.p))
-    sol = solve_welfare([BuyerState(x, y)], [SellerState(0.3, 1.5, 3.0)], (x,), (2.0,), P)
+    buyers, sellers = [BuyerState(x, y)], [SellerState(0.3, 1.5, 3.0)]
+    sol = solve_welfare(buyers, sellers, (x,), (2.0,), P)
     assert sol.d_star == sol.s_star == (2.0,)
     assert x / sol.mu_star - 1.0 / y == pytest.approx(2.0, rel=1e-12)
+    assert sol.mu_star == welfare_price_reference(buyers, sellers, (x,), (2.0,), P.p) == 5.544577965221147e187
 
 
 @st.composite
