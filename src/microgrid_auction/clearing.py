@@ -248,13 +248,15 @@ def clear_market(
     # Group active sellers into price levels (ties within TIE_REL_TOL).
     order = sorted(active_sellers, key=lambda j: (asks[j], j))
     levels: list[tuple[float, list[int], float]] = []
+    # min and max inline, by CPython's rule (see clear_market_proximal)
     for j in order:
-        if levels and asks[j] - levels[-1][0] <= TIE_REL_TOL * max(asks[j], levels[-1][0]):
+        c = asks[j]
+        if levels and c - (top := levels[-1][0]) <= TIE_REL_TOL * (top if top > c else c):
             value, members, group_avail = levels.pop()
             members.append(j)
-            levels.append((max(value, asks[j]), members, group_avail + avails[j]))
+            levels.append((c if c > value else value, members, group_avail + avails[j]))
         else:
-            levels.append((asks[j], [j], avails[j]))
+            levels.append((c, [j], avails[j]))
 
     mu: float
     full: list[int] = []
@@ -262,7 +264,7 @@ def clear_market(
     residual = 0.0
     cum = 0.0
     for value, members, group_avail in levels:
-        demand_here = total_bid / max(value, p)
+        demand_here = total_bid / (p if p > value else value)
         if demand_here < cum:
             # Demand fell below cumulative supply strictly between levels:
             # supply is constant there, so mu solves total_bid/mu = cum.
@@ -271,7 +273,9 @@ def clear_market(
         if demand_here <= cum + group_avail:
             mu = value
             marginal = members
-            residual = min(max(demand_here - cum, 0.0), group_avail)
+            residual = demand_here - cum
+            residual = 0.0 if 0.0 > residual else residual
+            residual = group_avail if group_avail < residual else residual
             break
         full.extend(members)
         cum += group_avail
@@ -473,7 +477,10 @@ def kkt_residual(result: ClearingResult) -> float:
     # A running max over the violations in a fixed order; `v > worst`
     # replaces worst exactly when max() over the same list would. worst
     # starts at 0 and never falls, so a term max(0, x) / q with q > 0 is
-    # written x / q: when x <= 0 it cannot replace worst either way. The
+    # written x / q: when x <= 0 it cannot replace worst either way. For
+    # the same reason a per-agent abs(x) is `x if x > 0.0 else -x`, which
+    # differs only in the sign of a zero. The max(1.0, v) scales are inline
+    # by CPython's rule (see clear_market_proximal). The
     # walks zip each quote with its field strictly, so fields of another
     # length raise instead of being cut short.
     p = result.params.p
@@ -494,20 +501,22 @@ def kkt_residual(result: ClearingResult) -> float:
     for b, d, capped in zip(result.bids, result.d, result.buyer_budget_active, strict=True):
         if -d > worst:
             worst = -d
-        v = (p * d - b) / max(1.0, b)
+        v = (p * d - b) / (b if b > 1.0 else 1.0)
         if v > worst:
             worst = v
         if b <= BID_FLOOR:
-            v = abs(d)
+            v = d if d > 0.0 else -d
         elif d <= 0:
             v = 1.0
         elif capped:
-            v = abs(b / d - p) / scale
+            v = b / d - p
+            v = (v if v > 0.0 else -v) / scale
             if v > worst:
                 worst = v
             v = (mu - p) / scale
         else:
-            v = abs(b / d - mu) / scale
+            v = b / d - mu
+            v = (v if v > 0.0 else -v) / scale
         if v > worst:
             worst = v
     for c, a, s in zip(result.asks, result.avails, result.s, strict=True):
@@ -516,15 +525,16 @@ def kkt_residual(result: ClearingResult) -> float:
         v = s - a
         if v > worst:
             worst = v
-        bound_tol = 1e-9 * max(1.0, a)
+        bound_tol = 1e-9 * (a if a > 1.0 else 1.0)
         if a <= 0:
-            v = abs(s)
+            v = s if s > 0.0 else -s
         elif s >= a - bound_tol:
             v = (c - mu) / scale
         elif s <= bound_tol:
             v = (mu - c) / scale
         else:
-            v = abs(c - mu) / scale
+            v = c - mu
+            v = (v if v > 0.0 else -v) / scale
         if v > worst:
             worst = v
     total_d = math.fsum(result.d)

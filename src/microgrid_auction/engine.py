@@ -49,8 +49,10 @@ A seller re-quotes only when a clearing moved its allocation. One whose
 allocation equals the previous one, bit for bit, has the target it last
 quoted and takes no slope sample, so it carries its ask, target, weight and
 curvature estimate into the next round unchanged; on a (300, 150) market
-most seller-rounds do. The Aitken step runs once per extrapolating round,
-over every buyer.
+most seller-rounds do. A round in which no seller moved at all, as after an
+all-capped clearing, makes no seller pass: the next state holds the same
+four seller tuples. The Aitken step runs once per extrapolating round, over
+every buyer.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ class AuctionState:
     Invariant: when clearing is set, asks, last_targets, prox_weights and
     curv_ema are what the previous step produced from prev_s. A step relies
     on it to carry the quote of every seller whose allocation equals prev_s
-    instead of re-quoting it; a state with clearing None re-quotes all.
+    instead of re-quoting it, and, when every allocation does, to return
+    these four tuples themselves; a state with clearing None re-quotes all.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -201,9 +204,10 @@ def _initial_state(
     clamped to the ceiling p that sellers may never exceed.
     """
     p = params.p
-    buyer_constants = tuple((buyer.x * buyer.y, buyer.y) for buyer in buyers)
-    seller_constants = tuple((seller.x * seller.y, seller.y, seller.g) for seller in sellers)
-    asks = tuple(min(xy / (y * g + 1.0), p) for xy, y, g in seller_constants)
+    buyer_constants = tuple([(buyer.x * buyer.y, buyer.y) for buyer in buyers])
+    seller_constants = tuple([(seller.x * seller.y, seller.y, seller.g) for seller in sellers])
+    # min(marginal(g), p) inline, by CPython's rule (see clear_market_proximal)
+    asks = tuple([p if p < (t := xy / (y * g + 1.0)) else t for xy, y, g in seller_constants])
     n_s = len(sellers)
     return AuctionState(
         buyers=tuple(buyers),
@@ -211,7 +215,7 @@ def _initial_state(
         buyer_constants=buyer_constants,
         seller_constants=seller_constants,
         params=params,
-        bids=tuple(p if xy > p else 0.0 for xy, _ in buyer_constants),
+        bids=tuple([p if xy > p else 0.0 for xy, _ in buyer_constants]),
         asks=asks,
         avails=tuple(
             seller_supplies([(s.x, 1.0 / s.y, s.g, s.g) for s in sellers], p)
@@ -260,6 +264,43 @@ def _extrapolate(
     return bids
 
 
+def _requote_sellers(
+    state: AuctionState, s_new: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The asks, targets, weights and curvature estimates after a clearing
+    that allocated s_new: every seller re-quotes on the first step, and
+    after it only those whose allocation differs from prev_s."""
+    prev_s, last = state.prev_s, state.last_targets
+    constants, avails = state.seller_constants, state.avails
+    asks = list(state.asks)
+    targets = list(last)
+    weights = list(state.prox_weights)
+    ema = list(state.curv_ema)
+    if state.clearing is None:
+        moved = range(len(s_new))
+    else:
+        moved = compress(count(), map(ne, s_new, prev_s))
+    p = state.params.p
+    for j in moved:
+        xy, y, g = constants[j]
+        s = s_new[j]
+        # min and max inline, by CPython's rule (see clear_market_proximal).
+        q = g - s
+        target = xy / (y * (0.0 if 0.0 > q else q) + 1.0)
+        targets[j] = target
+        asks[j] = p if p < target else target
+        a = avails[j]
+        if a > 0:
+            ds = s - prev_s[j]
+            if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
+                slope = abs(target - last[j]) / abs(ds)
+                e = 0.5 * ema[j] + 0.5 * slope
+                ema[j] = e
+                w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > e else e
+                weights[j] = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
+    return tuple(asks), tuple(targets), tuple(weights), tuple(ema)
+
+
 def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     """Clear the current quotes, then let the agents re-quote their targets.
 
@@ -270,8 +311,9 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     the state holds a clearing, only the sellers whose allocation moved
     re-quote; the others carry their ask, target, weight and curvature
     estimate, which the previous step computed from that same allocation.
-    No setting of config reaches the step; it keeps the signature that
-    run_auction and the benchmark's tracer call.
+    A step in which no seller moved returns the state's own four seller
+    tuples. No setting of config reaches the step; it keeps the signature
+    that run_auction and the benchmark's tracer call.
     """
     result = clear_market_proximal(
         state.bids, state.asks, state.avails, state.params,
@@ -298,36 +340,16 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
 
     # A seller whose allocation equals prev_s has the target the previous
     # step computed from it, so the same ask, and takes no slope sample
-    # (ds = 0), so the same weight and estimate. The first step re-quotes
+    # (ds = 0), so the same weight and estimate. When no seller moved, the
+    # step carries the four tuples themselves. The first step re-quotes
     # every seller: its opening ask and target are clamped at p.
-    s_new, prev_s, last = result.s, state.prev_s, state.last_targets
-    constants, avails = state.seller_constants, state.avails
-    asks = list(state.asks)
-    targets = list(last)
-    weights = list(state.prox_weights)
-    ema = list(state.curv_ema)
-    if previous is None:
-        moved = range(len(s_new))
+    s_new = result.s
+    if previous is not None and s_new == state.prev_s:
+        asks, targets, weights, ema = (
+            state.asks, state.last_targets, state.prox_weights, state.curv_ema
+        )
     else:
-        moved = compress(count(), map(ne, s_new, prev_s))
-    p = state.params.p
-    for j in moved:
-        xy, y, g = constants[j]
-        s = s_new[j]
-        # min and max inline, by CPython's rule (see clear_market_proximal).
-        q = g - s
-        target = xy / (y * (0.0 if 0.0 > q else q) + 1.0)
-        targets[j] = target
-        asks[j] = p if p < target else target
-        a = avails[j]
-        if a > 0:
-            ds = s - prev_s[j]
-            if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
-                slope = abs(target - last[j]) / abs(ds)
-                e = 0.5 * ema[j] + 0.5 * slope
-                ema[j] = e
-                w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > e else e
-                weights[j] = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
+        asks, targets, weights, ema = _requote_sellers(state, s_new)
 
     return AuctionState(
         buyers=state.buyers,
@@ -336,12 +358,12 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         seller_constants=state.seller_constants,
         params=state.params,
         bids=tuple(bids),
-        asks=tuple(asks),
+        asks=asks,
         avails=state.avails,
         prev_s=s_new,
-        prox_weights=tuple(weights),
-        curv_ema=tuple(ema),
-        last_targets=tuple(targets),
+        prox_weights=weights,
+        curv_ema=ema,
+        last_targets=targets,
         iteration=state.iteration + 1,
         clearing=result,
     )
@@ -353,22 +375,34 @@ def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig
     Every quote must have moved by at most tol_rel relative to its old value
     (floored at 1e-12), every allocation by at most tol_rel * max(1, a_j),
     and the clearing's residual must be within inner_kkt_tol. Each test stops
-    at the first agent that fails it. The residual test runs last, so the
-    clearing computes its residual only for a round that could stop.
+    at the first agent that fails it, and a test whose lists compare equal,
+    as the asks and allocations of a step that moved no seller do, passes
+    without a pass over the agents: an unmoved value meets any tolerance.
+    The residual test runs last, so the clearing computes its residual only
+    for a round that could stop.
     """
     result = after.clearing
     assert result is not None
     tol = config.tol_rel
+    # abs(v) is written `v if v > 0.0 else -v`, and max inline by CPython's
+    # rule (see clear_market_proximal). The abs forms differ only in the
+    # sign of a zero, which no comparison below can see: a zero scale gives
+    # way to 1e-12 either way.
     for old, new in ((before.bids, after.bids), (before.asks, after.asks)):
+        if new == old:
+            continue
         for a, b in zip(old, new):
             # A division on purpose: tol * max(abs(a), 1e-12) rounds
-            # differently. Both scales are max inline, as in auction_step.
-            scale = abs(a)
-            if abs(b - a) / (1e-12 if 1e-12 > scale else scale) > tol:
+            # differently.
+            scale = a if a > 0.0 else -a
+            diff = b - a
+            if (diff if diff > 0.0 else -diff) / (1e-12 if 1e-12 > scale else scale) > tol:
                 return False
-    for s, prev, a in zip(result.s, before.prev_s, after.avails):
-        if abs(s - prev) > tol * (a if a > 1.0 else 1.0):
-            return False
+    if result.s != before.prev_s:
+        for s, prev, a in zip(result.s, before.prev_s, after.avails):
+            diff = s - prev
+            if (diff if diff > 0.0 else -diff) > tol * (a if a > 1.0 else 1.0):
+                return False
     return result.kkt_residual <= config.inner_kkt_tol
 
 
@@ -379,12 +413,7 @@ def _settle(state: AuctionState, converged: bool, trace: list[IterationRecord]) 
     payoffs = compute_payoffs(
         state.buyers, state.sellers, result.bids, result.d, result.asks, result.s
     )
-    prices: list[float | None] = []
-    for b, d in zip(result.bids, result.d):
-        if d > _REPORT_THRESHOLD:
-            prices.append(b / d)
-        else:
-            prices.append(None)
+    prices = [b / d if d > _REPORT_THRESHOLD else None for b, d in zip(result.bids, result.d)]
     return AuctionOutcome(
         clearing=result,
         unit_prices=tuple(prices),

@@ -115,13 +115,14 @@ def verify_outcome(
     total_s = math.fsum(clearing.s)
     if abs(total_d - total_s) > _BALANCE_TOL * max(1.0, total_d):
         raise RuntimeError(f"balance violated: sum d {total_d} vs sum s {total_s}")
+    # max(1.0, v) inline, by CPython's rule (see clearing.clear_market_proximal)
     for j, (sj, aj) in enumerate(zip(clearing.s, clearing.avails)):
-        if sj < -_BOUND_TOL or sj > aj + _BOUND_TOL * max(1.0, aj):
+        if sj < -_BOUND_TOL or sj > aj + _BOUND_TOL * (aj if aj > 1.0 else 1.0):
             raise RuntimeError(f"seller {j} allocation {sj} outside [0, {aj}]")
     for i, (di, bi) in enumerate(zip(clearing.d, clearing.bids)):
         if di < -_BOUND_TOL:
             raise RuntimeError(f"buyer {i} allocation {di} negative")
-        if clearing.params.p * di > bi + _BOUND_TOL * max(1.0, bi):
+        if clearing.params.p * di > bi + _BOUND_TOL * (bi if bi > 1.0 else 1.0):
             raise RuntimeError(f"buyer {i} allocation {di} breaks budget {bi}")
     if outcome.payoffs.mc_revenue < -_REVENUE_TOL:
         raise RuntimeError(f"controller revenue negative: {outcome.payoffs.mc_revenue}")
@@ -380,7 +381,8 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
         theta_trade = social_welfare(buyers, sellers, clearing.d, clearing.s)
         theta_redist = social_welfare(buyers, sellers, clearing.d, red.s_r)
         saturated = all(
-            abs(s - a) <= _BOUND_TOL * max(1.0, a) for s, a in zip(clearing.s, clearing.avails)
+            abs(s - a) <= _BOUND_TOL * (a if a > 1.0 else 1.0)
+            for s, a in zip(clearing.s, clearing.avails)
         )
         records.append(
             {

@@ -67,11 +67,15 @@ def water_fill(avails: tuple[float, ...] | list[float], total: float) -> tuple[t
         candidate = remaining / (n - pos)
         if candidate <= avails[j]:
             level = candidate
+            # min and max inline, by CPython's rule (see
+            # clearing.clear_market_proximal)
             for jj in order[pos:]:
-                s_r[jj] = min(level, avails[jj])
+                a = avails[jj]
+                s_r[jj] = a if a < level else level
             break
         s_r[j] = avails[j]
-        remaining = max(remaining - avails[j], 0.0)
+        remaining -= avails[j]
+        remaining = 0.0 if 0.0 > remaining else remaining
     return tuple(s_r), level
 
 

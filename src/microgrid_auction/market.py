@@ -139,22 +139,24 @@ def compute_payoffs(
     their own ask: pi_j = v(g_j - s_j) + c_j * s_j. The controller keeps the
     difference, mc_revenue = sum(b) - sum(c * s), which is nonnegative at any
     clearing solution. Raises ValueError when a quote or allocation list is
-    not as long as its agent list, and, through LogUtility.value's own check,
-    when a buyer's allocation or a seller's retained stock max(g - s, 0) is
-    not finite and >= 0.
+    not as long as its agent list, and, with LogUtility.value's check and
+    message, when a buyer's allocation or a seller's retained stock
+    max(g - s, 0) is not finite and >= 0: one check per list, not per agent.
     """
     log1p = math.log1p
-    buyer_pi = []
-    for buyer, b, q in zip(buyers, bids, d, strict=True):
-        check_nonnegative("quantity", q)
-        buyer_pi.append(buyer.x * log1p(buyer.y * q) - b)
-    seller_pi = []
-    for seller, c, q in zip(sellers, asks, s, strict=True):
-        # max(g - q, 0.0) inline, by CPython's rule
-        retained = seller.g - q
-        retained = 0.0 if 0.0 > retained else retained
-        check_nonnegative("quantity", retained)
-        seller_pi.append(seller.x * log1p(seller.y * retained) + c * q)
+    check_nonnegative("quantity", *d)
+    buyer_pi = [
+        buyer.x * log1p(buyer.y * q) - b for buyer, b, q in zip(buyers, bids, d, strict=True)
+    ]
+    # max(g - q, 0.0) inline, by CPython's rule
+    retained = [
+        0.0 if 0.0 > (r := seller.g - q) else r for seller, q in zip(sellers, s, strict=True)
+    ]
+    check_nonnegative("quantity", *retained)
+    seller_pi = [
+        seller.x * log1p(seller.y * r) + c * q
+        for seller, c, q, r in zip(sellers, asks, s, retained, strict=True)
+    ]
     revenue = math.fsum(bids) - math.fsum([c * q for c, q in zip(asks, s)])
     return Payoffs(tuple(buyer_pi), tuple(seller_pi), revenue)
 
@@ -174,17 +176,19 @@ def social_welfare(
         raise ValueError(f"{len(d)} allocations vs {len(buyers)} buyers")
     if len(s) != len(sellers):
         raise ValueError(f"{len(s)} allocations vs {len(sellers)} sellers")
-    isfinite, log1p = math.isfinite, math.log1p
+    inf, log1p = math.inf, math.log1p
     total = 0.0
-    # min and max inline, by CPython's rule
+    # min and max inline, by CPython's rule. A chained comparison against
+    # inf is false for NaN and the infinities, so it is the finite test too;
+    # g + slack may round up to inf, so a seller's upper bound stays apart.
     for buyer, di in zip(buyers, d):
-        if di < -_RANGE_TOL or not isfinite(di):
+        if not -_RANGE_TOL <= di < inf:
             raise ValueError(f"buyer allocation out of range: {di}")
         total += buyer.x * log1p(buyer.y * (0.0 if 0.0 > di else di))
     for seller, sj in zip(sellers, s):
         g = seller.g
         slack = _RANGE_TOL * (g if g > 1.0 else 1.0)
-        if sj < -slack or sj > g + slack or not isfinite(sj):
+        if sj > g + slack or not -slack <= sj < inf:
             raise ValueError(f"seller allocation out of range: {sj} (g={g})")
         retained = g - sj
         retained = 0.0 if 0.0 > retained else retained

@@ -100,15 +100,17 @@ def solve_welfare(
         raise ValueError(f"{len(bids)} bids vs {len(buyers)} buyers")
     if len(avails) != len(sellers):
         raise ValueError(f"{len(avails)} availabilities vs {len(sellers)} sellers")
-    bids = tuple(float(b) for b in bids)
-    avails = tuple(float(a) for a in avails)
-    p = params.p
+    bids = tuple(map(float, bids))
+    avails = tuple(map(float, avails))
+    p, inf = params.p, math.inf
     cap_kinks = []
+    # 0.0 <= b < inf fails exactly for NaN, the infinities and b < 0. The
+    # cap b/p of a bid that passes is >= 0, so it is infinite only as inf.
     for i, (buyer, b) in enumerate(zip(buyers, bids)):
-        if not math.isfinite(b) or b < 0:
+        if not 0.0 <= b < inf:
             raise ValueError(f"bids must be finite and >= 0, got {b} from buyer {i}")
         cap = b / p
-        if math.isinf(cap):
+        if cap == inf:
             raise ValueError(f"budget cap b/p of buyer {i} overflows: bid {b} at floor price {p}")
         x, y = buyer.x, buyer.y
         kink = x * y / (y * cap + 1.0)

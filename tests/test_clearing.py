@@ -257,6 +257,32 @@ def test_kkt_residual_matches_list_reference(case):
     )
 
 
+_AROUND_ONE = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("a", _AROUND_ONE)
+@pytest.mark.parametrize("b", _AROUND_ONE)
+def test_kkt_residual_at_the_tie_of_its_inlined_max(b, a):
+    """max(1.0, b) and max(1.0, a) are written out in kkt_residual; at a
+    bid and an availability of 1.0 and one ulp either side it must still
+    return bit for bit the list reference. In the first result the budget
+    term (p*d - b)/max(1, b) is the largest violation; in the second a
+    seller sits on its bound tolerance 1e-9*max(1, a) or one ulp inside
+    it, where that tolerance decides between capped and interior."""
+    overspent = ClearingResult((2.0 * b / P.p,), (a,), P.p, (True,), (b,), (0.2,), (a,), P)
+    on_bound = a - 1e-9 * max(1.0, a)
+    residuals = []
+    for s in (on_bound, math.nextafter(on_bound, 0.0)):
+        balanced = ClearingResult((s,), (s,), P.p, (True,), (P.p * s,), (0.2,), (a,), P)
+        for result in (overspent, balanced):
+            assert kkt_residual(result) == kkt_residual_reference(
+                result, result.bids, result.asks, result.avails, P.p
+            )
+        residuals.append(kkt_residual(balanced))
+    assert kkt_residual(overspent) == b / max(1.0, b)
+    assert residuals == [0.0, (P.p - 0.2) / P.p]
+
+
 def test_matches_slsqp_on_random_small_instances():
     rng = random.Random(606)
     for _ in range(60):

@@ -325,6 +325,95 @@ def test_a_seller_whose_allocation_held_still_keeps_its_quote():
             assert carried > rounds / 2
 
 
+def test_a_step_in_which_no_seller_moved_carries_the_seller_tuples():
+    """A step whose clearing left every allocation equal to prev_s returns
+    the state's own asks, last_targets, prox_weights and curv_ema tuples,
+    not rebuilt copies. The first step re-quotes every seller, even where
+    its allocation stays 0.0: a seller with nothing to offer opens with its
+    target v'(g) = 0.5 clamped at p. On the first large market most steps
+    carry."""
+    state = engine._initial_state([BuyerState(1.2, 1.4)], [SellerState(1.0, 1.0, 1.0)], P)
+    first = auction_step(state, CFG)
+    assert first.clearing.s == state.prev_s == (0.0,)
+    assert state.last_targets == (P.p,) and first.last_targets == (0.5,)
+    second = auction_step(first, CFG)
+    assert second.asks is first.asks and second.last_targets is first.last_targets
+
+    state = engine._initial_state(*_large_market(0), P)
+    first = auction_step(state, CFG)
+    assert first.asks is not state.asks and first.last_targets is not state.last_targets
+    state, carried = first, 0
+    while state.iteration < 13:
+        nxt = auction_step(state, CFG)
+        kept = [
+            new is old
+            for new, old in (
+                (nxt.asks, state.asks),
+                (nxt.last_targets, state.last_targets),
+                (nxt.prox_weights, state.prox_weights),
+                (nxt.curv_ema, state.curv_ema),
+            )
+        ]
+        if nxt.clearing.s == state.prev_s:
+            assert all(kept)
+            carried += 1
+        else:
+            assert not any(kept)
+        state = nxt
+    assert carried >= 10
+
+
+def _stationary_reference(before, after, config):
+    """The three stopping tests with builtin abs and max over every agent."""
+    tol = config.tol_rel
+    for old, new in ((before.bids, after.bids), (before.asks, after.asks)):
+        if any(abs(b - a) / max(abs(a), 1e-12) > tol for a, b in zip(old, new)):
+            return False
+    moved = zip(after.clearing.s, before.prev_s, after.avails)
+    if any(abs(s - prev) > tol * max(1.0, a) for s, prev, a in moved):
+        return False
+    return after.clearing.kkt_residual <= config.inner_kkt_tol
+
+
+def test_the_stopping_test_matches_a_plain_reference():
+    """_stationary writes abs and max out and passes a list that compares
+    equal, such as the carried asks, without a walk; every step's verdict
+    must match the plain reference, up to convergence, on the first large
+    market and corpus markets 2-6, with tol_rel loose enough that the walks
+    also meet quotes and allocations that moved but pass."""
+    markets = [_large_market(0)] + [_corpus_market(k) for k in range(2, 7)]
+    verdicts = set()
+    for config in (CFG, AuctionConfig(tol_rel=1e-3)):
+        for buyers, sellers in markets:
+            state = engine._initial_state(buyers, sellers, P)
+            while True:
+                nxt = auction_step(state, config)
+                stop = engine._stationary(state, nxt, config)
+                assert stop == _stationary_reference(state, nxt, config)
+                verdicts.add(stop)
+                if stop:
+                    break
+                state = nxt
+            # From the step that stopped, move the last bid, ask or
+            # allocation up or down by twice its tolerance: each test must
+            # refuse it.
+            for step in (2 * config.tol_rel, -2 * config.tol_rel):
+                bids, asks, s = list(nxt.bids), list(nxt.asks), list(nxt.clearing.s)
+                bids[-1] += step * bids[-1]
+                asks[-1] += step * asks[-1]
+                s[-1] += step * max(1.0, nxt.avails[-1])
+                for moved in (
+                    dataclasses.replace(nxt, bids=tuple(bids)),
+                    dataclasses.replace(nxt, asks=tuple(asks)),
+                    dataclasses.replace(
+                        nxt, clearing=dataclasses.replace(nxt.clearing, s=tuple(s))
+                    ),
+                ):
+                    assert not engine._stationary(state, moved, config)
+                    assert not _stationary_reference(state, moved, config)
+    assert verdicts == {False, True}
+
+
 @pytest.mark.parametrize(
     "buyer, seller, bound",
     [

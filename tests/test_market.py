@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from microgrid_auction import market
 from microgrid_auction.market import (
     BuyerState,
     MarketParams,
@@ -88,6 +89,28 @@ def test_compute_payoffs_rejects_a_quantity_the_utility_cannot_value(d, s, bad):
     sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
     with pytest.raises(ValueError, match=f"quantity must be finite and >= 0, got {bad}$"):
         compute_payoffs(buyers, sellers, (0.41, 0.0), d, (0.17, 0.23), s)
+
+
+def test_compute_payoffs_checks_each_list_once(monkeypatch):
+    """A settlement checks the buyers' allocations and the sellers'
+    retained stocks with one check_nonnegative call each, not one per
+    agent; the messages stay LogUtility.value's (see the test above)."""
+    calls = []
+    check = market.check_nonnegative
+
+    def counted(name, *values):
+        calls.append((name, len(values)))
+        check(name, *values)
+
+    monkeypatch.setattr(market, "check_nonnegative", counted)
+    buyers = [BuyerState(x=1.2, y=1.5), BuyerState(x=0.7, y=1.3), BuyerState(x=0.9, y=1.1)]
+    sellers = [SellerState(x=0.2, y=1.4, g=3.0), SellerState(x=0.3, y=1.6, g=2.5)]
+    compute_payoffs(buyers, sellers, (0.41, 0.0, 0.3), (0.9, 0.0, 0.6), (0.17, 0.23), (0.9, 0.6))
+    assert calls == [("quantity", 3), ("quantity", 2)]
+    calls.clear()
+    with pytest.raises(ValueError, match="quantity must be finite and >= 0, got nan$"):
+        compute_payoffs(buyers, sellers, (0.41, 0.0, 0.3), (0.9, math.nan, 0.6), (0.17, 0.23), (0.9, 0.6))
+    assert calls == [("quantity", 3)]
 
 
 def test_agents_check_their_parameters_as_the_utility_does():

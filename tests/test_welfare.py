@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -49,6 +50,43 @@ def test_social_welfare_validation():
         social_welfare(buyers, sellers, (-0.5,), (0.5,))
     with pytest.raises(ValueError):
         social_welfare(buyers, sellers, (1.0,), (2.5,))  # sells more than g
+
+
+@pytest.mark.parametrize(
+    "d, s, message",
+    [
+        ((math.nan,), (0.5,), "buyer allocation out of range: nan"),
+        ((math.inf,), (0.5,), "buyer allocation out of range: inf"),
+        ((-math.inf,), (0.5,), "buyer allocation out of range: -inf"),
+        ((-2e-9,), (0.5,), "buyer allocation out of range: -2e-09"),
+        ((1.0,), (math.nan,), "seller allocation out of range: nan (g=2.0)"),
+        ((1.0,), (math.inf,), "seller allocation out of range: inf (g=2.0)"),
+        ((1.0,), (-math.inf,), "seller allocation out of range: -inf (g=2.0)"),
+        ((1.0,), (-3e-9,), "seller allocation out of range: -3e-09 (g=2.0)"),
+        ((1.0,), (2.000000005,), "seller allocation out of range: 2.000000005 (g=2.0)"),
+    ],
+)
+def test_social_welfare_names_the_allocation_out_of_range(d, s, message):
+    # The range test is one chained comparison against inf per allocation;
+    # NaN and both infinities fail it with the message of the finite test.
+    buyers = [BuyerState(1.0, 1.0)]
+    sellers = [SellerState(1.0, 1.0, 2.0)]
+    with pytest.raises(ValueError) as err:
+        social_welfare(buyers, sellers, d, s)
+    assert str(err.value) == message
+
+
+def test_social_welfare_range_ends_are_inclusive_and_an_infinite_bound_refuses_inf():
+    buyers = [BuyerState(1.0, 1.0)]
+    assert social_welfare(buyers, [SellerState(1.0, 1.0, 2.0)], (-1e-9,), (-2e-9,)) == (
+        social_welfare(buyers, [SellerState(1.0, 1.0, 2.0)], (0.0,), (0.0,))
+    )
+    # g + slack rounds up to inf for the largest g, so only the finite
+    # test keeps an infinite allocation out
+    g = sys.float_info.max
+    assert g + 1e-9 * g == math.inf
+    with pytest.raises(ValueError, match=r"^seller allocation out of range: inf \(g="):
+        social_welfare(buyers, [SellerState(1.0, 1.0, g)], (0.0,), (math.inf,))
 
 
 def test_no_trade_when_sides_never_cross():
@@ -198,16 +236,19 @@ def test_input_length_validation():
         solve_welfare(buyers, sellers, (1.0,), (1.0, 1.0), P)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
 def test_input_value_validation(bad):
     # non-finite or negative quotes used to pass as parked buyers, inert
-    # sellers or, for an infinite bid, an uncapped budget
+    # sellers or, for an infinite bid, an uncapped budget; a bid of -0.0
+    # is >= 0, a bid of nothing
     buyers = [BuyerState(1.0, 1.0), BuyerState(0.8, 1.5)]
     sellers = [SellerState(0.3, 1.0, 2.0), SellerState(0.2, 1.2, 3.0)]
-    with pytest.raises(ValueError, match="bids"):
+    with pytest.raises(ValueError) as err:
         solve_welfare(buyers, sellers, (1.0, bad), (1.0, 1.0), P)
+    assert str(err.value) == f"bids must be finite and >= 0, got {bad} from buyer 1"
     with pytest.raises(ValueError, match="availabilities"):
         solve_welfare(buyers, sellers, (1.0, 1.0), (bad, 1.0), P)
+    assert solve_welfare(buyers, sellers, (1.0, -0.0), (1.0, 1.0), P).d_star[1] == 0.0
 
 
 @pytest.mark.parametrize(
