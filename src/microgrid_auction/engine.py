@@ -34,16 +34,20 @@ every fourth step each active buyer extrapolates its own last three bids
 b0, b1, b2 with Aitken's delta-squared step, the one-step case of Anderson
 acceleration: with r = (b2 - b1)/(b1 - b0) in (0, 0.999), the bid jumps to
 b2 + (b2 - b1)*r/(1 - r), the limit of a geometric sequence with ratio r.
-The jump may at most halve the bid, so extrapolation alone never parks a
-buyer (parking is permanent, and a jump toward zero from a transient bid
-would park buyers that belong in the market); a bid set too low climbs back
-on the next re-quote. Where every seller is sold out, the price has long
-stopped moving while one buyer's bid still creeps at a rate near 1. So once
-a buyer's unit price b/d agrees with the one at the previous clearing to
-1e-8 relative, its window widens to r < 0.99999; on a price that still
-moves, so wide a window overshoots. Each buyer's step reads nothing but its
-own bids and allocations. Sellers need no such step: a seller whose target
-holds still asks it in the next round.
+The jump may at most halve the bid, so a jump never parks a buyer (parking
+is permanent, and a jump toward zero from a transient bid would park buyers
+that belong in the market); a bid set too low climbs back on the next
+re-quote. Where every seller is sold out, the price has long stopped moving
+while one buyer's bid still creeps at a rate near 1. So once a buyer's unit
+price b/d agrees with the one at the previous clearing to 1e-8 relative,
+its window widens to r < 0.99999; on a price that still moves, so wide a
+window overshoots. On that same settled price, a buyer whose choke price
+x*y is at or below its unit price parks at once: its best response there
+is zero demand, and halving its bid toward BID_FLOOR used to take up to 100
+rounds. Without the settled-price gate that test parks buyers that belong
+in the market. Each buyer's step reads nothing but its own constants, bids
+and allocations. Sellers need no such step: a seller whose target holds
+still asks it in the next round.
 
 A seller re-quotes only when a clearing moved its allocation. One whose
 allocation equals the previous one, bit for bit, has the target it last
@@ -86,8 +90,9 @@ _REPORT_THRESHOLD = 1e-6
 _EXTRAPOLATION_PERIOD = 4
 _EXTRAPOLATION_MAX_RATIO = 0.999
 _EXTRAPOLATION_MIN_SHARE = 0.5
-# The wider ratio window for a buyer whose unit price b/d has settled to
-# within this relative tolerance between its last two clearings.
+# The wider ratio window, and the park at a choke price x*y at or below the
+# unit price, for a buyer whose unit price b/d has settled to within this
+# relative tolerance between its last two clearings.
 _SETTLED_MAX_RATIO = 0.99999
 _SETTLED_PRICE_TOL = 1e-8
 
@@ -233,32 +238,50 @@ def _extrapolate(
     b2s: list[float],
     d0s: tuple[float, ...],
     d1s: tuple[float, ...],
+    constants: tuple[tuple[float, float], ...],
 ) -> list[float]:
     """Aitken's delta-squared step on each buyer's bids b0, b1, b2, safeguarded.
 
     Takes the round's lists, one entry per buyer, and returns the new bids.
-    b0, b1, b2 are a buyer's last two bids and its re-quoted new bid. Its
-    new bid is b2 itself unless the step ratio r = (b2 - b1)/(b1 - b0) lies
-    in (0, _EXTRAPOLATION_MAX_RATIO); otherwise the limit of the geometric
-    sequence with ratio r, but at least _EXTRAPOLATION_MIN_SHARE of b2.
-    d0 and d1 are the allocations that b0 and b1 cleared to. When both are
-    positive and the unit prices b0/d0 and b1/d1 agree within
-    _SETTLED_PRICE_TOL relative, the window widens to r < _SETTLED_MAX_RATIO.
-    A parked buyer (b1 = b2 = 0.0) has no ratio in either window and keeps 0.0.
+    b0, b1, b2 are a buyer's last two bids and its re-quoted new bid, d0 and
+    d1 the allocations that b0 and b1 cleared to, and constants the buyers'
+    (x*y, y). The unit price b1/d1 has settled when d0 and d1 are positive
+    and b0/d0 and b1/d1 agree within _SETTLED_PRICE_TOL relative.
+
+    A buyer whose unit price has settled at or above its choke price x*y
+    (tested as x*y*d1 <= b1) parks: at that price its best response is zero
+    demand, so it bids 0.0. Every other buyer bids b2 itself unless the
+    step ratio r = (b2 - b1)/(b1 - b0) lies in (0, _EXTRAPOLATION_MAX_RATIO),
+    or in (0, _SETTLED_MAX_RATIO) on a settled unit price; then it bids the
+    limit of the geometric sequence with ratio r, but at least
+    _EXTRAPOLATION_MIN_SHARE of b2. A parked buyer (b1 = b2 = 0.0, d1 = 0.0)
+    has no unit price and no ratio in either window, and keeps 0.0.
     """
+    max_ratio, settled_ratio = _EXTRAPOLATION_MAX_RATIO, _SETTLED_MAX_RATIO
+    tol, share = _SETTLED_PRICE_TOL, _EXTRAPOLATION_MIN_SHARE
     bids = []
-    for b0, b1, b2, d0, d1 in zip(b0s, b1s, b2s, d0s, d1s):
-        if b1 != b0:
+    for (xy, _), b0, b1, b2, d0, d1 in zip(constants, b0s, b1s, b2s, d0s, d1s):
+        # x*y*d1 <= b1 is x*y <= b1/d1 without a division, so a buyer in the
+        # market pays one product and one comparison. A parked buyer
+        # (0.0 <= 0.0) stops at d1 > 0.0.
+        if (
+            xy * d1 <= b1
+            and d1 > 0.0
+            and d0 > 0.0
+            and not abs((u1 := b1 / d1) - b0 / d0) > tol * u1
+        ):
+            b2 = 0.0
+        elif b1 != b0:
             r = (b2 - b1) / (b1 - b0)
-            if 0.0 < r < _EXTRAPOLATION_MAX_RATIO or (
-                0.0 < r < _SETTLED_MAX_RATIO
+            if 0.0 < r < max_ratio or (
+                0.0 < r < settled_ratio
                 and d0 > 0.0
                 and d1 > 0.0
-                and not abs(b1 / d1 - b0 / d0) > _SETTLED_PRICE_TOL * (b1 / d1)
+                and not abs(b1 / d1 - b0 / d0) > tol * (b1 / d1)
             ):
                 # max(jump, floor) inline, by CPython's rule
                 jump = b2 + (b2 - b1) * r / (1 - r)
-                floor = b2 * _EXTRAPOLATION_MIN_SHARE
+                floor = b2 * share
                 b2 = floor if floor > jump else jump
         bids.append(b2)
     return bids
@@ -306,8 +329,9 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
 
     A buyer bids u'(d)*d and a seller asks min(v'(g - s), p). On every
     _EXTRAPOLATION_PERIOD-th step after the first, the active buyers' new
-    bids are extrapolated (see _extrapolate) from their two previous bids
-    and the two allocations those cleared to, before the floor test. Once
+    bids are extrapolated, or parked on a settled price at or above their
+    choke price (see _extrapolate), from their two previous bids and the two
+    allocations those cleared to, before the floor test. Once
     the state holds a clearing, only the sellers whose allocation moved
     re-quote; the others carry their ask, target, weight and curvature
     estimate, which the previous step computed from that same allocation.
@@ -330,7 +354,10 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         requoted = [0.0 if b == 0.0 else xy / (y * d + 1.0) * d for (xy, y), b, d in quotes]
         bids = [
             0.0 if b < BID_FLOOR else b
-            for b in _extrapolate(previous.bids, state.bids, requoted, previous.d, result.d)
+            for b in _extrapolate(
+                previous.bids, state.bids, requoted, previous.d, result.d,
+                state.buyer_constants,
+            )
         ]
     else:
         bids = [

@@ -18,7 +18,7 @@ from microgrid_auction.experiments import mix_seed, verify_outcome
 from microgrid_auction.market import BuyerState, MarketParams, SellerState, compute_payoffs
 from microgrid_auction.utility import LogUtility
 
-from oracles import equilibrium_gaps, equilibrium_reference
+from oracles import dual_bound, equilibrium_gaps, equilibrium_reference, welfare_value
 
 P = MarketParams()
 CFG = AuctionConfig(max_iters=2000)
@@ -480,9 +480,10 @@ def test_trace_recording_toggle():
     assert silent.clearing.bids == with_trace.clearing.bids
 
 
-def _extrapolate_one(b0, b1, b2, d0=0.0, d1=0.0):
-    """The engine's per-round Aitken pass on a round of one buyer."""
-    (bid,) = engine._extrapolate((b0,), (b1,), [b2], (d0,), (d1,))
+def _extrapolate_one(b0, b1, b2, d0=0.0, d1=0.0, choke=1e9):
+    """The engine's per-round Aitken pass on a round of one buyer whose
+    choke price x*y is choke, by default far above every unit price here."""
+    (bid,) = engine._extrapolate((b0,), (b1,), [b2], (d0,), (d1,), ((choke, 1.0),))
     return bid
 
 
@@ -584,16 +585,18 @@ def test_parked_buyers_never_extrapolate():
 
 
 def _wide_jump_state():
-    """A corpus k=209 state one step before a buyer jumps only because its
-    unit price has settled, and that buyer's index."""
-    buyers, sellers = _corpus_market(209)
+    """A corpus k=227 state one step before a buyer in the market jumps
+    only because its unit price has settled, and that buyer's index. The
+    jump lands on a bid above zero, so the buyer did not park. (On k=209
+    the one buyer whose bid crept on a settled price now parks instead.)"""
+    buyers, sellers = _corpus_market(227)
     state = engine._initial_state(buyers, sellers, P)
     while state.iteration < 100:
         nxt = auction_step(state, CFG)
         if (state.iteration + 1) % 4 == 0:
             plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
             for i, (b0, b1, b2) in enumerate(zip(state.clearing.bids, state.bids, plain.bids)):
-                if nxt.bids[i] != plain.bids[i] and _extrapolate_one(b0, b1, b2) == b2:
+                if nxt.bids[i] not in (plain.bids[i], 0.0) and _extrapolate_one(b0, b1, b2) == b2:
                     return state, i
         state = nxt
     raise AssertionError("no buyer jumped on a settled unit price in 100 steps")
@@ -604,9 +607,10 @@ def test_step_compares_unit_prices_of_the_last_two_clearings():
     nxt = auction_step(state, CFG)
     plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
     d0, d1 = state.clearing.d[i], nxt.clearing.d[i]
-    assert d0 > 0.0 and d1 > 0.0
-    expected = _extrapolate_one(state.clearing.bids[i], state.bids[i], plain.bids[i], d0, d1)
-    assert nxt.bids[i] == expected != plain.bids[i]
+    b1, choke = state.bids[i], state.buyer_constants[i][0]
+    assert d0 > 0.0 and d1 > 0.0 and choke * d1 > b1
+    expected = _extrapolate_one(state.clearing.bids[i], b1, plain.bids[i], d0, d1, choke)
+    assert 0.0 < nxt.bids[i] == expected != plain.bids[i]
 
 
 def test_parked_buyers_never_extrapolate_on_a_settled_price():
@@ -616,35 +620,98 @@ def test_parked_buyers_never_extrapolate_on_a_settled_price():
     assert nxt.bids[i] == 0.0
 
 
-def _aitken_reference(b0, b1, b2, d0, d1):
-    """One buyer's Aitken step as the engine's docstring states it: a ratio
-    r = (b2 - b1)/(b1 - b0) in (0, 0.999), or in (0, 0.99999) once the unit
-    prices b0/d0 and b1/d1 agree to 1e-8, jumps to the geometric limit, but
-    never below half of b2."""
+def test_a_buyer_priced_out_at_a_settled_price_parks():
+    """Corpus k=209, buyer 21: its choke price x*y sits 0.07% below the
+    clearing price. On the first extrapolating step after its unit price
+    b/d has settled to 1e-8, it bids 0.0, its best response at that price,
+    where the plain re-quote would have kept it in the market."""
+    buyers, sellers = _corpus_market(209)
+    choke = buyers[21].x * buyers[21].y
+    state = engine._initial_state(buyers, sellers, P)
+    while state.iteration < 100:
+        nxt = auction_step(state, CFG)
+        assert nxt.bids[21] > 0.0 or state.iteration % 4 == 3
+        if state.iteration % 4 == 3:
+            b0, b1 = state.clearing.bids[21], state.bids[21]
+            d0, d1 = state.clearing.d[21], nxt.clearing.d[21]
+            if abs(b1 / d1 - b0 / d0) <= 1e-8 * (b1 / d1):
+                break
+        state = nxt
+    else:
+        raise AssertionError("buyer 21's unit price did not settle in 100 steps")
+    assert nxt.iteration == 56
+    assert 0.999 < choke / nxt.clearing.mu < 1.0
+    assert choke * d1 <= b1
+    plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
+    assert plain.bids[21] >= BID_FLOOR
+    assert nxt.bids[21] == 0.0
+
+
+def test_a_buyer_whose_unit_price_has_not_settled_keeps_the_halving_bound():
+    """The park needs both tests: a settled unit price, and a choke price at
+    or below it. Unit prices 0.5 at both clearings are settled; the jump
+    from 0.26 toward its limit 0.0385 stops at half the bid, 0.13."""
+    b0, b1, b2, d0, d1 = 1.0, 0.5, 0.26, 2.0, 1.0
+    assert _extrapolate_one(b0, b1, b2, d0, d1, choke=0.5) == 0.0
+    assert _extrapolate_one(b0, b1, b2, d0, d1, choke=0.4) == 0.0
+    # a choke price one ulp above the unit price stays in the market
+    assert _extrapolate_one(b0, b1, b2, d0, d1, choke=math.nextafter(0.5, 1.0)) == 0.13
+    # a unit price that moved by 1e-7, or a clearing without an allocation,
+    # has not settled, whatever the choke price
+    for d0_unsettled, d1_unsettled in ((2.0 * (1 + 1e-7), 1.0), (0.0, 1.0), (2.0, 0.0)):
+        assert _extrapolate_one(b0, b1, b2, d0_unsettled, d1_unsettled, choke=0.4) == 0.13
+
+
+def test_parking_ends_the_creep_of_corpus_k209():
+    """Buyer 21's bid used to halve toward the floor until round 136; parked,
+    it lets the market converge within 65 rounds, not 137. That it stops at
+    the equilibrium reference is test_sold_out_markets_converge_to_the_
+    saturated_fixed_point's gate."""
+    outcome = run_auction(
+        *_corpus_market(209), P, AuctionConfig(max_iters=2500, record_trace=False)
+    )
+    assert outcome.converged and outcome.iterations <= 65
+    assert outcome.clearing.bids[21] == 0.0
+
+
+def _aitken_reference(b0, b1, b2, d0, d1, choke):
+    """One buyer's Aitken step as the engine's docstring states it. Once the
+    unit prices b0/d0 and b1/d1 agree to 1e-8, a buyer whose choke price,
+    the marginal value u'(0) of its first unit, is at or below b1/d1 (its
+    spend at that price, choke * d1, within b1) bids 0.0. Otherwise a ratio
+    r = (b2 - b1)/(b1 - b0) in (0, 0.999), or in (0, 0.99999) on a settled
+    unit price, jumps to the geometric limit, but never below half of b2."""
+    settled = d0 > 0.0 and d1 > 0.0 and abs(b1 / d1 - b0 / d0) <= 1e-8 * (b1 / d1)
+    if settled and choke * d1 <= b1:
+        return 0.0
     if b1 == b0:
         return b2
     r = (b2 - b1) / (b1 - b0)
-    settled = d0 > 0.0 and d1 > 0.0 and abs(b1 / d1 - b0 / d0) <= 1e-8 * (b1 / d1)
     if 0.0 < r < 0.999 or (settled and 0.0 < r < 0.99999):
         return max(b2 + (b2 - b1) * r / (1 - r), 0.5 * b2)
     return b2
 
 
 @pytest.mark.parametrize(
-    "market, buyer",
-    [(lambda: _large_market(0), None), (lambda: _corpus_market(966), 13)],
-    ids=["large (300, 150) seed=0 m=0", "corpus k=966"],
+    "market, buyer, parks",
+    [
+        (lambda: _large_market(0), None, False),
+        (lambda: _corpus_market(966), 13, False),
+        (lambda: _corpus_market(209), 21, True),
+    ],
+    ids=["large (300, 150) seed=0 m=0", "corpus k=966", "corpus k=209"],
 )
-def test_the_aitken_pass_matches_a_per_buyer_reference(market, buyer):
+def test_the_aitken_pass_matches_a_per_buyer_reference(market, buyer, parks):
     """On every extrapolating step of a run, each buyer's new bid is the
     per-buyer rule applied to its own bids and allocations, then floored:
     a parked buyer stays at 0.0. On corpus k = 966 this includes the jumps
-    of buyer 13, whose bid stops furthest from the equilibrium."""
+    of buyer 13, whose bid stops furthest from the equilibrium, and on
+    corpus k = 209 the park of buyer 21, priced out at a settled price."""
     buyers, sellers = market()
     config = AuctionConfig(max_iters=2500, record_trace=False)
     iterations = run_auction(buyers, sellers, P, config).iterations
     state = engine._initial_state(buyers, sellers, P)
-    jumped = set()
+    jumped, parked = set(), set()
     while state.iteration < iterations:
         nxt = auction_step(state, CFG)
         if state.iteration % 4 == 3:
@@ -653,14 +720,20 @@ def test_the_aitken_pass_matches_a_per_buyer_reference(market, buyer):
                 if b1 == 0.0:
                     assert new == 0.0
                     continue
+                utility = LogUtility(agent.x, agent.y)
                 d1 = nxt.clearing.d[i]
-                target = LogUtility(agent.x, agent.y).marginal(d1) * d1
-                bid = _aitken_reference(previous.bids[i], b1, target, previous.d[i], d1)
+                target = utility.marginal(d1) * d1
+                bid = _aitken_reference(
+                    previous.bids[i], b1, target, previous.d[i], d1, utility.marginal(0.0)
+                )
                 assert new == (0.0 if bid < BID_FLOOR else bid)
-                if bid != target:
+                if bid == 0.0:
+                    parked.add(i)
+                elif bid != target:
                     jumped.add(i)
         state = nxt
-    assert jumped and (buyer is None or buyer in jumped)
+    assert jumped and (buyer is None or buyer in (parked if parks else jumped))
+    assert bool(parked) == parks
 
 
 def test_an_extrapolating_step_calls_the_aitken_pass_once(monkeypatch):
@@ -730,6 +803,17 @@ def test_large_markets_match_the_equilibrium_reference(large_markets):
         assert mu_gap <= 1e-6, f"market {n}: mu {mu_gap:.3e} off"
         assert alloc_gap <= 5e-6, f"market {n}: allocation {alloc_gap:.3e} off"
         assert ask_gap <= 1e-6, f"market {n}: ask {ask_gap:.3e} off"
+
+
+def test_large_market_welfare_is_certified_by_the_dual_bound(large_markets):
+    """(L(mu) - theta)/theta at each outcome's own clearing price is at most
+    2e-14 on the 36 large markets, about ten times the worst measured when
+    the gate was added (1.72e-15), and never below -3e-15."""
+    for n, (buyers, sellers, outcome) in enumerate(large_markets):
+        clearing = outcome.clearing
+        theta = welfare_value(buyers, sellers, clearing.d, clearing.s)
+        bound = dual_bound(buyers, sellers, clearing.bids, clearing.avails, P.p, clearing.mu)
+        assert -3e-15 <= (bound - theta) / theta <= 2e-14, f"market {n}"
 
 
 def test_unconverged_run_is_flagged():
@@ -905,14 +989,14 @@ def test_an_all_capped_sold_out_round_clears_without_a_seller_pass(monkeypatch):
             id="corpus k=2",
         ),
         pytest.param(
-            lambda: _corpus_market(209), 137, True,
-            "f2d9b4709a5fee98bb8764646f3bc9328c62ac60d40833dd4d7df8a7692f702b",
+            lambda: _corpus_market(209), 65, True,
+            "cf60d700df571cc1a8f7ccd80466a5d835d79968d641a34f430a49f289b99e93",
             id="corpus k=209",
         ),
         pytest.param(
-            lambda: _corpus_market(209), 100, False,
-            "e9e3b168830af1a874f7ede80f0704461293c1015f1f801aa418308c0459c8f7",
-            id="corpus k=209 hits max_iters=100",
+            lambda: _corpus_market(209), 60, False,
+            "234a9bdb3dd7780315d300571f300188acf3d8da24b9758c129c13941adcb913",
+            id="corpus k=209 hits max_iters=60",
         ),
         pytest.param(
             lambda: _large_market(0), 13, True,
@@ -927,9 +1011,12 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     proximal weight went from twice its curvature estimate to the estimate
     itself, a behaviour change that moved them on purpose: k=0 went from 11
     rounds to 9, k=1 from 22 to 12, k=2 from 23 to 11, and the large market
-    stayed at 13 rounds with other final quotes. Both k=209 cases, bound by
-    a buyer's creeping bid, did not move: 137 rounds, and not converged
-    after 100. An unconverged case runs with max_iters set to its pinned
+    stayed at 13 rounds with other final quotes. Both k=209 cases moved on
+    purpose when a buyer priced out at a settled unit price began to park
+    at once: buyer 21, whose bid used to creep toward the floor, parks on
+    step 56, and the market converges in 65 rounds, not 137. The capped
+    case went from max_iters=100 to 60, below the new count and after the
+    park. An unconverged case runs with max_iters set to its pinned
     iteration count."""
     buyers, sellers = market()
     max_iters = 2500 if converged else iterations
@@ -947,8 +1034,9 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
 
 def test_settlement_payoffs_are_pinned_bit_for_bit():
     """compute_payoffs at the final quotes and allocations of the first 100
-    corpus markets, every bit as recorded while it still called
-    LogUtility.value per agent."""
+    corpus markets. The digest was re-recorded when priced-out buyers began
+    to park on a settled unit price, which moved some of these outcomes; the
+    compute_payoffs that the old digest pinned gives the new one on them."""
     config = AuctionConfig(max_iters=2500, record_trace=False)
     digest = hashlib.sha256()
     for k in range(100):
@@ -959,7 +1047,7 @@ def test_settlement_payoffs_are_pinned_bit_for_bit():
             buyers, sellers, clearing.bids, clearing.d, clearing.asks, clearing.s
         )
         digest.update(repr(payoffs).encode())
-    assert digest.hexdigest() == "5bf1efaaec5ce3e83b5da75c303fd7a1128a6aa6ce1b83dbb3fdcb94be5868f2"
+    assert digest.hexdigest() == "5694b39e3ec2e43c9ff85d1f19629d95bb26f1b088f23f03d804cfd189f8152a"
 
 
 @pytest.mark.parametrize(
@@ -1012,7 +1100,7 @@ def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):
         assert len(calls) == 1
         assert calls[0] is outcome.clearing
     outcome = run_auction(
-        *_corpus_market(209), P, AuctionConfig(max_iters=100, record_trace=False)
+        *_corpus_market(209), P, AuctionConfig(max_iters=60, record_trace=False)
     )
     assert not outcome.converged
     final = outcome.clearing
@@ -1020,9 +1108,11 @@ def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):
 
 
 # Corpus markets that used to hit max_iters=2500 before buyers extrapolated.
-# k=851 pins the halving bound: letting a jump reach zero whenever the
-# buyer's choke price x*y is at most its unit price b/d parks buyer 18 there
-# for good and moves mu by 4.5e-4.
+# They pin the settled-price gate of the park. Parking a buyer whenever its
+# choke price x*y is at most its unit price b/d, without waiting for that
+# price to settle, parks buyer 18 of k=851 for good and moves mu by 4.5e-4,
+# and puts k=77 and k=144 1.7e-3 and 1.4e-3 off with two wrong zero bids
+# each. Under the gated rule in _extrapolate all seven stop at the reference.
 _FORMERLY_STUCK = (36, 56, 77, 90, 144, 249, 851)
 
 

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from microgrid_auction import welfare
 from microgrid_auction.clearing import BID_FLOOR, ClearingResult, clear_market, kkt_residual
@@ -16,7 +16,7 @@ from microgrid_auction.welfare import (
     solve_welfare,
 )
 
-from oracles import best_welfare_by_grid, welfare_price_reference
+from oracles import best_welfare_by_grid, dual_bound, welfare_price_reference
 
 P = MarketParams()
 
@@ -397,6 +397,32 @@ def test_planner_outputs_are_pinned_bit_for_bit():
     assert digest.hexdigest() == "f93ab9f34357f4a50cd72851772947571756f8d6f33ee8dd1beef46fc63b8bcd"
 
 
+def test_planner_optimum_meets_the_dual_bound():
+    """Weak duality caps every balanced allocation's welfare at L(mu) for
+    any mu, so the planner's optimum theta* may not fall short of L at its
+    own price mu*: theta* >= L(mu*) - 5e-15 * theta* on the 235 trading
+    markets of the pinned planner instances, ten times the worst measured
+    (5.4e-16). A check that needs no verdict of the planner's own price
+    search; it adds to the linear-scan and grid references, not in place of
+    them."""
+    rng = random.Random(2024)
+    traded = 0
+    for n in range(240):
+        nb, ns = rng.randint(1, 30), rng.randint(1, 30)
+        buyers, sellers, bids, avails = _random_instance(rng, nb, ns, buyer_x=(0.02, 1.5))
+        if n % 3 == 0:
+            bids[0] = 0.0
+            avails[-1] = 0.0
+        sol = solve_welfare(buyers, sellers, bids, avails, P)
+        if sol.no_trade:
+            continue
+        traded += 1
+        bound = dual_bound(buyers, sellers, tuple(bids), tuple(avails), P.p, sol.mu_star)
+        assert sol.theta >= bound - 5e-15 * sol.theta, f"market {n}"
+        assert bound >= sol.theta - 5e-15 * sol.theta, f"market {n}"
+    assert traded == 235
+
+
 def test_written_out_responses_match_the_utility_exactly(monkeypatch):
     """The planner's buyer demand and the seller supply rule, evaluated from
     per-agent constants, are bit for bit min(inverse_marginal(mu), b/p) and
@@ -438,21 +464,65 @@ def test_written_out_responses_match_the_utility_exactly(monkeypatch):
     assert checked >= 40 * 20 + 40 * 4
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the planner's no-trade verdict is decided by rounding at a buyer's choke price",
+def _choke_price_repro_2():
+    """The second repro, a draw of welfare_markets: 58 buyers, of whom only
+    buyer 49 bids, and 14 sellers, of whom only seller 0 (4.34e-202) and
+    seller 13 (1.9) offer anything. The draw's agent parameters were not
+    recorded; only these three agents' matter, and the ones below, inside
+    the strategy's ranges, reproduce the recorded bid, availabilities,
+    no-trade verdict and reference price."""
+    buyers = [BuyerState(1.0, 1.0)] * 58
+    buyers[49] = BuyerState(0.06029085553969256, 0.8867594870198687)
+    bids = [0.0] * 58
+    bids[49] = 0.04856879425539379
+    sellers = [SellerState(1.0, 1.0, 2.0)] * 14
+    sellers[0] = SellerState(0.1, 0.5, 5.0)
+    avails = [0.0] * 14
+    avails[0], avails[13] = 4.34e-202, 1.9
+    return buyers, sellers, tuple(bids), tuple(avails)
+
+
+_CHOKE_PRICE_REPROS = (
+    (
+        (
+            [BuyerState(0.015335030174911238, 2.5838785505539272)],
+            [SellerState(0.1, 0.5, 0.99999), SellerState(1.0, 1.0, 1.0)],
+            (1e-4,),
+            (9.1e-273, 0.5),
+        ),
+        0.039623855541050385,
+    ),
+    (_choke_price_repro_2(), 0.05346348813036678),
 )
-def test_planner_trades_where_the_reference_trades_at_a_choke_price():
-    """At mu = fl(x*y) the buyer's demand x/mu - 1/y rounds to 5.55e-17, not
-    0, so the planner's exact excess stays positive at the choke kink and it
-    roots the segment above it, where demand is 0, and reports no trade. In
-    exact arithmetic the market trades the first seller's 9.1e-273 just
-    below the choke price, where the reference puts mu."""
-    buyers = [BuyerState(0.015335030174911238, 2.5838785505539272)]
-    sellers = [SellerState(0.1, 0.5, 0.99999), SellerState(1.0, 1.0, 1.0)]
-    bids, avails = (1e-4,), (9.1e-273, 0.5)
+
+
+@pytest.mark.parametrize("market, mu", _CHOKE_PRICE_REPROS, ids=["repro 1", "repro 2"])
+def test_the_reference_trades_at_the_choke_price_of_each_repro(market, mu):
+    """In both repros the reference puts mu on the lone bidder's choke price
+    fl(x*y), where its demand x/mu - 1/y rounds to a few 1e-17, not 0."""
+    buyers, sellers, bids, avails = market
+    (choke,) = [b.x * b.y for b, bid in zip(buyers, bids) if bid > 0.0]
+    assert welfare_price_reference(buyers, sellers, bids, avails, P.p) == mu == choke
+
+
+_VERDICT = "the planner's no-trade verdict is decided by rounding at a buyer's choke price"
+
+
+@settings(phases=[Phase.explicit])
+@given(market=welfare_markets())
+@example(market=_CHOKE_PRICE_REPROS[0][0]).xfail(raises=AssertionError, reason=_VERDICT)
+@example(market=_CHOKE_PRICE_REPROS[1][0]).xfail(raises=AssertionError, reason=_VERDICT)
+def test_planner_trades_where_the_reference_trades_at_a_choke_price(market):
+    """Each example is a strict expected failure: Hypothesis fails the test
+    if either stops failing. At mu = fl(x*y) the lone bidder's demand
+    x/mu - 1/y rounds to a few 1e-17, not 0, so the planner's exact excess
+    stays positive at the choke kink and it roots the segment above it,
+    where demand is 0, and reports no trade. In exact arithmetic the market
+    trades the first seller's tiny availability (9.1e-273 and 4.34e-202)
+    just below the choke price, where the reference puts mu
+    (test_the_reference_trades_at_the_choke_price_of_each_repro)."""
+    buyers, sellers, bids, avails = market
     mu = welfare_price_reference(buyers, sellers, bids, avails, P.p)
-    assert mu == 0.039623855541050385
     sol = solve_welfare(buyers, sellers, bids, avails, P)
     assert not sol.no_trade
     assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
