@@ -45,7 +45,6 @@ from .market import (
     Payoffs,
     SellerState,
     compute_payoffs,
-    declare_availability,
     social_welfare,
 )
 from .scenario import (

@@ -72,10 +72,9 @@ from .market import (
     Payoffs,
     SellerState,
     compute_payoffs,
-    seller_supplies,
     social_welfare,
 )
-from .utility import check_positive
+from .utility import check_positive, marginals, supplies
 
 # Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to the
 # seller's curvature estimate, the proximal Newton weight (see the module
@@ -148,8 +147,7 @@ class AuctionState:
     other bid is the opening bid p or at least BID_FLOOR. buyer_constants
     holds (x*y, y) per buyer and seller_constants (x*y, y, g) per seller:
     built once from the agents' private parameters and carried unchanged,
-    so a re-quote is plain arithmetic, bit for bit LogUtility.marginal,
-    with no call per agent.
+    so a re-quote is plain arithmetic with no call per agent.
 
     Invariant: when clearing is set, asks, last_targets, prox_weights and
     curv_ema are what the previous step produced from prev_s. A step relies
@@ -211,8 +209,9 @@ def _initial_state(
     p = params.p
     buyer_constants = tuple([(buyer.x * buyer.y, buyer.y) for buyer in buyers])
     seller_constants = tuple([(seller.x * seller.y, seller.y, seller.g) for seller in sellers])
+    stocks = [seller.g for seller in sellers]
     # min(marginal(g), p) inline, by CPython's rule (see clear_market_proximal)
-    asks = tuple([p if p < (t := xy / (y * g + 1.0)) else t for xy, y, g in seller_constants])
+    asks = tuple([p if p < t else t for t in marginals(sellers, stocks)])
     n_s = len(sellers)
     return AuctionState(
         buyers=tuple(buyers),
@@ -222,14 +221,18 @@ def _initial_state(
         params=params,
         bids=tuple([p if xy > p else 0.0 for xy, _ in buyer_constants]),
         asks=asks,
-        avails=tuple(
-            seller_supplies([(s.x, 1.0 / s.y, s.g, s.g) for s in sellers], p)
-        ),
+        avails=tuple(supplies([(s.x, 1.0 / s.y, g, g) for s, g in zip(sellers, stocks)], p)),
         prev_s=(0.0,) * n_s,
         prox_weights=(_PROX_WEIGHT,) * n_s,
         curv_ema=(_PROX_WEIGHT / 2.0,) * n_s,
         last_targets=asks,
     )
+
+
+def _settled(b0: float, b1: float, d0: float, d1: float) -> bool:
+    """Whether the unit prices b0/d0 and b1/d1 exist and agree within
+    _SETTLED_PRICE_TOL relative; a parked buyer (d1 = 0.0) has none."""
+    return d1 > 0.0 and d0 > 0.0 and not abs((u := b1 / d1) - b0 / d0) > _SETTLED_PRICE_TOL * u
 
 
 def _extrapolate(
@@ -245,8 +248,8 @@ def _extrapolate(
     Takes the round's lists, one entry per buyer, and returns the new bids.
     b0, b1, b2 are a buyer's last two bids and its re-quoted new bid, d0 and
     d1 the allocations that b0 and b1 cleared to, and constants the buyers'
-    (x*y, y). The unit price b1/d1 has settled when d0 and d1 are positive
-    and b0/d0 and b1/d1 agree within _SETTLED_PRICE_TOL relative.
+    (x*y, y). Whether the unit price b1/d1 has settled is _settled's test,
+    made only for a buyer priced out and for a ratio in the wide window.
 
     A buyer whose unit price has settled at or above its choke price x*y
     (tested as x*y*d1 <= b1) parks: at that price its best response is zero
@@ -258,27 +261,16 @@ def _extrapolate(
     has no unit price and no ratio in either window, and keeps 0.0.
     """
     max_ratio, settled_ratio = _EXTRAPOLATION_MAX_RATIO, _SETTLED_MAX_RATIO
-    tol, share = _SETTLED_PRICE_TOL, _EXTRAPOLATION_MIN_SHARE
+    share, settled = _EXTRAPOLATION_MIN_SHARE, _settled
     bids = []
     for (xy, _), b0, b1, b2, d0, d1 in zip(constants, b0s, b1s, b2s, d0s, d1s):
         # x*y*d1 <= b1 is x*y <= b1/d1 without a division, so a buyer in the
-        # market pays one product and one comparison. A parked buyer
-        # (0.0 <= 0.0) stops at d1 > 0.0.
-        if (
-            xy * d1 <= b1
-            and d1 > 0.0
-            and d0 > 0.0
-            and not abs((u1 := b1 / d1) - b0 / d0) > tol * u1
-        ):
+        # market pays one product and one comparison, and no call.
+        if xy * d1 <= b1 and settled(b0, b1, d0, d1):
             b2 = 0.0
         elif b1 != b0:
             r = (b2 - b1) / (b1 - b0)
-            if 0.0 < r < max_ratio or (
-                0.0 < r < settled_ratio
-                and d0 > 0.0
-                and d1 > 0.0
-                and not abs(b1 / d1 - b0 / d0) > tol * (b1 / d1)
-            ):
+            if 0.0 < r < max_ratio or (0.0 < r < settled_ratio and settled(b0, b1, d0, d1)):
                 # max(jump, floor) inline, by CPython's rule
                 jump = b2 + (b2 - b1) * r / (1 - r)
                 floor = b2 * share
@@ -307,7 +299,8 @@ def _requote_sellers(
     for j in moved:
         xy, y, g = constants[j]
         s = s_new[j]
-        # min and max inline, by CPython's rule (see clear_market_proximal).
+        # utility.marginals written out (see auction_step), min and max
+        # inline by CPython's rule (see clear_market_proximal)
         q = g - s
         target = xy / (y * (0.0 if 0.0 > q else q) + 1.0)
         targets[j] = target
@@ -344,10 +337,11 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         prev_s=state.prev_s, weights=state.prox_weights,
     )
 
-    # Each target is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
-    # a bid is that quotient times d, never x*y*d/(y*d + 1.0), which rounds
-    # differently. A parked buyer's 0.0 stays 0.0; a bid below BID_FLOOR,
-    # extrapolated or not, parks its buyer.
+    # Each target is utility.marginals' (x*y)/(y*d + 1.0) times d, written
+    # out here and in _requote_sellers: fused with the floor test it costs
+    # less per round than a list call and a second pass. Never
+    # x*y*d/(y*d + 1.0), which rounds differently. A parked buyer's 0.0
+    # stays 0.0; a bid below BID_FLOOR, extrapolated or not, parks its buyer.
     previous = state.clearing
     quotes = zip(state.buyer_constants, state.bids, result.d)
     if previous is not None and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0:

@@ -29,6 +29,7 @@ from .fairness import redistribute
 from .market import BuyerState, MarketParams, SellerState, social_welfare
 from .scenario import ParameterRanges, draw_buyers, draw_sellers
 from .serialize import dumps, to_csv
+from .utility import values
 from .welfare import efficiency_gap, solve_welfare
 
 _MASK = (1 << 64) - 1
@@ -131,10 +132,11 @@ def verify_outcome(
     for i, pi in enumerate(outcome.payoffs.buyer_payoffs):
         if pi < -_IR_TOL:
             raise RuntimeError(f"buyer {i} worse off than walking away: {pi}")
-    # A seller walks away with v(g) = x * log1p(y * g), LogUtility.value
-    # written out; SellerState has already checked that g is finite and > 0.
-    for j, (seller, pj) in enumerate(zip(sellers, outcome.payoffs.seller_payoffs)):
-        if pj < seller.x * math.log1p(seller.y * seller.g) - _IR_TOL:
+    # A seller walks away with v(g); SellerState has checked that g is
+    # finite and > 0.
+    walk_away = values(sellers, [seller.g for seller in sellers])
+    for j, (v, pj) in enumerate(zip(walk_away, outcome.payoffs.seller_payoffs)):
+        if pj < v - _IR_TOL:
             raise RuntimeError(f"seller {j} worse off than walking away: {pj}")
 
 

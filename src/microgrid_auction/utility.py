@@ -1,25 +1,37 @@
-"""Logarithmic utility shared by buyers and sellers.
+"""Logarithmic utility shared by buyers and sellers, and the input rules.
 
-LogUtility defines three closed forms for x * log(y * q + 1): value,
-marginal, and inverse marginal. The engine's re-quotes, the welfare
-planner's responses, and the welfare and payoff sums write these expressions
-out over per-agent constants instead of calling them, bit for bit the same,
-so their per-agent loops make no call into a utility. The full-information
-welfare solver relies on this family: its responses are x/m - 1/y clipped
-to bounds, so its price has a closed form between kinks.
+Every agent values energy through x * log(y * q + 1): a buyer at consumed
+energy, a seller at retained generation. This is the only module that
+writes its closed forms. LogUtility holds them for one agent, and the list
+rules hold each once for a whole list, one call per list and bit for bit
+LogUtility's result per agent: values, x * log1p(y * q); marginals,
+x * y / (y * q + 1.0), so marginal(0) is the choke price x * y; and
+demands and supplies, the exact inverse marginal x/mu - 1/y clipped to a
+buyer's budget cap or a seller's availability, min and max inline by
+CPython's rule (see clearing.clear_market_proximal). Between two kinks
+every response is linear in 1/mu, which gives the welfare planner a
+closed-form price there. The engine's per-round loops, the bids in
+auction_step and the targets in _requote_sellers, still write the marginal
+out: fused with their floor and ceiling tests it costs less than a list
+call and a second pass.
 
-This module also holds the two input rules every module shares, each
-written once with its message: check_nonnegative (finite and >= 0) for
-quantities, bids and availabilities, and check_positive (positive and
-finite) for prices, parameters, weights and tolerances. Callers check a
-whole list in one call.
+The two input rules every module shares are written once with their
+messages: check_nonnegative (finite and >= 0) for quantities, bids and
+availabilities, and check_positive (positive and finite) for prices,
+parameters, weights and tolerances. Callers check a whole list in one call,
+and values and marginals leave the check of their quantities to theirs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .market import BuyerState, SellerState
 
 # 0 <= v <= _FMAX holds exactly for the finite v >= 0 (-0.0 included): NaN
 # fails every comparison and the infinities fall outside, so one chained
@@ -85,3 +97,45 @@ class LogUtility:
     def inverse_marginal(self, m: float) -> float:
         check_positive("marginal value", m)
         return max(self.x / m - 1.0 / self.y, 0.0)
+
+
+def values(
+    agents: Sequence[BuyerState | SellerState], quantities: Sequence[float]
+) -> list[float]:
+    """LogUtility.value of each agent at its quantity."""
+    log1p = math.log1p
+    return [a.x * log1p(a.y * q) for a, q in zip(agents, quantities, strict=True)]
+
+
+def marginals(
+    agents: Sequence[BuyerState | SellerState], quantities: Sequence[float]
+) -> list[float]:
+    """LogUtility.marginal of each agent at its quantity: 0.0 where y * q
+    overflows."""
+    return [a.x * a.y / (a.y * q + 1.0) for a, q in zip(agents, quantities, strict=True)]
+
+
+def demands(constants: Sequence[tuple[float, float, float]], mu: float) -> list[float]:
+    """Each buyer's demand at price mu, min(inverse_marginal(mu), b/p), from
+    its constants (x, 1/y, b/p)."""
+    check_positive("marginal value", mu)
+    result = []
+    for x, inv_y, cap in constants:
+        q = x / mu - inv_y
+        q = 0.0 if 0.0 > q else q
+        result.append(cap if cap < q else q)
+    return result
+
+
+def supplies(constants: Sequence[tuple[float, float, float, float]], mu: float) -> list[float]:
+    """Energy each seller parts with at price mu,
+    min(max(g - inverse_marginal(mu), 0.0), a), from its constants
+    (x, 1/y, g, a), a being the most it may sell."""
+    check_positive("marginal value", mu)
+    result = []
+    for x, inv_y, g, a in constants:
+        retained = x / mu - inv_y
+        q = g - (0.0 if 0.0 > retained else retained)
+        q = 0.0 if 0.0 > q else q
+        result.append(a if a < q else q)
+    return result

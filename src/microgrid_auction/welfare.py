@@ -13,12 +13,11 @@ sums confirm it (clearing.first_passing bisects only if they disagree), and
 the root on that segment is closed-form in those two sums: O(N log N) per
 solve, no rescale of either side to force the balance.
 
-The planner reads each active agent's constants once per solve, (x, 1/y,
-b/p) per buyer and (x, 1/y, g, a) per seller, and its excess sums,
-breakpoints and allocations are plain loops over them: LogUtility's
-expressions written out, bit for bit the same, with no call into a utility
-per agent. The welfare theta is market.social_welfare, the same sum the
-engine records each round.
+The planner builds each active agent's constants once per solve, (x, 1/y,
+b/p) per buyer and (x, 1/y, g, a) per seller. Its kinks, excess sums and
+allocations are the list rules of utility.py, marginals, demands and
+supplies, one call per list. The welfare theta is market.social_welfare,
+the same sum the engine records each round.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .clearing import BID_FLOOR, first_passing, sweep_guess
-from .market import BuyerState, MarketParams, SellerState, seller_supplies, social_welfare
-from .utility import check_nonnegative, check_positive
+from .market import BuyerState, MarketParams, SellerState, social_welfare
+from .utility import check_nonnegative, demands, marginals, supplies
 
 
 @dataclass(frozen=True)
@@ -47,23 +46,6 @@ class WelfareSolution:
     @property
     def no_trade(self) -> bool:
         return self.mu_star is None
-
-
-def _demands(constants: list[tuple[float, float, float]], mu: float) -> list[float]:
-    """Each active buyer's demand at price mu: clip(x/mu - 1/y, 0, b/p).
-
-    constants holds (x, 1/y, b/p) per active buyer. x/mu - 1/y is
-    LogUtility.inverse_marginal written out, with its check on mu; min and
-    max are inline by CPython's rule (see clearing.clear_market_proximal),
-    so each result is bit for bit min(inverse_marginal(mu), b/p).
-    """
-    check_positive("marginal value", mu)
-    demands = []
-    for x, inv_y, cap in constants:
-        q = x / mu - inv_y
-        q = 0.0 if 0.0 > q else q
-        demands.append(cap if cap < q else q)
-    return demands
 
 
 def solve_welfare(
@@ -103,26 +85,28 @@ def solve_welfare(
     bids = tuple(map(float, bids))
     avails = tuple(map(float, avails))
     p, inf = params.p, math.inf
-    cap_kinks = []
     # 0.0 <= b < inf fails exactly for NaN, the infinities and b < 0. The
     # cap b/p of a bid that passes is >= 0, so it is infinite only as inf.
-    for i, (buyer, b) in enumerate(zip(buyers, bids)):
+    caps = []
+    for i, b in enumerate(bids):
         if not 0.0 <= b < inf:
             raise ValueError(f"bids must be finite and >= 0, got {b} from buyer {i}")
         cap = b / p
         if cap == inf:
             raise ValueError(f"budget cap b/p of buyer {i} overflows: bid {b} at floor price {p}")
-        x, y = buyer.x, buyer.y
-        kink = x * y / (y * cap + 1.0)
-        if kink == 0.0:
-            # y*b/p may have overflowed to inf: the same kink without it
-            kink = x / (cap + 1.0 / y)
-            if kink == 0.0:
-                raise ValueError(
-                    f"cap kink x*y/(y*b/p + 1) of buyer {i} underflows to 0.0: "
-                    f"bid {b} (x={x}, y={y})"
-                )
-        cap_kinks.append(kink)
+        caps.append(cap)
+    # The cap kink marginal(b/p) is 0.0 where y*b/p overflows to inf; the
+    # same kink is then x/(b/p + 1/y). One that is 0.0 either way is refused.
+    cap_kinks = marginals(buyers, caps)
+    while 0.0 in cap_kinks:
+        i = cap_kinks.index(0.0)
+        x, y = buyers[i].x, buyers[i].y
+        cap_kinks[i] = x / (caps[i] + 1.0 / y)
+        if cap_kinks[i] == 0.0:
+            raise ValueError(
+                f"cap kink x*y/(y*b/p + 1) of buyer {i} underflows to 0.0: "
+                f"bid {bids[i]} (x={x}, y={y})"
+            )
     check_nonnegative("availabilities", *avails)
 
     active_b = [i for i, b in enumerate(bids) if b > BID_FLOOR]
@@ -137,44 +121,39 @@ def solve_welfare(
         return autarky()
 
     def excess(mu: float) -> float:
-        return math.fsum(_demands(buyer_k, mu)) - math.fsum(seller_supplies(seller_k, mu))
+        return math.fsum(demands(buyer_k, mu)) - math.fsum(supplies(seller_k, mu))
 
     # Buyer i demands clip(x/mu - 1/y, 0, b/p): capped below marginal(b/p),
-    # zero above marginal(0). Seller j supplies g - max(x/mu - 1/y, 0) clipped
-    # to [0, a]: zero below marginal(g), capped at min(a, g) above
+    # zero above marginal(0) = x*y. Seller j supplies g - max(x/mu - 1/y, 0)
+    # clipped to [0, a]: zero below marginal(g), capped at min(a, g) above
     # marginal(g - min(a, g)). Between kinks excess demand is A/mu + B; each
     # event carries what it adds to A and B as mu passes it. Below every kink
     # all buyers demand their cap and all sellers supply 0, so B starts at the
     # sum of the caps. Every kink is positive, so the sweep runs the surplus
     # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
-    # Each kink is LogUtility.marginal written out, (x*y)/(y*q + 1.0), so
-    # marginal(0) is x*y exactly, which each agent keeps positive and finite;
-    # the cap kinks come from the checks above, which take x/(b/p + 1/y)
-    # where y*b/p overflows, and refuse a cap b/p that overflows, or whose
-    # kink underflows to 0.0 either way, naming its buyer. A seller refuses
-    # its own lowest kink x*y/(y*g + 1) of 0.0, and its other kink is no
-    # lower.
+    # Each agent keeps x*y positive and finite, the checks above keep every
+    # cap kink positive, and a seller refuses its own lowest kink
+    # marginal(g) of 0.0; its other kink is no lower.
     buyer_k = []
-    seller_k = []
     events = []
     cap_sum = 0.0
     for i in active_b:
         x, y = buyers[i].x, buyers[i].y
-        cap = bids[i] / p
-        xy, inv_y = x * y, 1.0 / y
+        cap = caps[i]
+        inv_y = 1.0 / y
         cap_sum += cap
         buyer_k.append((x, inv_y, cap))
         events.append((cap_kinks[i], inv_y + cap, -x))
-        events.append((xy, -inv_y, x))
-    for j in active_s:
-        seller, a = sellers[j], avails[j]
-        x, y, g = seller.x, seller.y, seller.g
-        xy, inv_y = x * y, 1.0 / y
-        # min(a, g) inline, by CPython's rule
-        top = g if g < a else a
-        seller_k.append((x, inv_y, g, a))
-        events.append((xy / (y * g + 1.0), g + inv_y, -x))
-        events.append((xy / (y * (g - top) + 1.0), top - (g + inv_y), x))
+        events.append((x * y, -inv_y, x))
+    offering = [sellers[j] for j in active_s]
+    seller_k = [(s.x, 1.0 / s.y, s.g, avails[j]) for s, j in zip(offering, active_s)]
+    # min(a, g) inline, by CPython's rule
+    tops = [g if g < a else a for _, _, g, a in seller_k]
+    lows = marginals(offering, [s.g for s in offering])
+    highs = marginals(offering, [s.g - top for s, top in zip(offering, tops)])
+    for (x, inv_y, g, _), top, low, high in zip(seller_k, tops, lows, highs):
+        events.append((low, g + inv_y, -x))
+        events.append((high, top - (g + inv_y), x))
     grid, guess = sweep_guess(events, -cap_sum, 0.0, p)
 
     # The exact fsum test is monotone in mu, so the first kink not in excess
@@ -208,9 +187,9 @@ def solve_welfare(
 
     d = [0.0] * len(buyers)
     s = [0.0] * len(sellers)
-    for i, q in zip(active_b, _demands(buyer_k, mu)):
+    for i, q in zip(active_b, demands(buyer_k, mu)):
         d[i] = q
-    for j, q in zip(active_s, seller_supplies(seller_k, mu)):
+    for j, q in zip(active_s, supplies(seller_k, mu)):
         s[j] = q
     if math.fsum(d) <= 0.0 or math.fsum(s) <= 0.0:
         return autarky()

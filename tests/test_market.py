@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from microgrid_auction import market
-from microgrid_auction.market import (
-    BuyerState,
-    MarketParams,
-    SellerState,
-    compute_payoffs,
-    declare_availability,
-)
-from microgrid_auction.utility import LogUtility
+from microgrid_auction.market import BuyerState, MarketParams, SellerState, compute_payoffs
+from microgrid_auction.utility import LogUtility, supplies
 
 P = MarketParams()
 
@@ -25,13 +19,19 @@ def test_params_default_floor():
         MarketParams(p=0.0)
 
 
+def _declared(x, y, g):
+    """The availability a seller declares: its supply at the floor price p
+    with all of g on offer, as the engine's opening state takes it."""
+    return supplies([(x, 1.0 / y, g, g)], P.p)[0]
+
+
 def test_declare_availability_examples():
     # v'(g - a) = p at an interior declaration: a = g - (x/p - 1/y)
-    assert declare_availability(SellerState(x=1, y=1, g=4), P) == pytest.approx(1.0)
+    assert _declared(1, 1, 4) == pytest.approx(1.0)
     # choke price below p: nothing is worth selling
-    assert declare_availability(SellerState(x=1.5, y=0.5, g=2), P) == pytest.approx(0.0)
+    assert _declared(1.5, 0.5, 2) == pytest.approx(0.0)
     # retention worth less than p everywhere (xy <= p): offer all of it
-    assert declare_availability(SellerState(x=0.1, y=2, g=2), P) == pytest.approx(2.0)
+    assert _declared(0.1, 2, 2) == pytest.approx(2.0)
 
 
 def test_compute_payoffs_settles_at_communicated_scalars():
@@ -136,7 +136,7 @@ def test_seller_refuses_a_lowest_ask_that_underflows():
 
 @given(x=coef, y=coef, g=gen)
 def test_availability_within_generation(x, y, g):
-    a = declare_availability(SellerState(x=x, y=y, g=g), P)
+    a = _declared(x, y, g)
     assert 0.0 <= a <= g
     if 0.0 < a < g:
         # interior declarations sit exactly on the floor price

@@ -8,8 +8,8 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from microgrid_auction import welfare
 from microgrid_auction.clearing import BID_FLOOR, ClearingResult, clear_market, kkt_residual
-from microgrid_auction.market import BuyerState, MarketParams, SellerState, seller_supplies
-from microgrid_auction.utility import LogUtility
+from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.utility import LogUtility, demands, supplies
 from microgrid_auction.welfare import (
     efficiency_gap,
     social_welfare,
@@ -450,16 +450,16 @@ def test_written_out_responses_match_the_utility_exactly(monkeypatch):
         buyer_k = [(b.x, 1.0 / b.y, bid / P.p) for b, bid in zip(buyers, bids)]
         seller_k = [(s.x, 1.0 / s.y, s.g, a) for s, a in zip(sellers, avails)]
         for mu in prices:
-            demands = [
+            expected_d = [
                 min(LogUtility(b.x, b.y).inverse_marginal(mu), bid / P.p)
                 for b, bid in zip(buyers, bids)
             ]
-            supplies = [
+            expected_s = [
                 min(max(s.g - LogUtility(s.x, s.y).inverse_marginal(mu), 0.0), a)
                 for s, a in zip(sellers, avails)
             ]
-            assert [q.hex() for q in welfare._demands(buyer_k, mu)] == [q.hex() for q in demands]
-            assert [q.hex() for q in seller_supplies(seller_k, mu)] == [q.hex() for q in supplies]
+            assert [q.hex() for q in demands(buyer_k, mu)] == [q.hex() for q in expected_d]
+            assert [q.hex() for q in supplies(seller_k, mu)] == [q.hex() for q in expected_s]
             checked += 1
     assert checked >= 40 * 20 + 40 * 4
 

@@ -5,7 +5,8 @@ so its gates never see extreme scales. tests/oracles.py::wide_range_market
 draws up to 60 agents a side with parameters spread over two to three
 decades. Its 600 markets are gated like the fixture: convergence, the
 outcome checks, the no-trade verdict and zero-bid set of the equilibrium
-reference, the clearing price, and the certified welfare gap.
+reference, the clearing price, allocations and asks, and the certified
+welfare gap.
 """
 
 import pytest
@@ -50,18 +51,21 @@ def test_wide_range_markets_stop_at_the_equilibrium_reference(wide_corpus):
     """The same no-trade verdict and zero-bid set as the reference on every
     market (590 of the 600 trade), and mu within 7e-7 relative: the worst
     gap when this gate was added was 6.91e-7 (k=254), the same with and
-    without the parking rule.
-    Allocations are not gated here: on crawling bids the step-size stop can
-    leave one 9e-6 off."""
+    without the parking rule. Allocations within 9.2e-6 of the reference,
+    |q - q_ref| / max(1, q_ref), and asks within 9e-7 relative: the worst
+    when these gates were added were 9.13e-6 (k=47), where the step-size
+    stop quits on a crawling bid, and 8.89e-7 (k=24)."""
     traded = 0
     for k, _, _, outcome, reference in wide_corpus:
         assert outcome.clearing.no_trade == (reference is None), f"k={k}"
         if reference is None:
             continue
         traded += 1
-        zero_bid_mismatch, mu_gap, _, _ = equilibrium_gaps(outcome, reference)
+        zero_bid_mismatch, mu_gap, alloc_gap, ask_gap = equilibrium_gaps(outcome, reference)
         assert not zero_bid_mismatch, f"k={k}: buyers {sorted(zero_bid_mismatch)}"
         assert mu_gap <= 7e-7, f"k={k}: mu {mu_gap:.3e} off"
+        assert alloc_gap <= 9.2e-6, f"k={k}: allocation {alloc_gap:.3e} off"
+        assert ask_gap <= 9e-7, f"k={k}: ask {ask_gap:.3e} off"
     assert traded == 590
 
 
