@@ -16,15 +16,14 @@ Two solvers live here:
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
   in near-tied asks and re-quoting alone cannot stabilize that. After the
-  shared input step, which is O(N_b + N_s), a round clears in one of three
+  shared input step, which is O(N_b + N_s), a round clears in one of two
   regimes:
 
-  - all-capped sold out: prev_s equals the availabilities and demand at
-    the top breakpoint exceeds all that is offered. The closed form makes
-    no Python-level pass over the sellers: O(N_b + N_s), the seller part
-    in C.
-  - sold out: demand at the top breakpoint exceeds all that is offered, as
-    read from each seller's upper kink. O(N_s), without a sort.
+  - sold out: demand at the top breakpoint exceeds all that is offered,
+    so every seller sells its whole availability, as in clear_market's
+    sold-out case; both settle through one exit. The test reads each
+    seller's upper kink, O(N_s) without a sort, or, when prev_s equals
+    the availabilities, only the asks, with no Python-level pass.
   - otherwise the price search guesses the bracketing segment with
     :func:`sweep_guess`, then confirms the guess with :func:`first_passing`
     and the exact O(N_s) supply sum at the segment's two ends (bisecting
@@ -206,18 +205,13 @@ def _settle(
     return ClearingResult(d, tuple(s), mu, budget_active, bids, asks, avails, params)
 
 
-def _all_capped(
-    bids: tuple[float, ...],
-    asks: tuple[float, ...],
-    avails: tuple[float, ...],
-    params: MarketParams,
-    mu: float,
-) -> ClearingResult:
-    # A sold-out round at mu >= every offering ask, from sellers that all sat
-    # at their availability: each response prev_j + (mu - c_j)/w_j is at least
-    # a_j and clips to exactly a_j. A seller with nothing to offer sells 0.0.
-    # Availabilities are checked >= 0, so abs is `a if a > 0 else 0.0`: it
-    # keeps every a_j and maps -0.0 to 0.0.
+def _sold_out(quotes: _Quotes, params: MarketParams, top: float) -> ClearingResult:
+    # Demand at the top breakpoint, p or the highest ask or upper kink,
+    # exceeds all that is offered: every seller sells its availability, at
+    # the price where demand meets their total, or at top if higher. abs is
+    # `a if a > 0 else 0.0` on checked availabilities: it maps -0.0 to 0.0.
+    bids, asks, avails, total_bid, total_avail = quotes
+    mu = max(total_bid / total_avail, top)
     return _settle(bids, asks, avails, params, mu, list(map(abs, avails)))
 
 
@@ -283,7 +277,7 @@ def clear_market(
         # Demand exceeds all offered energy at every ask level. The running
         # sum cum can round below fsum(avails), so total_bid / total_avail
         # may land just under the last level or p; it is then clamped there.
-        mu = max(total_bid / total_avail, levels[-1][0], p)
+        return _sold_out(quotes, params, max(levels[-1][0], p))
 
     s = [0.0] * len(asks)
     for j in full:
@@ -321,8 +315,8 @@ def clear_market_proximal(
     breakpoint is in surplus: every seller is capped and the price is where
     demand meets total availability, found in O(N_s) with no sort. If
     prev_s equals the availabilities, every upper kink is the seller's ask,
-    so that test and the capped allocations need no pass over the sellers
-    at all (:func:`_all_capped`). Otherwise
+    so that test needs no pass over the sellers at all. Either way the round
+    settles through :func:`_sold_out`, like clear_market's. Otherwise
     :func:`sweep_guess` sorts the breakpoints once and sweeps a running
     supply line to guess that breakpoint; the exact supply sum then confirms
     the guess and its left neighbour, and only a wrong guess falls back to
@@ -356,7 +350,7 @@ def clear_market_proximal(
         # c_j + w_j*0.0 = c_j and top is p or the highest offering ask.
         top = max(p, max(compress(asks, avails)))
         if total_bid / top > total_avail:
-            return _all_capped(bids, asks, avails, params, max(total_bid / total_avail, top))
+            return _sold_out(quotes, params, top)
     # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller. CPython
     # evaluates max(u, v) as `v if v > u else u` and min(u, v) as
     # `v if v < u else u`; per-agent loops spell the clamps out that way,
@@ -386,14 +380,11 @@ def clear_market_proximal(
     offering = [seller for seller in sellers if seller[3] > 0]
     uppers = [cj + wj * (aj - pj) for pj, cj, wj, aj in offering]
     top = max(p, max(uppers))
-    # With every seller capped, demand meets the flat total-availability
-    # line, at total_bid / total_avail or at the top breakpoint if higher.
-    sold_out = max(total_bid / total_avail, top)
     if total_bid / top > total_avail:
         # No supply term exceeds its a_j and fsum rounds correctly, so supply
         # at top is at most total_avail, below demand there: no breakpoint is
-        # in surplus and the search below would settle on sold_out too.
-        return _settle(bids, asks, avails, params, sold_out, allocations(sold_out))
+        # in surplus, and every seller is capped at the search's price too.
+        return _sold_out(quotes, params, top)
 
     # Each event carries what it adds to the running supply line
     # slope*mu + intercept; p only joins the grid.
@@ -440,8 +431,9 @@ def clear_market_proximal(
         mu = grid[0]  # already in surplus at the lowest breakpoint
     elif lo == len(grid):
         # Every seller is capped at top, so supply falls short of demand
-        # there only through rounding.
-        mu = sold_out
+        # there only through rounding. Demand at top is within total_avail,
+        # so the responses, not the whole availabilities, keep the balance.
+        mu = max(total_bid / total_avail, top)
     else:
         mu = solve_segment(grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo])
 

@@ -54,12 +54,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str, name: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--{name} expects comma-separated numbers: {exc}") from exc
-    if not values:
-        raise UsageError(f"--{name} is empty")
-    return values
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:

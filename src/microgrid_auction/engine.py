@@ -53,10 +53,11 @@ A seller re-quotes only when a clearing moved its allocation. One whose
 allocation equals the previous one, bit for bit, has the target it last
 quoted and takes no slope sample, so it carries its ask, target, weight and
 curvature estimate into the next round unchanged; on a (300, 150) market
-most seller-rounds do. A round in which no seller moved at all, as after an
-all-capped clearing, makes no seller pass: the next state holds the same
-four seller tuples. The Aitken step runs once per extrapolating round, over
-every buyer.
+most seller-rounds do. The opening quotes are such a re-quote at s = 0, so
+the first round is no exception. A round in which no seller moved at all,
+as after a sold-out clearing of sellers already sold out, makes no seller
+pass: the next state holds the same four seller tuples. The Aitken step
+runs once per extrapolating round, over every buyer.
 """
 
 from __future__ import annotations
@@ -149,11 +150,11 @@ class AuctionState:
     built once from the agents' private parameters and carried unchanged,
     so a re-quote is plain arithmetic with no call per agent.
 
-    Invariant: when clearing is set, asks, last_targets, prox_weights and
-    curv_ema are what the previous step produced from prev_s. A step relies
-    on it to carry the quote of every seller whose allocation equals prev_s
-    instead of re-quoting it, and, when every allocation does, to return
-    these four tuples themselves; a state with clearing None re-quotes all.
+    Invariant: asks, last_targets, prox_weights and curv_ema are what a
+    re-quote at prev_s gives, from the opening state (prev_s all 0.0) on. A
+    step relies on it to carry the quote of every seller whose allocation
+    equals prev_s instead of re-quoting it, and, when every allocation does,
+    to return these four tuples themselves.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -204,14 +205,15 @@ def _initial_state(
     positive), so it starts parked at its exact limit, bid 0.0. Sellers
     declare availability once (it never changes mid-auction) and open asking
     the marginal value of their full stock, their cheapest truthful ask,
-    clamped to the ceiling p that sellers may never exceed.
+    clamped to the ceiling p that sellers may never exceed. The targets are
+    kept unclamped, as a re-quote at s = 0 keeps them: a target above p
+    means x/p - 1/y > g, so that seller offers nothing and never re-quotes.
     """
     p = params.p
     buyer_constants = tuple([(buyer.x * buyer.y, buyer.y) for buyer in buyers])
     seller_constants = tuple([(seller.x * seller.y, seller.y, seller.g) for seller in sellers])
     stocks = [seller.g for seller in sellers]
-    # min(marginal(g), p) inline, by CPython's rule (see clear_market_proximal)
-    asks = tuple([p if p < t else t for t in marginals(sellers, stocks)])
+    targets = tuple(marginals(sellers, stocks))
     n_s = len(sellers)
     return AuctionState(
         buyers=tuple(buyers),
@@ -220,12 +222,13 @@ def _initial_state(
         seller_constants=seller_constants,
         params=params,
         bids=tuple([p if xy > p else 0.0 for xy, _ in buyer_constants]),
-        asks=asks,
+        # min(target, p) inline, by CPython's rule (see clear_market_proximal)
+        asks=tuple([p if p < t else t for t in targets]),
         avails=tuple(supplies([(s.x, 1.0 / s.y, g, g) for s, g in zip(sellers, stocks)], p)),
         prev_s=(0.0,) * n_s,
         prox_weights=(_PROX_WEIGHT,) * n_s,
         curv_ema=(_PROX_WEIGHT / 2.0,) * n_s,
-        last_targets=asks,
+        last_targets=targets,
     )
 
 
@@ -283,20 +286,16 @@ def _requote_sellers(
     state: AuctionState, s_new: tuple[float, ...]
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     """The asks, targets, weights and curvature estimates after a clearing
-    that allocated s_new: every seller re-quotes on the first step, and
-    after it only those whose allocation differs from prev_s."""
+    that allocated s_new: only the sellers whose allocation differs from
+    prev_s re-quote."""
     prev_s, last = state.prev_s, state.last_targets
     constants, avails = state.seller_constants, state.avails
     asks = list(state.asks)
     targets = list(last)
     weights = list(state.prox_weights)
     ema = list(state.curv_ema)
-    if state.clearing is None:
-        moved = range(len(s_new))
-    else:
-        moved = compress(count(), map(ne, s_new, prev_s))
     p = state.params.p
-    for j in moved:
+    for j in compress(count(), map(ne, s_new, prev_s)):
         xy, y, g = constants[j]
         s = s_new[j]
         # utility.marginals written out (see auction_step), min and max
@@ -324,10 +323,10 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     _EXTRAPOLATION_PERIOD-th step after the first, the active buyers' new
     bids are extrapolated, or parked on a settled price at or above their
     choke price (see _extrapolate), from their two previous bids and the two
-    allocations those cleared to, before the floor test. Once
-    the state holds a clearing, only the sellers whose allocation moved
-    re-quote; the others carry their ask, target, weight and curvature
-    estimate, which the previous step computed from that same allocation.
+    allocations those cleared to, before the floor test. Only the sellers
+    whose allocation moved re-quote; the others carry their ask, target,
+    weight and curvature estimate, which the previous step or the opening
+    computed from that same allocation.
     A step in which no seller moved returns the state's own four seller
     tuples. No setting of config reaches the step; it keeps the signature
     that run_auction and the benchmark's tracer call.
@@ -360,12 +359,11 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
         ]
 
     # A seller whose allocation equals prev_s has the target the previous
-    # step computed from it, so the same ask, and takes no slope sample
-    # (ds = 0), so the same weight and estimate. When no seller moved, the
-    # step carries the four tuples themselves. The first step re-quotes
-    # every seller: its opening ask and target are clamped at p.
+    # step, or the opening, computed from it, so the same ask, and takes no
+    # slope sample (ds = 0), so the same weight and estimate. When no seller
+    # moved, the step carries the four tuples themselves.
     s_new = result.s
-    if previous is not None and s_new == state.prev_s:
+    if s_new == state.prev_s:
         asks, targets, weights, ema = (
             state.asks, state.last_targets, state.prox_weights, state.curv_ema
         )

@@ -196,7 +196,10 @@ class PayoffSweepConfig:
 
 
 def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentReport:
-    """Mean payoffs per (seller count, buyer count) cell, plus trends."""
+    """Mean payoffs per (seller count, buyer count) cell, plus trends.
+
+    Raises ValueError when no run of a cell converges: its means are undefined.
+    """
     cfg = config or PayoffSweepConfig()
     run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     nb_max = max(cfg.buyer_counts)
@@ -227,6 +230,11 @@ def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentRepor
         cells_buyer: list[float] = []
         cells_seller: list[float] = []
         for nb in cfg.buyer_counts:
+            if (ns, nb) not in sums:
+                raise ValueError(
+                    f"no run converged in cell (n_sellers={ns}, n_buyers={nb}): "
+                    f"{cfg.replications} of {cfg.replications} runs unconverged"
+                )
             buyer_sum, seller_sum, count = sums[(ns, nb)]
             records.append(
                 {

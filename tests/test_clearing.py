@@ -572,6 +572,108 @@ def test_proximal_clearing_from_sellers_all_at_their_availability(monkeypatch, m
     assert result.d == tuple(b / max(mu, P.p) if b > BID_FLOOR else 0.0 for b in bids)
 
 
+@st.composite
+def sold_out_screen_markets(draw):
+    """Up to 12 sellers whose availabilities include 0.0, -0.0 and values
+    down to 1e-200, prev_s anywhere in [0, a_j] (often all of a_j, as after
+    a capped round), weights over 1e-4..1e4, and bids scaled so that demand
+    at the top breakpoint lands at, just above or well above all that is
+    offered, or below it."""
+    asks, avails, prev, weights = [], [], [], []
+    capped = draw(st.booleans())
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        asks.append(draw(st.one_of(st.just(P.p), ask_values, st.floats(min_value=0.25, max_value=2.0))))
+        a = draw(st.one_of(
+            st.sampled_from((0.0, -0.0)),
+            avail_values,
+            st.floats(min_value=-200.0, max_value=2.0).map(lambda e: 10.0 ** e),
+        ))
+        avails.append(a)
+        if capped or a <= 0:
+            prev.append(a if capped else 0.0)
+        else:
+            prev.append(draw(st.one_of(st.just(a), st.floats(min_value=0.0, max_value=a))))
+        weights.append(10.0 ** draw(st.floats(min_value=-4.0, max_value=4.0)))
+    bids = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=5))
+    offered = [j for j, a in enumerate(avails) if a > 0]
+    assume(offered)
+    top = max([P.p] + [asks[j] + weights[j] * (avails[j] - prev[j]) for j in offered])
+    ratio = draw(st.sampled_from((0.5, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.001, 2.0, 1e3)))
+    scale = math.fsum(avails) * top * ratio / math.fsum(bids)
+    return tuple(b * scale for b in bids), tuple(asks), tuple(avails), tuple(prev), tuple(weights)
+
+
+@settings(deadline=None, max_examples=200)
+@given(market=sold_out_screen_markets())
+# the 3.6e-48 seller's ask is top, so its clipped response at mu = top
+# rounds to 0.0: a sold-out round still sells it exactly its availability
+@example(market=(
+    (3.6437788345794533, 7.315881902850755, 0.3403125558710455, 1.7627052836099695),
+    (0.2932466014380562, 0.06403759948604906),
+    (3.5719004281554366e-48, 44.54502972192334),
+    (0.0, 44.54502972192334),
+    (11.351034766225835, 0.010914849006329053),
+))
+# the clipped response of the 0.044 seller with weight 1596 at mu rounds
+# one ulp below its availability
+@example(market=(
+    (0.007239818853923067, 3.127517836760476),
+    (1.6271469517532648, 0.25, 0.003930846919581278, 0.25, 0.25, 0.25),
+    (1.8510698032042624e-25, 0.0, 0.0, 2.073273014185455e-147, 0.04424237241424489, 0.0),
+    (3.0366956169180316e-26, 0.0, 0.0, 1.515507584445381e-147, 0.0, 0.0),
+    (0.20905644098502557, 0.5719174559040668, 0.00013350816982512291, 168.77688246283316,
+     1595.850098989365, 0.0005256865257837813),
+))
+def test_a_round_past_the_sold_out_screen_sells_every_availability(market):
+    # Past the screen, with prev_s clipped to [0, a_j] or not, every seller
+    # sells exactly abs(a_j), a seller offering -0.0 sells 0.0, and the
+    # price is max(total_bid / total_avail, top).
+    bids, asks, avails, prev, weights = market
+    result = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=weights)
+    total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
+    total_avail = math.fsum(avails)
+    top = max(
+        [P.p]
+        + [c + w * (a - min(max(v, 0.0), a)) for c, a, v, w in zip(asks, avails, prev, weights) if a > 0]
+    )
+    if not total_bid / top > total_avail:
+        return
+    assert [v.hex() for v in result.s] == [abs(a).hex() for a in avails]
+    assert result.mu == max(total_bid / total_avail, top)
+    assert result.d == tuple(b / max(result.mu, P.p) if b > BID_FLOOR else 0.0 for b in bids)
+
+
+@pytest.mark.parametrize(
+    "bids, asks, avails",
+    [
+        ((3.0, 0.4), (0.4, 0.1), (1.0, 2.0)),
+        # the highest ask belongs to a seller with nothing to offer
+        ((0.9, 0.0), (0.1, 0.2, 5.0), (1.0, 2.0, 0.0)),
+        # -0.0 and a bid at the floor
+        ((1.0, 1e-9), (0.15, 0.1), (-0.0, 2.0)),
+        # tied asks, and availabilities down to 1e-200
+        ((2.5, 0.7, 1.1), (0.2, 0.2, 0.05, 0.25), (1e-200, 0.75, 1.5, 1e-17)),
+        # asks above p
+        ((40.0,), (0.3, 0.9, 0.6), (3.0, 1e-3, 2.0)),
+    ],
+)
+def test_exact_and_all_capped_clearing_share_the_sold_out_exit(monkeypatch, bids, asks, avails):
+    # Sold-out markets whose sellers all sat at their availability: exact
+    # clearing and the proximal screen with no seller pass return the same
+    # price, demands and allocations bit for bit, whatever the weights.
+    exits = []
+    sold_out = clearing._sold_out
+    monkeypatch.setattr(clearing, "_sold_out", lambda *args: exits.append(args) or sold_out(*args))
+    exact = clear_market(bids, asks, avails, P)
+    weights = tuple(10.0 ** (j % 5 - 2) for j in range(len(asks)))
+    proximal = clear_market_proximal(bids, asks, avails, P, prev_s=avails, weights=weights)
+    assert len(exits) == 2
+    assert exact.mu.hex() == proximal.mu.hex()
+    assert [v.hex() for v in exact.d] == [v.hex() for v in proximal.d]
+    assert [v.hex() for v in exact.s] == [v.hex() for v in proximal.s]
+    assert exact.buyer_budget_active == proximal.buyer_budget_active
+
+
 def test_proximal_price_keeps_digits_with_inelastic_supply():
     # One capped seller and one interior seller with weight 1e4: the root of
     # k*mu^2 + beta*mu = B with beta >> k*mu, where the textbook form

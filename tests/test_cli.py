@@ -55,6 +55,23 @@ def test_clear_strict_no_trade_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bids", "1,,2", "--asks", "0.1", "--avails", "1"],
+        ["--bids", "1,", "--asks", "0.1", "--avails", "1"],
+        ["--bids", "", "--asks", "0.1", "--avails", "1"],
+        # dropping the empty ask would still leave two asks for two avails
+        ["--bids", "1", "--asks", "0.1,,0.2", "--avails", "1,2"],
+    ],
+    ids=["empty inside", "trailing comma", "empty list", "asks match avails"],
+)
+def test_clear_refuses_an_empty_entry(capsys, flags):
+    """An empty entry is a usage error, not a number to drop."""
+    code, out = run_cli(capsys, ["clear", *flags])
+    assert code == 4 and out == ""
+
+
 def test_clear_bad_inputs_exit_4(capsys):
     code, _ = run_cli(
         capsys, ["clear", "--bids", "1,abc", "--asks", "0.2", "--avails", "1"]

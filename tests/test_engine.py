@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +20,13 @@ from microgrid_auction.experiments import mix_seed, verify_outcome
 from microgrid_auction.market import BuyerState, MarketParams, SellerState, compute_payoffs
 from microgrid_auction.utility import LogUtility
 
-from oracles import dual_bound, equilibrium_gaps, equilibrium_reference, welfare_value
+from oracles import (
+    dual_bound,
+    equilibrium_gaps,
+    equilibrium_reference,
+    welfare_value,
+    wide_range_market,
+)
 
 P = MarketParams()
 CFG = AuctionConfig(max_iters=2000)
@@ -294,14 +302,14 @@ def _requoted_sellers(sellers, state, nxt):
 
 
 def test_a_seller_whose_allocation_held_still_keeps_its_quote():
-    """With the previous clearing kept, a step re-quotes only the sellers
-    whose allocation moved and carries the rest, so every seller's ask,
-    target, weight and curvature estimate must still equal, bit for bit, a
-    re-quote of every seller. The hand market's second seller offers
-    nothing (a = 0), so its allocation never moves, and its opening target
-    v'(g) = 0.5 lies above p: the first step must re-quote it, since its
-    opening ask and target are clamped at p. On the first large market
-    most seller-rounds carry their quote."""
+    """A step re-quotes only the sellers whose allocation moved and carries
+    the rest, so every seller's ask, target, weight and curvature estimate
+    must still equal, bit for bit, a re-quote of every seller, from the
+    first step on. The hand market's second seller offers nothing (a = 0),
+    so its allocation never moves, and its opening target v'(g) = 0.5 lies
+    above p: the opening keeps that target unclamped and only its ask
+    clamped at p, as a re-quote gives them, so every step may carry it. On
+    the first large market most seller-rounds carry their quote."""
     hand = (
         [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)],
         [SellerState(0.2, 1.3, 3.0), SellerState(1.0, 1.0, 1.0)],
@@ -325,24 +333,49 @@ def test_a_seller_whose_allocation_held_still_keeps_its_quote():
             assert carried > rounds / 2
 
 
+def test_the_opening_state_is_a_requote_at_zero_allocations():
+    """_initial_state's asks, last_targets, prox_weights and curv_ema equal
+    a full re-quote of every seller at s = 0.0, the opening prev_s, so a
+    first step may carry them like any other. The targets stay unclamped,
+    and a seller whose target lies above p offers nothing, so it never
+    moves: the hand market's second seller, v'(g) = 0.5, and every such
+    seller of the 600 wide-range markets (the corpus has none)."""
+    hand = (
+        [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)],
+        [SellerState(0.2, 1.3, 3.0), SellerState(1.0, 1.0, 1.0)],
+    )
+    for buyers, sellers in [hand] + [_corpus_market(k) for k in range(2, 7)]:
+        state = engine._initial_state(buyers, sellers, P)
+        assert state.prev_s == (0.0,) * len(sellers)
+        at_zero = SimpleNamespace(clearing=SimpleNamespace(s=state.prev_s))
+        quotes = (state.asks, state.last_targets, state.prox_weights, state.curv_ema)
+        assert quotes == _requoted_sellers(sellers, state, at_zero)
+    above_p = 0
+    for buyers, sellers in [hand] + [wide_range_market(k) for k in range(600)]:
+        state = engine._initial_state(buyers, sellers, P)
+        for target, a in zip(state.last_targets, state.avails):
+            if target > P.p:
+                assert a == 0.0
+                above_p += 1
+    assert above_p > 4000
+
+
 def test_a_step_in_which_no_seller_moved_carries_the_seller_tuples():
     """A step whose clearing left every allocation equal to prev_s returns
     the state's own asks, last_targets, prox_weights and curv_ema tuples,
-    not rebuilt copies. The first step re-quotes every seller, even where
-    its allocation stays 0.0: a seller with nothing to offer opens with its
-    target v'(g) = 0.5 clamped at p. On the first large market most steps
-    carry."""
+    not rebuilt copies, and the first step is no exception: a seller with
+    nothing to offer opens with its target v'(g) = 0.5 unclamped and its
+    ask clamped at p, as a re-quote at s = 0.0 gives them, so the hand
+    market's first step carries the opening tuples themselves. On the
+    first large market most steps carry."""
     state = engine._initial_state([BuyerState(1.2, 1.4)], [SellerState(1.0, 1.0, 1.0)], P)
+    assert state.asks == (P.p,) and state.last_targets == (0.5,)
     first = auction_step(state, CFG)
     assert first.clearing.s == state.prev_s == (0.0,)
-    assert state.last_targets == (P.p,) and first.last_targets == (0.5,)
-    second = auction_step(first, CFG)
-    assert second.asks is first.asks and second.last_targets is first.last_targets
+    assert first.asks is state.asks and first.last_targets is state.last_targets
+    assert first.prox_weights is state.prox_weights and first.curv_ema is state.curv_ema
 
-    state = engine._initial_state(*_large_market(0), P)
-    first = auction_step(state, CFG)
-    assert first.asks is not state.asks and first.last_targets is not state.last_targets
-    state, carried = first, 0
+    state, carried = engine._initial_state(*_large_market(0), P), 0
     while state.iteration < 13:
         nxt = auction_step(state, CFG)
         kept = [
@@ -938,16 +971,18 @@ def test_a_sold_out_round_clears_without_the_breakpoint_sweep(monkeypatch):
 
 def test_an_all_capped_sold_out_round_clears_without_a_seller_pass(monkeypatch):
     """A sold-out round whose sellers all sat at their availability last
-    round clears in closed form, with no pass over the sellers. On
-    large-market seed 0, m = 0, the closed form runs for exactly the rounds
-    where prev_s equals the availabilities and total_bid / top exceeds
-    total_avail, and for most rounds of the auction."""
-    shortcuts = []
-    all_capped = clearing._all_capped
+    round leaves through the one sold-out exit before any pass over the
+    sellers: the caller has not yet built its seller tuples. On
+    large-market seed 0, m = 0, that happens for exactly the rounds where
+    prev_s equals the availabilities and total_bid / top exceeds
+    total_avail, 10 of the 13, and every other sold-out round leaves
+    through the same exit after the pass."""
+    exits = []
+    sold_out = clearing._sold_out
 
-    def counted_all_capped(*args):
-        shortcuts.append(args)
-        return all_capped(*args)
+    def counted_sold_out(*args):
+        exits.append("sellers" in sys._getframe(1).f_locals)
+        return sold_out(*args)
 
     rounds = []
     clear = engine.clear_market_proximal
@@ -956,18 +991,23 @@ def test_an_all_capped_sold_out_round_clears_without_a_seller_pass(monkeypatch):
         rounds.append((bids, asks, avails, prev_s, weights))
         return clear(bids, asks, avails, params, prev_s=prev_s, weights=weights)
 
-    monkeypatch.setattr(clearing, "_all_capped", counted_all_capped)
+    monkeypatch.setattr(clearing, "_sold_out", counted_sold_out)
     monkeypatch.setattr(engine, "clear_market_proximal", watched)
     outcome = run_auction(*_large_market(0), P, AuctionConfig(max_iters=2500, record_trace=False))
-    all_capped_sold_out = 0
+    all_capped_sold_out = sold_out_rounds = 0
     for bids, asks, avails, prev_s, weights in rounds:
-        if tuple(prev_s) != tuple(avails):
-            continue
         total_bid = math.fsum(b for b in bids if b > BID_FLOOR)
-        top = max([P.p] + [c + w * (a - v) for c, a, v, w in zip(asks, avails, prev_s, weights) if a > 0])
-        all_capped_sold_out += total_bid / top > math.fsum(avails)
-    assert len(rounds) == outcome.iterations
-    assert len(shortcuts) == all_capped_sold_out > outcome.iterations / 2
+        top = max(
+            [P.p]
+            + [c + w * (a - min(max(v, 0.0), a))
+               for c, a, v, w in zip(asks, avails, prev_s, weights) if a > 0]
+        )
+        is_sold_out = total_bid / top > math.fsum(avails)
+        sold_out_rounds += is_sold_out
+        all_capped_sold_out += is_sold_out and tuple(prev_s) == tuple(avails)
+    assert len(rounds) == outcome.iterations == 13
+    assert exits.count(False) == all_capped_sold_out == 10
+    assert len(exits) == sold_out_rounds
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,14 @@ def test_payoff_sweep_report_shape_and_determinism():
     assert report.to_json() == again.to_json()
 
 
+def test_payoff_sweep_names_a_cell_in_which_no_run_converged():
+    config = PayoffSweepConfig(
+        seller_counts=(3,), buyer_counts=(2, 4, 6), replications=2, max_iters=1
+    )
+    with pytest.raises(ValueError, match=r"\(n_sellers=3, n_buyers=2\): 2 of 2 runs unconverged"):
+        exp_payoff_sweep(config)
+
+
 def test_payoff_sweep_trend_directions():
     report = exp_payoff_sweep(TINY_SWEEP)
     for trend in report.aggregates["trend"]:
