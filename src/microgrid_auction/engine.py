@@ -63,6 +63,7 @@ runs once per extrapolating round, over every buyer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from operator import ne
 
@@ -75,7 +76,7 @@ from .market import (
     compute_payoffs,
     social_welfare,
 )
-from .utility import check_positive, marginals, supplies
+from .utility import check_count, check_positive, marginals, supplies
 
 # Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to the
 # seller's curvature estimate, the proximal Newton weight (see the module
@@ -106,7 +107,8 @@ class AuctionConfig:
     stationary bids and asks, stationary seller allocations, and a clearing
     whose optimality residual is below inner_kkt_tol. A run that has not
     converged after max_iters clearings stops there, flagged unconverged.
-    record_trace keeps one IterationRecord per clearing.
+    record_trace keeps one IterationRecord per clearing, which costs one
+    social_welfare sum per round; a record's phi is computed when read.
     """
 
     tol_rel: float = 1e-6
@@ -115,10 +117,7 @@ class AuctionConfig:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
-        # inf and 2.5 pass ">= 1" (inf never stops a run), and True is an int
-        max_iters = self.max_iters
-        if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        check_count("max_iters", self.max_iters)
         check_positive("tol_rel", self.tol_rel)
         check_positive("inner_kkt_tol", self.inner_kkt_tol)
 
@@ -126,13 +125,22 @@ class AuctionConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One loop pass: its clearing, which holds the quotes it cleared and
-    what they produced, and the controller objective phi and social welfare
-    theta of that clearing's allocation."""
+    what they produced, and the social welfare theta of that clearing's
+    allocation."""
 
     iteration: int
     clearing: ClearingResult
-    phi: float
     theta: float
+
+    @cached_property
+    def phi(self) -> float:
+        """The controller objective of the clearing's allocation.
+
+        Computed by clearing_objective at the first read, and kept: a run
+        computes only theta per round, and no study reads phi.
+        """
+        c = self.clearing
+        return clearing_objective(c.bids, c.asks, c.d, c.s)
 
 
 @dataclass
@@ -466,7 +474,6 @@ def run_auction(
                 IterationRecord(
                     iteration=nxt.iteration,
                     clearing=result,
-                    phi=clearing_objective(result.bids, result.asks, result.d, result.s),
                     theta=social_welfare(state.buyers, state.sellers, result.d, result.s),
                 )
             )

@@ -11,8 +11,11 @@ Four runners, each reproducible bit-for-bit from its config:
 - exp_efficiency: per-iteration gap between the auction's welfare and the
   full-information benchmark, for four market sizes.
 
-Every runner validates balance, bound, and revenue invariants on each
-outcome before emitting a row, and refuses to serialize a violating run.
+Every config checks its market sizes and replications at construction,
+each an int >= 1 and every list of them non-empty, and names the field it
+refuses. Every runner validates balance, bound, and revenue invariants on
+each outcome before emitting a row, and refuses to serialize a violating
+run.
 Randomness comes from a fixed splitmix64-based seed mixer so reports are
 identical across platforms and processes.
 """
@@ -29,7 +32,7 @@ from .fairness import redistribute
 from .market import BuyerState, MarketParams, SellerState, social_welfare
 from .scenario import ParameterRanges, draw_buyers, draw_sellers
 from .serialize import dumps, to_csv
-from .utility import values
+from .utility import check_count, values
 from .welfare import efficiency_gap, solve_welfare
 
 _MASK = (1 << 64) - 1
@@ -194,6 +197,11 @@ class PayoffSweepConfig:
     tol_rel: float = 1e-6
     max_iters: int = 2500
 
+    def __post_init__(self) -> None:
+        check_count("seller_counts", *self.seller_counts)
+        check_count("buyer_counts", *self.buyer_counts)
+        check_count("replications", self.replications)
+
 
 def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentReport:
     """Mean payoffs per (seller count, buyer count) cell, plus trends.
@@ -280,6 +288,10 @@ class CaseStudyConfig:
     params: MarketParams = field(default_factory=MarketParams)
     tol_rel: float = 1e-6
     max_iters: int = 3000
+
+    def __post_init__(self) -> None:
+        check_count("n_sellers", self.n_sellers)
+        check_count("buyer_counts", *self.buyer_counts)
 
 
 def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
@@ -372,6 +384,10 @@ class WelfareFairnessConfig:
     tol_rel: float = 1e-6
     max_iters: int = 3000
 
+    def __post_init__(self) -> None:
+        check_count("n_sellers", self.n_sellers)
+        check_count("buyer_counts", *self.buyer_counts)
+
 
 def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> ExperimentReport:
     """Welfare with no trade, with trade, and after redistribution, per cell."""
@@ -426,6 +442,11 @@ class EfficiencyConfig:
     params: MarketParams = field(default_factory=MarketParams)
     tol_rel: float = 1e-6
     max_iters: int = 3000
+
+    def __post_init__(self) -> None:
+        if any(len(size) != 2 for size in self.sizes):
+            raise ValueError(f"sizes must hold (n_sellers, n_buyers) pairs, got {self.sizes!r}")
+        check_count("sizes", *(n for size in self.sizes for n in size))
 
 
 def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:

@@ -15,11 +15,13 @@ auction_step and the targets in _requote_sellers, still write the marginal
 out: fused with their floor and ceiling tests it costs less than a list
 call and a second pass.
 
-The two input rules every module shares are written once with their
+The three input rules every module shares are written once with their
 messages: check_nonnegative (finite and >= 0) for quantities, bids and
-availabilities, and check_positive (positive and finite) for prices,
-parameters, weights and tolerances. Callers check a whole list in one call,
-and values and marginals leave the check of their quantities to theirs.
+availabilities, check_positive (positive and finite) for prices,
+parameters, weights and tolerances, and check_count (an int >= 1) for
+iteration caps, market sizes and replications. Callers check a whole list
+in one call, and values and marginals leave the check of their quantities
+to theirs.
 """
 
 from __future__ import annotations
@@ -51,6 +53,17 @@ def check_positive(name: str, *values: float) -> None:
     for v in values:
         if not 0.0 < v <= _FMAX:
             raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def check_count(name: str, *values: int) -> None:
+    """Raise ValueError unless there is a value and every value is an int
+    >= 1. A bool is an int but no count, and a float such as inf or 2.5
+    passes ">= 1" but is refused too."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(f"{name} must be >= 1 and an int, got {v!r}")
 
 
 def check_parameters(x: float, y: float) -> None:

@@ -13,17 +13,23 @@ sums confirm it (clearing.first_passing bisects only if they disagree), and
 the root on that segment is closed-form in those two sums: O(N log N) per
 solve, no rescale of either side to force the balance.
 
-The planner builds each active agent's constants once per solve, (x, 1/y,
-b/p) per buyer and (x, 1/y, g, a) per seller. Its kinks, excess sums and
-allocations are the list rules of utility.py, marginals, demands and
-supplies, one call per list. The welfare theta is market.social_welfare,
-the same sum the engine records each round.
+The planner builds each active buyer's constants (x, 1/y, b/p) once per
+solve. The seller side, each offering seller's (x, 1/y, g, a) and its
+breakpoint events presorted, depends on no bid: _seller_side builds it and
+the module keeps the last one, keyed by the value of (tuple(sellers),
+avails), so the efficiency study, which re-solves at every trace record's
+bids, builds it once per market. Every input is checked on every call
+before that lookup. Its kinks, excess sums and allocations are the list
+rules of utility.py, marginals, demands and supplies, one call per list.
+The welfare theta is market.social_welfare, the same sum the engine
+records each round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .clearing import BID_FLOOR, first_passing, sweep_guess
 from .market import BuyerState, MarketParams, SellerState, social_welfare
@@ -46,6 +52,38 @@ class WelfareSolution:
     @property
     def no_trade(self) -> bool:
         return self.mu_star is None
+
+
+# The key (tuple(sellers), avails) of the last seller side solve_welfare
+# used, and that side: one entry, compared by value.
+_seller_memo: tuple = (None, None)
+
+
+def _seller_side(
+    sellers: list[SellerState] | tuple[SellerState, ...], avails: tuple[float, ...]
+) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The half of a planner solve that no bid moves: the indices of the
+    sellers with something to offer, their constants (x, 1/y, g, a), and
+    their breakpoint events, sorted by breakpoint alone with a stable sort.
+
+    Seller j supplies g - max(x/mu - 1/y, 0) clipped to [0, a]: zero below
+    marginal(g), capped at min(a, g) above marginal(g - min(a, g)). Each
+    event is (kink, -dB, -dA) as in solve_welfare. A seller refuses its own
+    lowest kink marginal(g) of 0.0; its other kink is no lower.
+    """
+    active_s = [j for j, a in enumerate(avails) if a > 0]
+    offering = [sellers[j] for j in active_s]
+    seller_k = [(s.x, 1.0 / s.y, s.g, avails[j]) for s, j in zip(offering, active_s)]
+    # min(a, g) inline, by CPython's rule
+    tops = [g if g < a else a for _, _, g, a in seller_k]
+    lows = marginals(offering, [s.g for s in offering])
+    highs = marginals(offering, [s.g - top for s, top in zip(offering, tops)])
+    events = []
+    for (x, inv_y, g, _), top, low, high in zip(seller_k, tops, lows, highs):
+        events.append((low, g + inv_y, -x))
+        events.append((high, top - (g + inv_y), x))
+    events.sort(key=itemgetter(0))
+    return tuple(active_s), tuple(seller_k), tuple(events)
 
 
 def solve_welfare(
@@ -109,8 +147,19 @@ def solve_welfare(
             )
     check_nonnegative("availabilities", *avails)
 
+    # Every check above runs on every call; only then is the seller side
+    # looked up. The memo is read once and written once, so a concurrent
+    # call can at worst rebuild a side, never mix two.
+    global _seller_memo
+    key = (tuple(sellers), avails)
+    memo = _seller_memo
+    if memo[0] == key:
+        side = memo[1]
+    else:
+        side = _seller_side(sellers, avails)
+        _seller_memo = (key, side)
+    active_s, seller_k, seller_events = side
     active_b = [i for i, b in enumerate(bids) if b > BID_FLOOR]
-    active_s = [j for j, a in enumerate(avails) if a > 0]
 
     def autarky() -> WelfareSolution:
         d0 = (0.0,) * len(buyers)
@@ -124,16 +173,16 @@ def solve_welfare(
         return math.fsum(demands(buyer_k, mu)) - math.fsum(supplies(seller_k, mu))
 
     # Buyer i demands clip(x/mu - 1/y, 0, b/p): capped below marginal(b/p),
-    # zero above marginal(0) = x*y. Seller j supplies g - max(x/mu - 1/y, 0)
-    # clipped to [0, a]: zero below marginal(g), capped at min(a, g) above
-    # marginal(g - min(a, g)). Between kinks excess demand is A/mu + B; each
-    # event carries what it adds to A and B as mu passes it. Below every kink
-    # all buyers demand their cap and all sellers supply 0, so B starts at the
-    # sum of the caps. Every kink is positive, so the sweep runs the surplus
-    # line -B*mu - A in their place, each event carrying (kink, -dB, -dA).
-    # Each agent keeps x*y positive and finite, the checks above keep every
-    # cap kink positive, and a seller refuses its own lowest kink
-    # marginal(g) of 0.0; its other kink is no lower.
+    # zero above marginal(0) = x*y. Between kinks excess demand is A/mu + B
+    # (see _seller_side for the sellers' kinks); each event carries what it
+    # adds to A and B as mu passes it. Below every kink all buyers demand
+    # their cap and all sellers supply 0, so B starts at the sum of the
+    # caps. Every kink is positive, so the sweep runs the surplus line
+    # -B*mu - A in their place, each event carrying (kink, -dB, -dA). Each
+    # agent keeps x*y positive and finite, and the checks above keep every
+    # cap kink positive. The seller events come after the buyer events,
+    # already in order, so the stable sort in sweep_guess puts every event
+    # where it would put it in one unsorted list.
     buyer_k = []
     events = []
     cap_sum = 0.0
@@ -145,15 +194,7 @@ def solve_welfare(
         buyer_k.append((x, inv_y, cap))
         events.append((cap_kinks[i], inv_y + cap, -x))
         events.append((x * y, -inv_y, x))
-    offering = [sellers[j] for j in active_s]
-    seller_k = [(s.x, 1.0 / s.y, s.g, avails[j]) for s, j in zip(offering, active_s)]
-    # min(a, g) inline, by CPython's rule
-    tops = [g if g < a else a for _, _, g, a in seller_k]
-    lows = marginals(offering, [s.g for s in offering])
-    highs = marginals(offering, [s.g - top for s, top in zip(offering, tops)])
-    for (x, inv_y, g, _), top, low, high in zip(seller_k, tops, lows, highs):
-        events.append((low, g + inv_y, -x))
-        events.append((high, top - (g + inv_y), x))
+    events += seller_events
     grid, guess = sweep_guess(events, -cap_sum, 0.0, p)
 
     # The exact fsum test is monotone in mu, so the first kink not in excess

@@ -513,6 +513,30 @@ def test_trace_recording_toggle():
     assert silent.clearing.bids == with_trace.clearing.bids
 
 
+def test_a_recorded_run_computes_phi_only_when_read(monkeypatch):
+    """A traced run computes theta per round and leaves the controller
+    objective phi to the first read of each record, which computes it once
+    from the record's clearing, bit for bit what clearing_objective gives."""
+    objective = engine.clearing_objective
+    calls = []
+
+    def spy(bids, asks, d, s):
+        calls.append(1)
+        return objective(bids, asks, d, s)
+
+    monkeypatch.setattr(engine, "clearing_objective", spy)
+    buyers, sellers = _mixed_market(random.Random(26), 8, 5)
+    outcome = run_auction(buyers, sellers, P, CFG)
+    assert outcome.converged and len(outcome.trace) > 5
+    assert calls == []
+    for rec in outcome.trace:
+        c = rec.clearing
+        expected = objective(c.bids, c.asks, c.d, c.s)
+        assert rec.phi.hex() == expected.hex()
+        assert rec.phi.hex() == expected.hex()
+    assert len(calls) == len(outcome.trace)
+
+
 def _extrapolate_one(b0, b1, b2, d0=0.0, d1=0.0, choke=1e9):
     """The engine's per-round Aitken pass on a round of one buyer whose
     choke price x*y is choke, by default far above every unit price here."""

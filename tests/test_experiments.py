@@ -21,6 +21,7 @@ from microgrid_auction.experiments import (
     verify_outcome,
 )
 from microgrid_auction.market import BuyerState, MarketParams, SellerState
+from microgrid_auction.serialize import dumps
 
 P = MarketParams()
 
@@ -97,6 +98,59 @@ def test_verify_outcome_rejects_budget_overrun():
     )
     with pytest.raises(RuntimeError):
         verify_outcome(broken, buyers, sellers)
+
+
+@pytest.mark.parametrize(
+    "config_class, fields, message",
+    [
+        # a bare "max() arg is an empty sequence" from the runner
+        (PayoffSweepConfig, {"buyer_counts": ()}, "buyer_counts must not be empty"),
+        # "-1 of -1 runs unconverged"
+        (PayoffSweepConfig, {"replications": -1}, "replications must be >= 1 and an int, got -1"),
+        # an empty report
+        (PayoffSweepConfig, {"seller_counts": ()}, "seller_counts must not be empty"),
+        # ZeroDivisionError in the mean payoff of the empty cell
+        (PayoffSweepConfig, {"buyer_counts": (0, 5)}, "buyer_counts must be >= 1 and an int, got 0"),
+        (PayoffSweepConfig, {"replications": True}, "replications must be >= 1 and an int, got True"),
+        # a bare "max() arg is an empty sequence" from the runner
+        (CaseStudyConfig, {"buyer_counts": ()}, "buyer_counts must not be empty"),
+        (CaseStudyConfig, {"n_sellers": 2.5}, "n_sellers must be >= 1 and an int, got 2.5"),
+        # an empty report
+        (EfficiencyConfig, {"sizes": ()}, "sizes must not be empty"),
+        # "optimal welfare must be positive" from the first gap
+        (EfficiencyConfig, {"sizes": ((0, 5),)}, "sizes must be >= 1 and an int, got 0"),
+        (EfficiencyConfig, {"sizes": ((5,),)}, r"sizes must hold \(n_sellers, n_buyers\) pairs"),
+        # an empty report
+        (WelfareFairnessConfig, {"buyer_counts": ()}, "buyer_counts must not be empty"),
+        (WelfareFairnessConfig, {"n_sellers": 0}, "n_sellers must be >= 1 and an int, got 0"),
+    ],
+    ids=[
+        "sweep no buyer counts", "sweep negative replications", "sweep no seller counts",
+        "sweep zero buyers", "sweep bool replications", "case no buyer counts",
+        "case fractional sellers", "efficiency no sizes", "efficiency zero sellers",
+        "efficiency size not a pair", "fairness no buyer counts", "fairness zero sellers",
+    ],
+)
+def test_study_configs_refuse_bad_sizes_naming_the_field(config_class, fields, message):
+    with pytest.raises(ValueError, match=message):
+        config_class(**fields)
+
+
+@pytest.mark.parametrize(
+    "config_class, digest",
+    [
+        (PayoffSweepConfig, "c4c7391174f7e75c15d61c737a105a522c46af12f131241825b99b0cd9a5b9ff"),
+        (WelfareFairnessConfig, "ca45e7cd99db1ec63afe303f4777aa64981d7a0a74af19df806064687eb6a8bd"),
+        (EfficiencyConfig, "805c8bdfc1806a1b871ada2f82549e6555d7da0bf3c7bf72fdde2cd82e96e428"),
+        (CaseStudyConfig, "4f5dd364224b74f1f73b23b3fd0f8b81bb3b9a28aeadaf0a20db406e9f88890f"),
+    ],
+    ids=["sweep", "fairness", "efficiency", "case"],
+)
+def test_default_study_configs_serialize_as_pinned(config_class, digest):
+    """The config checks add no field: each default config, the config
+    block of its report, keeps its bytes."""
+    config = dumps(dataclasses.asdict(config_class()))
+    assert hashlib.sha256(config.encode()).hexdigest() == digest
 
 
 TINY_SWEEP = PayoffSweepConfig(

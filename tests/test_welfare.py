@@ -526,3 +526,169 @@ def test_planner_trades_where_the_reference_trades_at_a_choke_price(market):
     sol = solve_welfare(buyers, sellers, bids, avails, P)
     assert not sol.no_trade
     assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """Empty the planner's seller-side memo for one test; the returned
+    function empties it again."""
+
+    def clear():
+        monkeypatch.setattr(welfare, "_seller_memo", (None, None))
+
+    clear()
+    return clear
+
+
+@pytest.fixture
+def seller_builds(monkeypatch):
+    """The (sellers, avails) of every seller side the planner builds."""
+    builds = []
+    build = welfare._seller_side
+
+    def spy(sellers, avails):
+        builds.append((tuple(sellers), avails))
+        return build(sellers, avails)
+
+    monkeypatch.setattr(welfare, "_seller_side", spy)
+    return builds
+
+
+def _bits(sol):
+    return (
+        [q.hex() for q in sol.d_star],
+        [q.hex() for q in sol.s_star],
+        None if sol.mu_star is None else sol.mu_star.hex(),
+        sol.theta.hex(),
+    )
+
+
+def test_the_efficiency_study_builds_each_seller_side_once(cold_memo, seller_builds, monkeypatch):
+    """The default efficiency study re-solves the planner at each of its 69
+    trace records, at the bids of that record, but its four markets keep
+    their sellers and availabilities for a whole run: the seller side is
+    built once per market."""
+    from microgrid_auction import experiments
+
+    solves = []
+    solve = experiments.solve_welfare
+
+    def count(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(experiments, "solve_welfare", count)
+    experiments.exp_efficiency()
+    assert len(solves) == 69
+    assert [len(sellers) for sellers, _ in seller_builds] == [5, 5, 25, 50]
+
+
+def test_a_memo_hit_solves_bit_for_bit_as_a_cold_solve(cold_memo, seller_builds):
+    """The memo is keyed by the sellers' and availabilities' values: a
+    seller replaced inside the same list, or one availability changed,
+    rebuilds the side; equal but distinct sellers reuse it. Each solve
+    equals, bit for bit, the same solve from an empty memo."""
+    rng = random.Random(26)
+    buyers, sellers, bids, avails = _random_instance(rng, 12, 9)
+
+    def warm_and_cold(sellers, avails):
+        warm = solve_welfare(buyers, sellers, bids, avails, P)
+        cold_memo()
+        assert _bits(warm) == _bits(solve_welfare(buyers, sellers, bids, avails, P))
+        return warm
+
+    assert not warm_and_cold(sellers, avails).no_trade
+    solve_welfare(buyers, sellers, bids, avails, P)
+    built = len(seller_builds)
+    sellers[4] = SellerState(0.05, 1.5, 4.0)
+    warm_and_cold(sellers, avails)
+    assert len(seller_builds) == built + 2
+    solve_welfare(buyers, sellers, bids, avails, P)
+    built = len(seller_builds)
+    avails[2] *= 0.5
+    warm_and_cold(sellers, avails)
+    assert len(seller_builds) == built + 2
+    solve_welfare(buyers, sellers, bids, avails, P)
+    built = len(seller_builds)
+    twins = [SellerState(s.x, s.y, s.g) for s in sellers]
+    assert twins == sellers and all(t is not s for t, s in zip(twins, sellers))
+    warm_and_cold(twins, avails)
+    assert len(seller_builds) == built + 1
+
+
+def test_the_study_json_is_unchanged_after_an_unrelated_solve(cold_memo):
+    """A memo left warm by another market changes no byte of the pinned
+    efficiency report."""
+    from microgrid_auction.experiments import exp_efficiency
+
+    buyers, sellers, bids, avails = _random_instance(random.Random(3), 6, 4)
+    solve_welfare(buyers, sellers, bids, avails, P)
+    digest = hashlib.sha256(exp_efficiency().to_json().encode()).hexdigest()
+    assert digest == "68aa35788950c5618f61dcf2ea516001492087a0032dbc6e4df98475ad3a6788"
+
+
+@pytest.mark.parametrize(
+    "buyer, bid, avail, message",
+    [
+        ((1.0, 1.0), 1.0, math.nan, "availabilities must be finite and >= 0, got nan"),
+        ((1.0, 1.0), -0.5, 1.0, "bids must be finite and >= 0, got -0.5 from buyer 0"),
+        ((1e-150, 1e100), 1e300, 1.0, r"cap kink x\*y/\(y\*b/p \+ 1\) of buyer 0 underflows"),
+    ],
+    ids=["nan availability", "negative bid", "cap kink underflows"],
+)
+def test_a_warm_memo_skips_no_check(cold_memo, buyer, bid, avail, message):
+    """Every bid, cap kink and availability is checked on every call, before
+    the seller side is looked up: with the memo warm on a valid market of
+    the same sellers, a bad input raises the error it raises cold."""
+    buyers = [BuyerState(*buyer)]
+    sellers = [SellerState(0.3, 1.0, 2.0), SellerState(0.2, 1.2, 3.0)]
+    with pytest.raises(ValueError, match=message) as cold:
+        solve_welfare(buyers, sellers, (bid,), (avail, 1.0), P)
+    solve_welfare(buyers, sellers, (1.0,), (1.0, 1.0), P)
+    assert welfare._seller_memo[0] == (tuple(sellers), (1.0, 1.0))
+    with pytest.raises(ValueError) as warm:
+        solve_welfare(buyers, sellers, (bid,), (avail, 1.0), P)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_threads_sharing_the_memo_solve_as_cold(cold_memo):
+    """Threads that alternate three markets through the one-entry memo, with
+    a short switch interval, each get every solve bit for bit as cold: a
+    concurrent call may rebuild a side, never use another market's. Each
+    thread holds its own equal copies of the sellers, so comparing a key
+    calls SellerState.__eq__, where a thread can be switched out."""
+    import threading
+
+    rng = random.Random(8)
+    markets = [_random_instance(rng, 10, n) for n in (6, 7, 8)]
+    expected = []
+    for market in markets:
+        cold_memo()
+        expected.append(_bits(solve_welfare(*market, P)))
+    wrong = []
+
+    def work(offset):
+        own = [
+            (buyers, [SellerState(s.x, s.y, s.g) for s in sellers], bids, avails)
+            for buyers, sellers, bids, avails in markets
+        ]
+        for k in range(300):
+            n = (k + offset) % 3
+            try:
+                if _bits(solve_welfare(*own[n], P)) != expected[n]:
+                    wrong.append(n)
+            except Exception as exc:  # lost with the thread otherwise
+                wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
