@@ -39,15 +39,14 @@ is permanent, and a jump toward zero from a transient bid would park buyers
 that belong in the market); a bid set too low climbs back on the next
 re-quote. Where every seller is sold out, the price has long stopped moving
 while one buyer's bid still creeps at a rate near 1. So once a buyer's unit
-price b/d agrees with the one at the previous clearing to 1e-8 relative,
-its window widens to r < 0.99999; on a price that still moves, so wide a
-window overshoots. On that same settled price, a buyer whose choke price
-x*y is at or below its unit price parks at once: its best response there
-is zero demand, and halving its bid toward BID_FLOOR used to take up to 100
-rounds. Without the settled-price gate that test parks buyers that belong
-in the market. Each buyer's step reads nothing but its own constants, bids
-and allocations. Sellers need no such step: a seller whose target holds
-still asks it in the next round.
+price u = b/d agrees with the one at the previous clearing to 1e-8
+relative, the buyer bids its best response at u outright: the fixed point
+(x*y - u)/y of its re-quote b -> x*y*b/(y*b + u) at that price, the limit
+its creeping bid heads for, or 0.0, a park, when x*y is at or below u.
+On a price that still moves, the same jump by every buyer at once
+overshoots, and parks buyers that belong in the market. Each buyer's step
+reads nothing but its own constants, bids and allocations. Sellers need no
+such step: a seller whose target holds still asks it in the next round.
 
 A seller re-quotes only when a clearing moved its allocation. One whose
 allocation equals the previous one, bit for bit, has the target it last
@@ -91,10 +90,8 @@ _REPORT_THRESHOLD = 1e-6
 _EXTRAPOLATION_PERIOD = 4
 _EXTRAPOLATION_MAX_RATIO = 0.999
 _EXTRAPOLATION_MIN_SHARE = 0.5
-# The wider ratio window, and the park at a choke price x*y at or below the
-# unit price, for a buyer whose unit price b/d has settled to within this
-# relative tolerance between its last two clearings.
-_SETTLED_MAX_RATIO = 0.99999
+# A buyer whose unit price b/d agrees to within this relative tolerance at
+# its last two clearings bids its best response at that price.
 _SETTLED_PRICE_TOL = 1e-8
 
 
@@ -240,12 +237,6 @@ def _initial_state(
     )
 
 
-def _settled(b0: float, b1: float, d0: float, d1: float) -> bool:
-    """Whether the unit prices b0/d0 and b1/d1 exist and agree within
-    _SETTLED_PRICE_TOL relative; a parked buyer (d1 = 0.0) has none."""
-    return d1 > 0.0 and d0 > 0.0 and not abs((u := b1 / d1) - b0 / d0) > _SETTLED_PRICE_TOL * u
-
-
 def _extrapolate(
     b0s: tuple[float, ...],
     b1s: tuple[float, ...],
@@ -254,34 +245,32 @@ def _extrapolate(
     d1s: tuple[float, ...],
     constants: tuple[tuple[float, float], ...],
 ) -> list[float]:
-    """Aitken's delta-squared step on each buyer's bids b0, b1, b2, safeguarded.
+    """Each buyer's bid on an extrapolating round: its best response at a
+    settled unit price, else Aitken's delta-squared step on its bids b0, b1,
+    b2, safeguarded.
 
     Takes the round's lists, one entry per buyer, and returns the new bids.
     b0, b1, b2 are a buyer's last two bids and its re-quoted new bid, d0 and
     d1 the allocations that b0 and b1 cleared to, and constants the buyers'
-    (x*y, y). Whether the unit price b1/d1 has settled is _settled's test,
-    made only for a buyer priced out and for a ratio in the wide window.
+    (x*y, y).
 
-    A buyer whose unit price has settled at or above its choke price x*y
-    (tested as x*y*d1 <= b1) parks: at that price its best response is zero
-    demand, so it bids 0.0. Every other buyer bids b2 itself unless the
-    step ratio r = (b2 - b1)/(b1 - b0) lies in (0, _EXTRAPOLATION_MAX_RATIO),
-    or in (0, _SETTLED_MAX_RATIO) on a settled unit price; then it bids the
-    limit of the geometric sequence with ratio r, but at least
-    _EXTRAPOLATION_MIN_SHARE of b2. A parked buyer (b1 = b2 = 0.0, d1 = 0.0)
-    has no unit price and no ratio in either window, and keeps 0.0.
+    A buyer whose unit prices b0/d0 and b1/d1 both exist and agree within
+    _SETTLED_PRICE_TOL relative of u = b1/d1 bids its best response at u,
+    (x*y - u)/y, or 0.0, the park, when its choke price x*y is at or below
+    u. Every other buyer bids b2 itself unless the step ratio
+    r = (b2 - b1)/(b1 - b0) lies in (0, _EXTRAPOLATION_MAX_RATIO); then it
+    bids the limit of the geometric sequence with ratio r, but at least
+    _EXTRAPOLATION_MIN_SHARE of b2. A parked buyer (b1 = b2 = 0.0,
+    d1 = 0.0) has no unit price and no ratio in the window, and keeps 0.0.
     """
-    max_ratio, settled_ratio = _EXTRAPOLATION_MAX_RATIO, _SETTLED_MAX_RATIO
-    share, settled = _EXTRAPOLATION_MIN_SHARE, _settled
+    max_ratio, share, tol = _EXTRAPOLATION_MAX_RATIO, _EXTRAPOLATION_MIN_SHARE, _SETTLED_PRICE_TOL
     bids = []
-    for (xy, _), b0, b1, b2, d0, d1 in zip(constants, b0s, b1s, b2s, d0s, d1s):
-        # x*y*d1 <= b1 is x*y <= b1/d1 without a division, so a buyer in the
-        # market pays one product and one comparison, and no call.
-        if xy * d1 <= b1 and settled(b0, b1, d0, d1):
-            b2 = 0.0
+    for (xy, y), b0, b1, b2, d0, d1 in zip(constants, b0s, b1s, b2s, d0s, d1s):
+        if d1 > 0.0 and d0 > 0.0 and not abs((u := b1 / d1) - b0 / d0) > tol * u:
+            b2 = (xy - u) / y if xy > u else 0.0
         elif b1 != b0:
             r = (b2 - b1) / (b1 - b0)
-            if 0.0 < r < max_ratio or (0.0 < r < settled_ratio and settled(b0, b1, d0, d1)):
+            if 0.0 < r < max_ratio:
                 # max(jump, floor) inline, by CPython's rule
                 jump = b2 + (b2 - b1) * r / (1 - r)
                 floor = b2 * share
@@ -328,16 +317,15 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     """Clear the current quotes, then let the agents re-quote their targets.
 
     A buyer bids u'(d)*d and a seller asks min(v'(g - s), p). On every
-    _EXTRAPOLATION_PERIOD-th step after the first, the active buyers' new
-    bids are extrapolated, or parked on a settled price at or above their
-    choke price (see _extrapolate), from their two previous bids and the two
-    allocations those cleared to, before the floor test. Only the sellers
-    whose allocation moved re-quote; the others carry their ask, target,
-    weight and curvature estimate, which the previous step or the opening
-    computed from that same allocation.
-    A step in which no seller moved returns the state's own four seller
-    tuples. No setting of config reaches the step; it keeps the signature
-    that run_auction and the benchmark's tracer call.
+    _EXTRAPOLATION_PERIOD-th step after the first, each active buyer instead
+    bids its best response at a settled unit price, or extrapolates (see
+    _extrapolate), from its two previous bids and the two allocations those
+    cleared to, before the floor test. Only the sellers whose allocation
+    moved re-quote; the others carry their ask, target, weight and curvature
+    estimate, which the previous step or the opening computed from that same
+    allocation. A step in which no seller moved returns the state's own
+    four seller tuples. No setting of config reaches the step; it keeps the
+    signature that run_auction and the benchmark's tracer call.
     """
     result = clear_market_proximal(
         state.bids, state.asks, state.avails, state.params,

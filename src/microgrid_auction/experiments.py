@@ -201,6 +201,16 @@ class PayoffSweepConfig:
         check_count("seller_counts", *self.seller_counts)
         check_count("buyer_counts", *self.buyer_counts)
         check_count("replications", self.replications)
+        # A repeated count would report its cell twice, and the trend ranks
+        # the buyer counts, which takes two of them.
+        for name in ("seller_counts", "buyer_counts"):
+            counts = getattr(self, name)
+            if len(set(counts)) < len(counts):
+                raise ValueError(f"{name} must not repeat a count, got {counts!r}")
+        if len(self.buyer_counts) < 2:
+            raise ValueError(
+                f"buyer_counts must hold at least two counts, got {self.buyer_counts!r}"
+            )
 
 
 def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentReport:

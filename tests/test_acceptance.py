@@ -63,11 +63,11 @@ def corpus():
         runs.append((outcome, buyers, sellers))
     converged = sum(1 for outcome, _, _ in runs if outcome.converged)
     # Every market converges, in a median of 12 rounds and the slowest
-    # (k=227, bound by one buyer's creeping bid) in 77, so C3, C4 and the
-    # equilibrium gates cover the whole corpus. Seven of them (all sellers
-    # sold out) used to hit the cap until a settled unit price widened the
-    # buyers' extrapolation window; the unaccelerated engine at
-    # tol_rel=1e-12 still fails on six of them within 20000 rounds.
+    # (k=456) in 69, so C3, C4 and the equilibrium gates cover the whole
+    # corpus. Seven of them (all sellers sold out) used to hit the cap while
+    # one buyer's bid crept on a settled unit price; the unaccelerated
+    # engine at tol_rel=1e-12 still fails on six of them within 20000
+    # rounds.
     assert converged == CORPUS_SIZE
     return runs
 

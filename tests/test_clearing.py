@@ -357,8 +357,11 @@ def _assert_proximal_matches_reference(bids, asks, avails, prev, weights, price_
         assert result.no_trade
         return None
     mu, s = reference
-    if price_pinned:
-        assert math.isclose(result.mu, mu, rel_tol=1e-12, abs_tol=1e-12 * P.p)
+    if price_pinned and not math.isclose(result.mu, mu, rel_tol=1e-12, abs_tol=1e-12 * P.p):
+        # The linear scan rounds its supply sums and its root as floats; where
+        # it and the solver disagree, the price in exact arithmetic decides.
+        exact = proximal_price_exact(bids, asks, avails, P.p, prev, weights)
+        assert math.isclose(result.mu, float(exact), rel_tol=1e-12, abs_tol=1e-12 * P.p)
     for got, want, a in zip(result.s, s, avails):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * max(1.0, a))
     return mu
@@ -432,6 +435,20 @@ def sold_out_boundary_markets(draw):
 # demand 0.5 meets the one seller's cap at its upper kink 0.175 and stays
 # there up to p: the linear scan says 0.175, clearing says 0.25
 @example(case=(((0.125,), (0.25, 0.125), (0.0, 0.5), (0.0, 0.0), (1.0, 0.1)), False))
+# the linear scan's float root lands 5.5e-12 above the exact price, which
+# the solver gives to the last bit
+@example(
+    case=(
+        (
+            (0.28124999971875003,),
+            (0.25,) * 6 + (0.125,),
+            (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.125),
+            (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            (1.0, 1.0, 100.0, 1.0, 1.0, 1.0, 0.001),
+        ),
+        True,
+    )
+)
 def test_proximal_price_at_the_edge_of_the_sold_out_screen(case):
     # Above the edge a round clears without the breakpoint search; at it and
     # below, the search runs. Both must match the linear scan, in the price

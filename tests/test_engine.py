@@ -448,31 +448,35 @@ def test_the_stopping_test_matches_a_plain_reference():
 
 
 @pytest.mark.parametrize(
-    "buyer, seller, bound",
+    "buyers, sellers, bound",
     [
         # v'' = v'^2 / x: a tiny x makes the seller's marginal value steep
-        # near the price it clears at, a large x with a tiny y makes it flat.
+        # near the price it clears at, a tiny y makes it flat.
         pytest.param(
-            BuyerState(P.p * (2.0 - 1e-6), 1.0), SellerState(1e-7, 1e7, 1.0), 1e4, id="steep"
+            [BuyerState(1.85, 1.0), BuyerState(1.43, 2.0)], [SellerState(3e-7, 1e6, 1.0)], 1e4,
+            id="steep",
         ),
         pytest.param(
-            BuyerState(0.3, 1.0), SellerState(1.0, 1e-3, 5.0), 1e-4, id="flat"
+            [BuyerState(1.0, 1.0)], [SellerState(0.01, 1e-4, 2.0), SellerState(0.01, 0.01, 5.0)],
+            1e-4, id="flat",
         ),
     ],
 )
-def test_proximal_weights_clamp_at_both_bounds(buyer, seller, bound):
+def test_proximal_weights_clamp_at_both_bounds(buyers, sellers, bound):
     """A curvature estimate beyond [1e-4, 1e4] sets the proximal weight to
     the bound it crossed, exactly. Corpus weights stay within [0.005, 0.5],
     so each bound needs a market built to cross it; these auctions stop
-    after 10 and 17 rounds, and the steps run on to 40."""
-    state = engine._initial_state([buyer], [seller], P)
+    after 9 and 13 rounds, the estimates cross on rounds 2 and 12, and the
+    steps run on to 40."""
+    state = engine._initial_state(buyers, sellers, P)
     clamped = []
     while state.iteration < 40:
         state = auction_step(state, CFG)
-        (e,), (w,) = state.curv_ema, state.prox_weights
-        if not 1e-4 <= e <= 1e4:
-            clamped.append(w)
+        for e, w in zip(state.curv_ema, state.prox_weights):
+            if not 1e-4 <= e <= 1e4:
+                clamped.append(w)
     assert clamped and set(clamped) == {bound}
+    assert run_auction(buyers, sellers, P, CFG).iterations == {1e4: 9, 1e-4: 13}[bound]
 
 
 def test_asks_never_exceed_the_retail_price():
@@ -537,10 +541,11 @@ def test_a_recorded_run_computes_phi_only_when_read(monkeypatch):
     assert len(calls) == len(outcome.trace)
 
 
-def _extrapolate_one(b0, b1, b2, d0=0.0, d1=0.0, choke=1e9):
-    """The engine's per-round Aitken pass on a round of one buyer whose
-    choke price x*y is choke, by default far above every unit price here."""
-    (bid,) = engine._extrapolate((b0,), (b1,), [b2], (d0,), (d1,), ((choke, 1.0),))
+def _extrapolate_one(b0, b1, b2, d0=0.0, d1=0.0, choke=1e9, y=1.0):
+    """The engine's per-round extrapolation pass on a round of one buyer
+    with constants (choke, y), its choke price x*y by default far above
+    every unit price here."""
+    (bid,) = engine._extrapolate((b0,), (b1,), [b2], (d0,), (d1,), ((choke, y),))
     return bid
 
 
@@ -565,40 +570,39 @@ def test_extrapolation_at_most_halves_a_bid():
         (1.0, 0.9, 0.8),  # r = 1: no finite limit
         (1.0, 0.5, 0.0005),  # r = 0.999
         (1.0, 0.9, 0.7),  # r = 2: diverging
+        (0.5 + 0.2 * 0.9995, 0.5 + 0.2 * 0.9995**2, 0.5 + 0.2 * 0.9995**3),  # r = 0.9995
     ],
 )
 def test_extrapolation_skips_ratios_outside_its_window(bids):
     assert _extrapolate_one(*bids) == bids[2]
 
 
-def _settled_bids(ratio):
-    """Three bids of a geometric sequence toward 0.3 and allocations that
-    clear the first two at one unit price, 0.8."""
-    b0, b1, b2 = (0.3 + 0.2 * ratio**n for n in range(3))
-    return b0, b1, b2, b0 / 0.8, b1 / 0.8
-
-
-def test_settled_unit_price_widens_the_ratio_window():
-    b0, b1, b2, d0, d1 = _settled_bids(0.9995)
-    assert _extrapolate_one(b0, b1, b2, d0, d1) == pytest.approx(0.3, rel=1e-6)
-    # the same ratio without a settled unit price (here 1e-7 apart) stays
-    # outside the window
-    assert _extrapolate_one(b0, b1, b2) == b2
-    assert _extrapolate_one(b0, b1, b2, d0 * (1 + 1e-7), d1) == b2
-    # no allocation on either side: no unit price to compare
-    assert _extrapolate_one(b0, b1, b2, 0.0, d1) == b2
-    assert _extrapolate_one(b0, b1, b2, d0, 0.0) == b2
-
-
-@pytest.mark.parametrize("ratio", [0.999991, 1.0, 1.5, -0.5])
-def test_settled_window_stops_below_0_99999(ratio):
-    b0, b1, b2, d0, d1 = _settled_bids(ratio)
-    assert _extrapolate_one(b0, b1, b2, d0, d1) == b2
+@pytest.mark.parametrize("x, y", [(0.9, 1.5), (0.35, 2.0), (1.2, 0.7)])
+@pytest.mark.parametrize("ratio", [0.5, 0.9995, 1.0, 1.5, -0.5])
+def test_a_buyer_on_a_settled_price_bids_its_best_response(x, y, ratio):
+    """Bids b0 and b1 cleared at one unit price u = 0.3: whatever the trend
+    of its bids, the buyer bids (x*y - u)/y, the spend that maximizes
+    U(d) - u*d for U'(d) = x*y/(y*d + 1), bit for bit."""
+    u = 0.3
+    b0, b1, b2 = (0.4 + 0.2 * ratio**n for n in range(3))
+    d0, d1 = b0 / u, b1 / u
+    assert b0 / d0 == b1 / d1 == u
+    choke = x * y
+    expected = (choke - u) / y
+    assert expected > 0.0
+    assert _extrapolate_one(b0, b1, b2, d0, d1, choke, y).hex() == expected.hex()
+    # unit prices 5e-9 apart have settled; 1e-7 apart, or with no allocation
+    # on either side, they have not, and the bid keeps its Aitken rule
+    assert _extrapolate_one(b0, b1, b2, d0 * (1 + 5e-9), d1, choke, y).hex() == expected.hex()
+    unsettled = _extrapolate_one(b0, b1, b2, choke=choke, y=y)
+    for d0_unsettled, d1_unsettled in ((d0 * (1 + 1e-7), d1), (0.0, d1), (d0, 0.0)):
+        assert _extrapolate_one(b0, b1, b2, d0_unsettled, d1_unsettled, choke, y) == unsettled
 
 
 def _extrapolation_market():
-    # buyer 0 is priced out and parked from the start
-    buyers = [BuyerState(0.2, 1.0), BuyerState(1.0, 1.0), BuyerState(0.9, 1.5)]
+    # buyer 0 is priced out and parked from the start; the others' unit
+    # prices still move at each of the first three extrapolating steps
+    buyers = [BuyerState(0.2, 1.0), BuyerState(1.0, 1.0), BuyerState(1.8, 1.5)]
     sellers = [SellerState(0.2, 1.0, 4.0), SellerState(0.3, 1.4, 3.0)]
     return buyers, sellers
 
@@ -617,9 +621,13 @@ def test_buyers_extrapolate_on_every_fourth_step_only():
         if state.iteration % 4 != 3:
             assert nxt.bids == plain.bids
         else:
+            rounds = zip(
+                state.clearing.bids, state.bids, plain.bids, state.clearing.d, nxt.clearing.d,
+                state.buyer_constants,
+            )
             expected = tuple(
-                0.0 if b1 == 0.0 else _extrapolate_one(b0, b1, b2)
-                for b0, b1, b2 in zip(state.clearing.bids, state.bids, plain.bids)
+                0.0 if b1 == 0.0 else _extrapolate_one(b0, b1, b2, d0, d1, xy, y)
+                for b0, b1, b2, d0, d1, (xy, y) in rounds
             )
             assert nxt.bids == expected
             jumps += nxt.bids != plain.bids
@@ -641,11 +649,10 @@ def test_parked_buyers_never_extrapolate():
     assert nxt.bids[0] == 0.0
 
 
-def _wide_jump_state():
+def _settled_jump_state():
     """A corpus k=227 state one step before a buyer in the market jumps
     only because its unit price has settled, and that buyer's index. The
-    jump lands on a bid above zero, so the buyer did not park. (On k=209
-    the one buyer whose bid crept on a settled price now parks instead.)"""
+    jump lands on a bid above zero, so the buyer did not park."""
     buyers, sellers = _corpus_market(227)
     state = engine._initial_state(buyers, sellers, P)
     while state.iteration < 100:
@@ -660,18 +667,22 @@ def _wide_jump_state():
 
 
 def test_step_compares_unit_prices_of_the_last_two_clearings():
-    state, i = _wide_jump_state()
+    """The unit price u = b1/d1 that a buyer responds to is that of its
+    current bid at the clearing this step makes, and it has settled against
+    the unit price of its previous bid at the previous clearing."""
+    state, i = _settled_jump_state()
     nxt = auction_step(state, CFG)
     plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
+    b0, b1 = state.clearing.bids[i], state.bids[i]
     d0, d1 = state.clearing.d[i], nxt.clearing.d[i]
-    b1, choke = state.bids[i], state.buyer_constants[i][0]
-    assert d0 > 0.0 and d1 > 0.0 and choke * d1 > b1
-    expected = _extrapolate_one(state.clearing.bids[i], b1, plain.bids[i], d0, d1, choke)
-    assert 0.0 < nxt.bids[i] == expected != plain.bids[i]
+    xy, y = state.buyer_constants[i]
+    u = b1 / d1
+    assert d0 > 0.0 and abs(u - b0 / d0) <= 1e-8 * u < xy - u
+    assert 0.0 < nxt.bids[i] == (xy - u) / y != plain.bids[i]
 
 
 def test_parked_buyers_never_extrapolate_on_a_settled_price():
-    state, i = _wide_jump_state()
+    state, i = _settled_jump_state()
     bids = state.bids[:i] + (0.0,) + state.bids[i + 1:]
     nxt = auction_step(dataclasses.replace(state, bids=bids), CFG)
     assert nxt.bids[i] == 0.0
@@ -681,7 +692,8 @@ def test_a_buyer_priced_out_at_a_settled_price_parks():
     """Corpus k=209, buyer 21: its choke price x*y sits 0.07% below the
     clearing price. On the first extrapolating step after its unit price
     b/d has settled to 1e-8, it bids 0.0, its best response at that price,
-    where the plain re-quote would have kept it in the market."""
+    where the plain re-quote would have kept it in the market; parked, it
+    bids 0.0 on every later step."""
     buyers, sellers = _corpus_market(209)
     choke = buyers[21].x * buyers[21].y
     state = engine._initial_state(buyers, sellers, P)
@@ -698,25 +710,29 @@ def test_a_buyer_priced_out_at_a_settled_price_parks():
         raise AssertionError("buyer 21's unit price did not settle in 100 steps")
     assert nxt.iteration == 56
     assert 0.999 < choke / nxt.clearing.mu < 1.0
-    assert choke * d1 <= b1
+    assert choke <= b1 / d1
     plain = auction_step(dataclasses.replace(state, clearing=None), CFG)
     assert plain.bids[21] >= BID_FLOOR
     assert nxt.bids[21] == 0.0
+    while nxt.iteration < 100:
+        nxt = auction_step(nxt, CFG)
+        assert nxt.bids[21] == 0.0 == nxt.clearing.d[21]
 
 
 def test_a_buyer_whose_unit_price_has_not_settled_keeps_the_halving_bound():
-    """The park needs both tests: a settled unit price, and a choke price at
-    or below it. Unit prices 0.5 at both clearings are settled; the jump
-    from 0.26 toward its limit 0.0385 stops at half the bid, 0.13."""
+    """Unit prices 0.5 at both clearings are settled: a buyer whose choke
+    price x*y is at or below 0.5 bids 0.0, and one above it bids its best
+    response, whatever its bids' trend. A unit price that moved by
+    1e-7, or a clearing without an allocation, has not settled, whatever
+    the choke price: the jump from 0.26 toward its limit 0.0385 stops at
+    half the bid, 0.13."""
     b0, b1, b2, d0, d1 = 1.0, 0.5, 0.26, 2.0, 1.0
     assert _extrapolate_one(b0, b1, b2, d0, d1, choke=0.5) == 0.0
     assert _extrapolate_one(b0, b1, b2, d0, d1, choke=0.4) == 0.0
-    # a choke price one ulp above the unit price stays in the market
-    assert _extrapolate_one(b0, b1, b2, d0, d1, choke=math.nextafter(0.5, 1.0)) == 0.13
-    # a unit price that moved by 1e-7, or a clearing without an allocation,
-    # has not settled, whatever the choke price
+    assert _extrapolate_one(b0, b1, b2, d0, d1, choke=0.6, y=2.0) == (0.6 - 0.5) / 2.0
     for d0_unsettled, d1_unsettled in ((2.0 * (1 + 1e-7), 1.0), (0.0, 1.0), (2.0, 0.0)):
-        assert _extrapolate_one(b0, b1, b2, d0_unsettled, d1_unsettled, choke=0.4) == 0.13
+        for choke in (0.4, 0.5, 0.6):
+            assert _extrapolate_one(b0, b1, b2, d0_unsettled, d1_unsettled, choke=choke) == 0.13
 
 
 def test_parking_ends_the_creep_of_corpus_k209():
@@ -731,44 +747,65 @@ def test_parking_ends_the_creep_of_corpus_k209():
     assert outcome.clearing.bids[21] == 0.0
 
 
-def _aitken_reference(b0, b1, b2, d0, d1, choke):
-    """One buyer's Aitken step as the engine's docstring states it. Once the
-    unit prices b0/d0 and b1/d1 agree to 1e-8, a buyer whose choke price,
-    the marginal value u'(0) of its first unit, is at or below b1/d1 (its
-    spend at that price, choke * d1, within b1) bids 0.0. Otherwise a ratio
-    r = (b2 - b1)/(b1 - b0) in (0, 0.999), or in (0, 0.99999) on a settled
-    unit price, jumps to the geometric limit, but never below half of b2."""
-    settled = d0 > 0.0 and d1 > 0.0 and abs(b1 / d1 - b0 / d0) <= 1e-8 * (b1 / d1)
-    if settled and choke * d1 <= b1:
-        return 0.0
-    if b1 == b0:
-        return b2
-    r = (b2 - b1) / (b1 - b0)
-    if 0.0 < r < 0.999 or (settled and 0.0 < r < 0.99999):
-        return max(b2 + (b2 - b1) * r / (1 - r), 0.5 * b2)
-    return b2
+def test_a_settled_best_response_ends_the_crawl_of_corpus_k227():
+    """Corpus k=227 was the slowest corpus market, at 77 rounds: buyer 2,
+    with x*y/mu = 1.00014, crawled toward its bid limit, landing short of it
+    on each extrapolating step. Bidding its best response at its settled
+    unit price, the market stops at the equilibrium reference in 62."""
+    buyers, sellers = _corpus_market(227)
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=2500, record_trace=False))
+    assert outcome.converged and outcome.iterations <= 62
+    zero_bid_mismatch, mu_gap, alloc_gap, _ = equilibrium_gaps(
+        outcome, equilibrium_reference(buyers, sellers, P.p)
+    )
+    assert not zero_bid_mismatch
+    assert mu_gap <= 1e-6 and alloc_gap <= 5e-6
+
+
+def _bid_reference(b0, b1, b2, d0, d1, choke, y):
+    """One buyer's bid on an extrapolating round, from the rule's statement,
+    and which case gave it.
+
+    Once its unit prices b0/d0 and b1/d1 agree to 1e-8 of u = b1/d1, the
+    buyer takes u as its price: its marginal utility choke/(y*d + 1) meets
+    u at d = (choke/u - 1)/y, so it spends u*d = (choke - u)/y, or nothing
+    when its first unit is worth no more than u. Otherwise a ratio
+    r = (b2 - b1)/(b1 - b0) in (0, 0.999) jumps to the geometric limit, but
+    never below half of b2."""
+    if d0 > 0.0 and d1 > 0.0 and abs(b1 / d1 - b0 / d0) <= 1e-8 * (b1 / d1):
+        spend = (choke - b1 / d1) / y
+        return (spend, "responded") if spend > 0.0 else (0.0, "parked")
+    r = (b2 - b1) / (b1 - b0) if b1 != b0 else 0.0
+    if 0.0 < r < 0.999:
+        return max(b2 + (b2 - b1) * r / (1 - r), 0.5 * b2), "jumped"
+    return b2, "kept"
+
+
+_ALL_CASES = {"responded", "parked", "jumped", "kept"}
 
 
 @pytest.mark.parametrize(
-    "market, buyer, parks",
+    "market, cases, buyer, case",
     [
-        (lambda: _large_market(0), None, False),
-        (lambda: _corpus_market(966), 13, False),
-        (lambda: _corpus_market(209), 21, True),
+        (lambda: _large_market(0), {"jumped", "kept"}, None, None),
+        (lambda: _corpus_market(966), {"jumped", "kept"}, 13, "jumped"),
+        (lambda: _corpus_market(209), _ALL_CASES, 21, "parked"),
+        (lambda: _corpus_market(227), _ALL_CASES, None, None),
     ],
-    ids=["large (300, 150) seed=0 m=0", "corpus k=966", "corpus k=209"],
+    ids=["large (300, 150) seed=0 m=0", "corpus k=966", "corpus k=209", "corpus k=227"],
 )
-def test_the_aitken_pass_matches_a_per_buyer_reference(market, buyer, parks):
+def test_the_aitken_pass_matches_a_per_buyer_reference(market, cases, buyer, case):
     """On every extrapolating step of a run, each buyer's new bid is the
     per-buyer rule applied to its own bids and allocations, then floored:
     a parked buyer stays at 0.0. On corpus k = 966 this includes the jumps
     of buyer 13, whose bid stops furthest from the equilibrium, and on
-    corpus k = 209 the park of buyer 21, priced out at a settled price."""
+    corpus k = 209 the park of buyer 21, priced out at a settled price.
+    There and on corpus k = 227 every case of the rule occurs."""
     buyers, sellers = market()
     config = AuctionConfig(max_iters=2500, record_trace=False)
     iterations = run_auction(buyers, sellers, P, config).iterations
     state = engine._initial_state(buyers, sellers, P)
-    jumped, parked = set(), set()
+    seen = {}
     while state.iteration < iterations:
         nxt = auction_step(state, CFG)
         if state.iteration % 4 == 3:
@@ -780,17 +817,14 @@ def test_the_aitken_pass_matches_a_per_buyer_reference(market, buyer, parks):
                 utility = LogUtility(agent.x, agent.y)
                 d1 = nxt.clearing.d[i]
                 target = utility.marginal(d1) * d1
-                bid = _aitken_reference(
-                    previous.bids[i], b1, target, previous.d[i], d1, utility.marginal(0.0)
+                bid, how = _bid_reference(
+                    previous.bids[i], b1, target, previous.d[i], d1, utility.marginal(0.0), agent.y
                 )
                 assert new == (0.0 if bid < BID_FLOOR else bid)
-                if bid == 0.0:
-                    parked.add(i)
-                elif bid != target:
-                    jumped.add(i)
+                seen.setdefault(how, set()).add(i)
         state = nxt
-    assert jumped and (buyer is None or buyer in (parked if parks else jumped))
-    assert bool(parked) == parks
+    assert set(seen) == cases
+    assert buyer is None or buyer in seen[case]
 
 
 def test_an_extrapolating_step_calls_the_aitken_pass_once(monkeypatch):
@@ -1044,22 +1078,22 @@ def test_an_all_capped_sold_out_round_clears_without_a_seller_pass(monkeypatch):
         ),
         pytest.param(
             lambda: _corpus_market(1), 12, True,
-            "b1ed69b996011d45a510779c7d52f7ced766eda2c2dc8254f2fe6af5dbbb3875",
+            "3c5600dad923462b8ff442619102b03b1f7e14d17764ed52fff591d8cc3e4b78",
             id="corpus k=1",
         ),
         pytest.param(
             lambda: _corpus_market(2), 11, True,
-            "297ffde42525a74213d1704fab398da4245b6e447d8224511eef81ff99a92799",
+            "1fc2e6a928f32a5b401e8a188d7f4be86d04832cef75085851fe2cf78a2720f6",
             id="corpus k=2",
         ),
         pytest.param(
             lambda: _corpus_market(209), 65, True,
-            "cf60d700df571cc1a8f7ccd80466a5d835d79968d641a34f430a49f289b99e93",
+            "a1cd02e820323ce0677d80e20c114a2a76e9b836af2f1a1c2dce80ad7e26faaf",
             id="corpus k=209",
         ),
         pytest.param(
             lambda: _corpus_market(209), 60, False,
-            "234a9bdb3dd7780315d300571f300188acf3d8da24b9758c129c13941adcb913",
+            "e272c4e7e07a9a9826facd5288ed97b5e25849bb460825cd7c743c4430d3c200",
             id="corpus k=209 hits max_iters=60",
         ),
         pytest.param(
@@ -1071,17 +1105,19 @@ def test_an_all_capped_sold_out_round_clears_without_a_seller_pass(monkeypatch):
 )
 def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
     """A change that only speeds the engine up must leave every bit of these
-    outcomes as it is. Four digests were last recorded when each seller's
-    proximal weight went from twice its curvature estimate to the estimate
-    itself, a behaviour change that moved them on purpose: k=0 went from 11
-    rounds to 9, k=1 from 22 to 12, k=2 from 23 to 11, and the large market
-    stayed at 13 rounds with other final quotes. Both k=209 cases moved on
-    purpose when a buyer priced out at a settled unit price began to park
-    at once: buyer 21, whose bid used to creep toward the floor, parks on
-    step 56, and the market converges in 65 rounds, not 137. The capped
-    case went from max_iters=100 to 60, below the new count and after the
-    park. An unconverged case runs with max_iters set to its pinned
-    iteration count."""
+    outcomes as it is. The k=0 and large-market digests were last recorded
+    when each seller's proximal weight went from twice its curvature
+    estimate to the estimate itself, a behaviour change that moved them on
+    purpose: k=0 went from 11 rounds to 9, and the large market stayed at
+    13 rounds with other final quotes. The k=1, k=2 and both k=209 digests
+    moved on purpose when a buyer on a settled unit price began to bid its
+    best response there, in place of a park and a wider Aitken window: each
+    keeps its round count, and its final bids move by at most 9.1e-10
+    (k=1), 4.2e-12 (k=2), 5.6e-7 (k=209) and 2.7e-6 (k=209 capped)
+    relative. Buyer 21 of k=209 still parks on step 56, and the market
+    converges in 65 rounds, not the 137 of its creeping bid before parks;
+    the capped case stops at max_iters=60, after the park. An unconverged
+    case runs with max_iters set to its pinned iteration count."""
     buyers, sellers = market()
     max_iters = 2500 if converged else iterations
     outcome = run_auction(
@@ -1098,9 +1134,10 @@ def test_outcomes_are_pinned_bit_for_bit(market, iterations, converged, digest):
 
 def test_settlement_payoffs_are_pinned_bit_for_bit():
     """compute_payoffs at the final quotes and allocations of the first 100
-    corpus markets. The digest was re-recorded when priced-out buyers began
-    to park on a settled unit price, which moved some of these outcomes; the
-    compute_payoffs that the old digest pinned gives the new one on them."""
+    corpus markets. The digest was re-recorded when buyers on a settled
+    unit price began to bid their best response there, which moved some of
+    these outcomes; the compute_payoffs that the old digest pinned gives
+    the new one on them."""
     config = AuctionConfig(max_iters=2500, record_trace=False)
     digest = hashlib.sha256()
     for k in range(100):
@@ -1111,7 +1148,7 @@ def test_settlement_payoffs_are_pinned_bit_for_bit():
             buyers, sellers, clearing.bids, clearing.d, clearing.asks, clearing.s
         )
         digest.update(repr(payoffs).encode())
-    assert digest.hexdigest() == "5694b39e3ec2e43c9ff85d1f19629d95bb26f1b088f23f03d804cfd189f8152a"
+    assert digest.hexdigest() == "fdd605b2225d9b3f73b6abec4b3e46fe4df16b8d0ebe45342e695f7cd0be90ad"
 
 
 @pytest.mark.parametrize(
@@ -1172,11 +1209,12 @@ def test_engine_computes_the_residual_only_for_a_candidate_stop(monkeypatch):
 
 
 # Corpus markets that used to hit max_iters=2500 before buyers extrapolated.
-# They pin the settled-price gate of the park. Parking a buyer whenever its
-# choke price x*y is at most its unit price b/d, without waiting for that
-# price to settle, parks buyer 18 of k=851 for good and moves mu by 4.5e-4,
-# and puts k=77 and k=144 1.7e-3 and 1.4e-3 off with two wrong zero bids
-# each. Under the gated rule in _extrapolate all seven stop at the reference.
+# They pin the settled-price gate of the best response, whose zero is the
+# park. Parking a buyer whenever its choke price x*y is at most its unit
+# price b/d, without waiting for that price to settle, parks buyer 18 of
+# k=851 for good and moves mu by 4.5e-4, and puts k=77 and k=144 1.7e-3 and
+# 1.4e-3 off with two wrong zero bids each. Under the gated rule in
+# _extrapolate all seven stop at the reference.
 _FORMERLY_STUCK = (36, 56, 77, 90, 144, 249, 851)
 
 

@@ -112,6 +112,12 @@ def test_verify_outcome_rejects_budget_overrun():
         # ZeroDivisionError in the mean payoff of the empty cell
         (PayoffSweepConfig, {"buyer_counts": (0, 5)}, "buyer_counts must be >= 1 and an int, got 0"),
         (PayoffSweepConfig, {"replications": True}, "replications must be >= 1 and an int, got True"),
+        # "need at least two points" from the trend, after every auction ran
+        (PayoffSweepConfig, {"buyer_counts": (4,)}, r"buyer_counts must hold at least two counts, got \(4,\)"),
+        # four records for two cells
+        (PayoffSweepConfig, {"seller_counts": (3, 3)}, r"seller_counts must not repeat a count, got \(3, 3\)"),
+        # three records for two cells
+        (PayoffSweepConfig, {"buyer_counts": (4, 4, 6)}, r"buyer_counts must not repeat a count, got \(4, 4, 6\)"),
         # a bare "max() arg is an empty sequence" from the runner
         (CaseStudyConfig, {"buyer_counts": ()}, "buyer_counts must not be empty"),
         (CaseStudyConfig, {"n_sellers": 2.5}, "n_sellers must be >= 1 and an int, got 2.5"),
@@ -126,7 +132,8 @@ def test_verify_outcome_rejects_budget_overrun():
     ],
     ids=[
         "sweep no buyer counts", "sweep negative replications", "sweep no seller counts",
-        "sweep zero buyers", "sweep bool replications", "case no buyer counts",
+        "sweep zero buyers", "sweep bool replications", "sweep one buyer count",
+        "sweep repeated seller count", "sweep repeated buyer count", "case no buyer counts",
         "case fractional sellers", "efficiency no sizes", "efficiency zero sellers",
         "efficiency size not a pair", "fairness no buyer counts", "fairness zero sellers",
     ],
@@ -257,13 +264,18 @@ def test_report_serialization_roundtrip():
 @pytest.mark.parametrize(
     "study, digest",
     [
-        (exp_efficiency, "68aa35788950c5618f61dcf2ea516001492087a0032dbc6e4df98475ad3a6788"),
-        (exp_welfare_fairness, "c524877a8e585446763fb1ae2c3bbf72e5d915245c3ddc4f3eaf996a311f5bf0"),
-        (exp_case_study, "91d94db68c1158bb0e40cbd25e4e08a5197c75eabd7234dd39ecadc4e1d74bad"),
+        (exp_efficiency, "1daff3144674791b7c814a57fee53c66e3ac667ed2989b7191cda170c9dfddb4"),
+        (exp_welfare_fairness, "573b0d4e6f1692f08377d5d3777d3a44dcbe1a0594d9ffe2ca21e51dc6a6ae25"),
+        (exp_case_study, "fc5f04d98c4dee4145bb37abd21d087a281da50fac3594a7562f96e29e6a01c9"),
     ],
     ids=["efficiency", "welfare-fairness", "case-study"],
 )
 def test_study_json_is_pinned_byte_for_byte(study, digest):
     """A change that only speeds the auction up leaves every byte of the
-    default study reports as it is."""
+    default study reports as it is. The three digests were last re-recorded
+    when buyers on a settled unit price began to bid their best response
+    there: the efficiency study's final gap went from -2.1e-14 to 2.1e-14
+    percent, the fairness study's two mu moved by 1.2e-9 and 1.7e-8
+    relative, and the case study's quotes and allocations in their last
+    bits."""
     assert hashlib.sha256(study().to_json().encode()).hexdigest() == digest

@@ -624,7 +624,7 @@ def test_the_study_json_is_unchanged_after_an_unrelated_solve(cold_memo):
     buyers, sellers, bids, avails = _random_instance(random.Random(3), 6, 4)
     solve_welfare(buyers, sellers, bids, avails, P)
     digest = hashlib.sha256(exp_efficiency().to_json().encode()).hexdigest()
-    assert digest == "68aa35788950c5618f61dcf2ea516001492087a0032dbc6e4df98475ad3a6788"
+    assert digest == "1daff3144674791b7c814a57fee53c66e3ac667ed2989b7191cda170c9dfddb4"
 
 
 @pytest.mark.parametrize(
