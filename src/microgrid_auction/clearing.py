@@ -16,8 +16,9 @@ Two solvers live here:
   values. Its stationary points coincide with exact clearing; the auction
   engine iterates it because the all-or-nothing merit order is discontinuous
   in near-tied asks and re-quoting alone cannot stabilize that. After the
-  shared input step, which is O(N_b + N_s), a round clears in one of two
-  regimes:
+  shared input step, which is O(N_b + N_s) but skips the availabilities,
+  asks and weights that are the tuples its previous call checked, a round
+  clears in one of two regimes:
 
   - sold out: demand at the top breakpoint exceeds all that is offered,
     so every seller sells its whole availability, as in clear_market's
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, filterfalse
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable
 
 from .market import MarketParams
@@ -88,36 +89,85 @@ class ClearingResult:
 
 _Quotes = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float, float]
 
+# What the last call of clear_market_proximal checked: (avails, their fsum
+# total, asks, weights), each a tuple of floats that passed its check, or
+# None. One entry, compared by identity, read once and written once per
+# call, so a concurrent call can at worst check its inputs again.
+_checked: tuple = (None, 0.0, None, None)
+
+
+def _floats(values: tuple[float, ...] | list[float]) -> tuple[float, ...]:
+    """values converted by one map(float) pass: values itself when it is a
+    tuple of floats, which that pass returns element for element, so that
+    only a tuple of floats is ever kept in _checked."""
+    floats = tuple(map(float, values))
+    if type(values) is tuple and all(map(is_, floats, values)):
+        return values
+    return floats
+
 
 def _quotes(
     bids: tuple[float, ...] | list[float],
     asks: tuple[float, ...] | list[float],
     avails: tuple[float, ...] | list[float],
     params: MarketParams,
+    known: tuple = (None, 0.0, None),
 ) -> _Quotes | ClearingResult:
     """The input step both solvers share: the quotes as checked float tuples
     with the active bid and availability totals, or the no-trade result.
 
+    known is (avails, total, asks) from _checked, or nothing. Availabilities
+    that are that very tuple skip their conversion, check and total, and
+    asks that are its asks skip theirs when the availabilities do too: a
+    tuple of floats cannot change, so each check would pass again and the
+    total come out the same. The bids are checked in the pass that filters
+    the active ones; a faulty bid sends them to check_nonnegative, which
+    names the first. The checks run in a fixed order, bids, availabilities,
+    asks, then the two totals, so the first fault is the one reported.
+
     Every active bid exceeds BID_FLOOR > 0 and every active availability is
     positive, so a zero total is the same as an empty side. fsum raises
-    OverflowError when finite terms sum past the largest float.
+    OverflowError when finite terms sum past the largest float, and returns
+    inf when a term is inf.
     """
+    known_avails, known_total, known_asks = known
+    avails_known = avails is known_avails
+    asks_known = avails_known and asks is known_asks
     bids = tuple(map(float, bids))
-    asks = tuple(map(float, asks))
-    avails = tuple(map(float, avails))
+    if not asks_known:
+        asks = _floats(asks)
+    if not avails_known:
+        avails = _floats(avails)
     if len(asks) != len(avails):
         raise ValueError(f"{len(asks)} asks vs {len(avails)} availabilities")
-    check_nonnegative("bids", *bids)
-    check_nonnegative("availabilities", *avails)
-    check_positive("asks of offering sellers", *compress(asks, avails))
+    # A bid that is negative or NaN is below the floor and fails b >= 0.0;
+    # an infinite one is active and makes the total inf.
+    active = []
+    valid = True
+    for b in bids:
+        if b > BID_FLOOR:
+            active.append(b)
+        elif not b >= 0.0:
+            valid = False
     try:
-        total_bid = math.fsum([b for b in bids if b > BID_FLOOR])
+        total_bid = math.fsum(active)
     except OverflowError:
-        raise ValueError("the bids sum past the largest float") from None
-    try:
-        total_avail = math.fsum(avails)
-    except OverflowError:
-        raise ValueError("the availabilities sum past the largest float") from None
+        total_bid = math.inf  # raised below, unless a bid is at fault
+    if not valid or total_bid == math.inf:
+        check_nonnegative("bids", *bids)
+    if not avails_known:
+        check_nonnegative("availabilities", *avails)
+    if not asks_known:
+        check_positive("asks of offering sellers", *compress(asks, avails))
+    if total_bid == math.inf:
+        raise ValueError("the bids sum past the largest float")
+    if avails_known:
+        total_avail = known_total
+    else:
+        try:
+            total_avail = math.fsum(avails)
+        except OverflowError:
+            raise ValueError("the availabilities sum past the largest float") from None
     if total_bid <= 0 or total_avail <= 0:
         n_b, n_s = len(bids), len(asks)
         return ClearingResult(
@@ -303,8 +353,17 @@ def clear_market_proximal(
     them before any work, one helper call per list: weights one per seller
     and positive, prev_s one per seller and finite (a finite prev_s_j
     outside [0, a_j] is clipped, not refused), then the quotes as in
-    clear_market. A failed check raises ValueError. Solves the clearing
-    objective minus
+    clear_market. A failed check raises ValueError. The exception is a
+    tuple this function checked on its previous call: the engine passes
+    the same avails tuple every round, and the same asks and weights
+    after a round that moved no seller, so the call keeps them in
+    _checked and skips the conversion and check of each that is that
+    very tuple again, and the availabilities' fsum total (see _quotes).
+    Only a tuple of floats is kept, and it cannot change, so each skipped
+    check would pass and each skipped conversion return the tuple itself:
+    the result is the same bit for bit. The length checks always run.
+    A call that raises or clears no trade leaves _checked as it was.
+    Solves the clearing objective minus
     sum(w_j/2 * (s_j - prev_s_j)^2), whose seller response
     s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is continuous in the
     asks; it is written once and gives both the exact supply sums and the
@@ -327,23 +386,29 @@ def clear_market_proximal(
     fixed points satisfy the exact clearing optimality system. The result
     computes its kkt_residual only when it is first read.
     """
+    global _checked
+    known_avails, known_total, known_asks, known_weights = _checked
     n_s = len(asks)
-    try:
-        weights = tuple(map(float, weights))
-    except TypeError:
-        weights = ()  # a scalar: refused below, like a list of another length
+    weights_known = weights is known_weights
+    if not weights_known:
+        try:
+            weights = _floats(weights)
+        except TypeError:
+            weights = ()  # a scalar: refused below, like a list of another length
     if len(weights) != n_s:
         raise ValueError(f"{len(weights)} proximal weights vs {n_s} sellers")
-    check_positive("proximal weights", *weights)
+    if not weights_known:
+        check_positive("proximal weights", *weights)
     prev_s = tuple(map(float, prev_s))
     if len(prev_s) != n_s:
         raise ValueError(f"{len(prev_s)} previous allocations vs {n_s} sellers")
     for v in filterfalse(math.isfinite, prev_s):
         raise ValueError(f"previous allocations must be finite, got {v}")
-    quotes = _quotes(bids, asks, avails, params)
+    quotes = _quotes(bids, asks, avails, params, (known_avails, known_total, known_asks))
     if isinstance(quotes, ClearingResult):
         return quotes
     bids, asks, avails, total_bid, total_avail = quotes
+    _checked = (avails, total_avail, asks, weights)
     p = params.p
     if prev_s == avails:
         # Every offering seller was capped last round, so its upper kink is

@@ -25,8 +25,11 @@ least sqrt(1 - alpha) (0.707 at alpha = 0.5). Undamped, its eigenvalues are
 Each seller's w is set to its running estimate of kappa, which puts the
 second eigenvalue near 0: the proximal Newton step (Lee, Sun and Saunders,
 SIAM J. Optim. 24(3), 2014). It diverges only if the estimate falls below
-kappa/2, where |1 - kappa/w| reaches 1. An undamped buyer's own map
-contracts at mu/(x*y) < 1.
+kappa/2, where |1 - kappa/w| reaches 1, so w follows the estimate at any
+scale, with no clamp: a fixed window in price per energy would hold w
+below kappa/2 for a seller curved past it. Only an estimate of 0.0 or
+inf, which the clearing would refuse, leaves the weight as it was. An
+undamped buyer's own map contracts at mu/(x*y) < 1.
 
 That rate is near 1 where a buyer's choke price x*y sits just above the
 clearing price, and the bid decays geometrically for many rounds. So on
@@ -64,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
+from math import inf
 from operator import ne
 
 from .clearing import BID_FLOOR, ClearingResult, clear_market_proximal, clearing_objective
@@ -77,12 +81,11 @@ from .market import (
 )
 from .utility import check_count, check_positive, marginals, supplies
 
-# Proximal weights start at _PROX_WEIGHT and adapt within [MIN, MAX] to the
-# seller's curvature estimate, the proximal Newton weight (see the module
-# docstring).
+# Proximal weights start at _PROX_WEIGHT and then equal the seller's
+# curvature estimate, the proximal Newton weight (see the module docstring),
+# whatever its scale; an estimate of 0.0 or inf, which the clearing would
+# refuse, keeps the previous weight.
 _PROX_WEIGHT = 0.5
-_PROX_WEIGHT_MIN = 1e-4
-_PROX_WEIGHT_MAX = 1e4
 # Allocations at or below this count as not served in unit_prices.
 _REPORT_THRESHOLD = 1e-6
 
@@ -159,7 +162,10 @@ class AuctionState:
     re-quote at prev_s gives, from the opening state (prev_s all 0.0) on. A
     step relies on it to carry the quote of every seller whose allocation
     equals prev_s instead of re-quoting it, and, when every allocation does,
-    to return these four tuples themselves.
+    to return these four tuples themselves. avails is carried unchanged
+    too. The clearing keeps the avails, asks and weights tuples it checked
+    last, so it checks avails once per auction, and asks and weights only
+    after a step that moved a seller.
     """
 
     buyers: tuple[BuyerState, ...]
@@ -308,8 +314,8 @@ def _requote_sellers(
                 slope = abs(target - last[j]) / abs(ds)
                 e = 0.5 * ema[j] + 0.5 * slope
                 ema[j] = e
-                w = _PROX_WEIGHT_MIN if _PROX_WEIGHT_MIN > e else e
-                weights[j] = _PROX_WEIGHT_MAX if _PROX_WEIGHT_MAX < w else w
+                if 0.0 < e < inf:
+                    weights[j] = e
     return tuple(asks), tuple(targets), tuple(weights), tuple(ema)
 
 

@@ -23,3 +23,33 @@ def missed_guesses(monkeypatch):
         return misses
 
     return watch
+
+
+@pytest.fixture
+def cold_checks(monkeypatch):
+    """Empty the clearing's memo of checked inputs for one test; the
+    returned function empties it again."""
+    from microgrid_auction import clearing
+
+    def clear():
+        monkeypatch.setattr(clearing, "_checked", (None, 0.0, None, None))
+
+    clear()
+    return clear
+
+
+@pytest.fixture
+def checked_names(monkeypatch):
+    """The name of every list clearing passes to check_nonnegative or
+    check_positive, in call order."""
+    from microgrid_auction import clearing
+
+    names = []
+    for rule in ("check_nonnegative", "check_positive"):
+
+        def spy(name, *values, check=getattr(clearing, rule)):
+            names.append(name)
+            check(name, *values)
+
+        monkeypatch.setattr(clearing, rule, spy)
+    return names

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -741,3 +744,208 @@ def test_proximal_price_when_the_sweep_misplaces_the_bracket(missed_guesses, mar
     misses = missed_guesses(clearing)
     _assert_proximal_matches_reference(*market)
     assert misses == [True]
+
+
+# A market with faults in several inputs at once reports the first in a
+# fixed order: weights, previous allocations, bids, availabilities, asks,
+# then the bid total and the availability total. Every list keeps its clean
+# tuple, the same object in each case, where it has no fault.
+_FAULTS = ["weights", "prev_s", "bids", "avails", "asks", "bid total", "avail total"]
+_CLEAN = {
+    "weights": (0.5, 0.5, 0.5),
+    "prev_s": (0.0, 0.0, 0.0),
+    "bids": (1.0, 0.5, 1.0),
+    "avails": (2.0, 1.0, 1.0),
+    "asks": (0.2, 0.3, 0.4),
+}
+
+
+def _faulty_inputs(first, bad):
+    """The inputs with every fault from _FAULTS[first] on, bad being the
+    faulty value of the weights, bids, availabilities and asks."""
+    on = set(_FAULTS[first:])
+    faulty = {
+        "weights": (0.5, 0.5, bad),
+        "prev_s": (0.0, 0.0, math.nan),
+        "bids": (1.0, 0.5, bad),
+        "avails": (2.0, 1.0, bad),
+        "asks": (bad, 0.3, 0.4),
+    }
+    inputs = {name: faulty[name] if name in on else _CLEAN[name] for name in _CLEAN}
+    for total, name in (("bid total", "bids"), ("avail total", "avails")):
+        if total in on:
+            inputs[name] = (1e308, 1e308, inputs[name][2])
+    return inputs
+
+
+def _first_fault_message(fault, bad):
+    return {
+        "weights": f"proximal weights must be positive and finite, got {bad}",
+        "prev_s": "previous allocations must be finite, got nan",
+        "bids": f"bids must be finite and >= 0, got {bad}",
+        "avails": f"availabilities must be finite and >= 0, got {bad}",
+        "asks": f"asks of offering sellers must be positive and finite, got {bad}",
+        "bid total": "the bids sum past the largest float",
+        "avail total": "the availabilities sum past the largest float",
+    }[fault]
+
+
+def _clear(inputs):
+    return clear_market_proximal(
+        inputs["bids"], inputs["asks"], inputs["avails"], P,
+        prev_s=inputs["prev_s"], weights=inputs["weights"],
+    )
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "after a clean call"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("first", range(len(_FAULTS)), ids=_FAULTS)
+def test_the_first_of_several_faults_is_the_one_reported(first, bad, warm):
+    if warm:
+        _clear(_CLEAN)
+    with pytest.raises(ValueError) as err:
+        _clear(_faulty_inputs(first, bad))
+    assert str(err.value) == _first_fault_message(_FAULTS[first], bad)
+
+
+# clear_market_proximal keeps the availabilities, asks and weights of its
+# last call in clearing._checked, and skips their checks when the next call
+# passes the very same tuples of floats. These tests pin that a skip changes
+# no result and no error.
+
+
+def _bits(result):
+    """A ClearingResult's fields as float.hex strings where they are floats,
+    so that -0.0 and 0.0 differ."""
+    floats = (result.d, result.s, result.bids, result.asks, result.avails)
+    mu = None if result.mu is None else result.mu.hex()
+    return [[v.hex() for v in values] for values in floats], mu, result.buyer_budget_active
+
+
+def test_a_list_is_checked_on_every_call(cold_checks):
+    """A list can change between two calls, so it is never kept: one
+    changed in place clears to its new values."""
+    inputs = {name: list(values) for name, values in _PROX_INPUTS.items()}
+    first = _clear(inputs)
+    assert not any(
+        kept is given for kept in clearing._checked for given in inputs.values()
+    )
+    inputs["avails"][1] = 3.0
+    inputs["asks"][0] = 0.25
+    inputs["weights"][1] = 2.0
+    moved = _clear(inputs)
+    cold_checks()
+    cold = _clear({name: tuple(values) for name, values in inputs.items()})
+    assert _bits(moved) == _bits(cold) != _bits(first)
+
+
+@pytest.mark.parametrize("name", ["avails", "asks", "weights"])
+def test_a_list_changed_to_a_fault_is_refused(cold_checks, name):
+    inputs = {name: list(values) for name, values in _PROX_INPUTS.items()}
+    _clear(inputs)
+    inputs[name][1] = math.nan
+    with pytest.raises(ValueError, match="got nan"):
+        _clear(inputs)
+
+
+@pytest.mark.parametrize(
+    "number, asks, avails, weights",
+    [
+        (int, (1, 2), (2, 1), (1, 3)),
+        (Fraction, (Fraction(1, 5), Fraction(3, 10)), (Fraction(2), Fraction(1)), (Fraction(1, 2),) * 2),
+    ],
+    ids=["int", "Fraction"],
+)
+def test_a_tuple_of_other_numbers_is_checked_on_every_call(
+    cold_checks, checked_names, number, asks, avails, weights
+):
+    """float() makes new floats of ints and Fractions, so a tuple of them is
+    not the tuple that was checked, and is checked again on the next call."""
+    inputs = {**_PROX_INPUTS, "asks": asks, "avails": avails, "weights": weights}
+    results = [_bits(_clear(inputs)) for _ in range(2)]
+    assert checked_names == 2 * ["proximal weights", "availabilities", "asks of offering sellers"]
+    floats = {name: tuple(map(float, values)) for name, values in inputs.items()}
+    assert results == 2 * [_bits(_clear(floats))]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("name", ["avails", "asks", "weights", "bids"])
+def test_a_fresh_faulty_tuple_after_a_warm_call_is_refused(cold_checks, name, bad):
+    """After a call that kept its tuples, a new tuple with a fault raises
+    the message a cold call raises."""
+    _clear(_PROX_INPUTS)
+    assert clearing._checked[0] is _PROX_INPUTS["avails"]
+    inputs = {**_PROX_INPUTS, name: (_PROX_INPUTS[name][0], bad)}
+    message = {
+        "avails": f"availabilities must be finite and >= 0, got {bad}",
+        "asks": f"asks of offering sellers must be positive and finite, got {bad}",
+        "weights": f"proximal weights must be positive and finite, got {bad}",
+        "bids": f"bids must be finite and >= 0, got {bad}",
+    }[name]
+    with pytest.raises(ValueError) as err:
+        _clear(inputs)
+    assert str(err.value) == message
+
+
+def test_kept_asks_are_checked_again_against_other_availabilities(cold_checks):
+    """Asks are kept as checked against one availabilities tuple, where a
+    seller with nothing to offer may ask 0.0, and weights for one seller
+    count: the same asks with other availabilities, or the same weights for
+    other sellers, are checked again."""
+    asks, weights = (0.0, 0.3), (0.5, 0.5)
+    _clear({**_PROX_INPUTS, "asks": asks, "avails": (0.0, 1.0), "weights": weights})
+    with pytest.raises(ValueError) as err:
+        _clear({**_PROX_INPUTS, "asks": asks, "avails": (2.0, 1.0), "weights": weights})
+    assert str(err.value) == "asks of offering sellers must be positive and finite, got 0.0"
+    with pytest.raises(ValueError) as err:
+        _clear({
+            "bids": (1.0,), "asks": (0.2, 0.3, 0.4), "avails": (1.0, 1.0, 1.0),
+            "prev_s": (0.0, 0.0, 0.0), "weights": weights,
+        })
+    assert str(err.value) == "2 proximal weights vs 3 sellers"
+
+
+def test_threads_sharing_the_memo_clear_as_cold(cold_checks):
+    """Threads that alternate three markets through the one-entry memo, with
+    a short switch interval, each get every clearing bit for bit as cold.
+    Two of the markets share one availabilities tuple but not their asks,
+    and the third has another seller count: a call may check its inputs
+    again, never skip a check another market's inputs passed."""
+    rng = random.Random(8)
+    avails = tuple(rng.uniform(0.5, 3.0) for _ in range(6))
+    markets = []
+    for n_s, shared in ((6, True), (6, True), (4, False)):
+        markets.append({
+            "bids": tuple(rng.uniform(0.0, 2.0) for _ in range(8)),
+            "asks": tuple(rng.uniform(0.05, 0.25) for _ in range(n_s)),
+            "avails": avails if shared else tuple(rng.uniform(0.5, 3.0) for _ in range(n_s)),
+            "prev_s": tuple(rng.uniform(0.0, 1.0) for _ in range(n_s)),
+            "weights": tuple(rng.uniform(0.01, 1.0) for _ in range(n_s)),
+        })
+    expected = []
+    for market in markets:
+        cold_checks()
+        expected.append(_bits(_clear(market)))
+    wrong = []
+
+    def work(offset):
+        for k in range(300):
+            n = (k + offset) % 3
+            try:
+                if _bits(_clear(markets[n])) != expected[n]:
+                    wrong.append(n)
+            except Exception as exc:  # lost with the thread otherwise
+                wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -255,11 +255,11 @@ def test_a_round_makes_no_utility_calls(monkeypatch):
     assert calls == []
 
 
-def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
+def test_an_offering_sellers_weight_is_its_curvature_estimate():
     """When an offering seller's allocation moves, its curvature estimate
     averages in the observed slope |change of ask target| / |change of
-    allocation|, and its proximal weight becomes that estimate, clamped to
-    [1e-4, 1e4]. A seller whose allocation held still keeps both."""
+    allocation|, and its proximal weight becomes that estimate. A seller
+    whose allocation held still keeps both."""
     buyers, sellers = _corpus_market(2)
     state = engine._initial_state(buyers, sellers, P)
     moved = 0
@@ -271,7 +271,7 @@ def test_an_offering_sellers_weight_is_its_clamped_curvature_estimate():
                 target = LogUtility(seller.x, seller.y).marginal(max(seller.g - s, 0.0))
                 slope = abs(target - state.last_targets[j]) / abs(ds)
                 assert nxt.curv_ema[j] == 0.5 * state.curv_ema[j] + 0.5 * slope
-                assert nxt.prox_weights[j] == min(max(nxt.curv_ema[j], 1e-4), 1e4)
+                assert nxt.prox_weights[j] == nxt.curv_ema[j]
                 moved += 1
             else:
                 assert nxt.curv_ema[j] == state.curv_ema[j]
@@ -293,7 +293,7 @@ def _requoted_sellers(sellers, state, nxt):
         ds = s - state.prev_s[j]
         if a > 0 and abs(ds) > 1e-12 * max(1.0, a):
             e = 0.5 * e + 0.5 * (abs(target - state.last_targets[j]) / abs(ds))
-            w = min(max(e, 1e-4), 1e4)
+            w = e if 0.0 < e < math.inf else w
         asks.append(min(target, P.p))
         targets.append(target)
         weights.append(w)
@@ -447,36 +447,68 @@ def test_the_stopping_test_matches_a_plain_reference():
     assert verdicts == {False, True}
 
 
-@pytest.mark.parametrize(
-    "buyers, sellers, bound",
-    [
-        # v'' = v'^2 / x: a tiny x makes the seller's marginal value steep
-        # near the price it clears at, a tiny y makes it flat.
-        pytest.param(
-            [BuyerState(1.85, 1.0), BuyerState(1.43, 2.0)], [SellerState(3e-7, 1e6, 1.0)], 1e4,
-            id="steep",
-        ),
-        pytest.param(
-            [BuyerState(1.0, 1.0)], [SellerState(0.01, 1e-4, 2.0), SellerState(0.01, 0.01, 5.0)],
-            1e-4, id="flat",
-        ),
-    ],
-)
-def test_proximal_weights_clamp_at_both_bounds(buyers, sellers, bound):
-    """A curvature estimate beyond [1e-4, 1e4] sets the proximal weight to
-    the bound it crossed, exactly. Corpus weights stay within [0.005, 0.5],
-    so each bound needs a market built to cross it; these auctions stop
-    after 9 and 13 rounds, the estimates cross on rounds 2 and 12, and the
-    steps run on to 40."""
-    state = engine._initial_state(buyers, sellers, P)
-    clamped = []
-    while state.iteration < 40:
-        state = auction_step(state, CFG)
-        for e, w in zip(state.curv_ema, state.prox_weights):
-            if not 1e-4 <= e <= 1e4:
-                clamped.append(w)
-    assert clamped and set(clamped) == {bound}
-    assert run_auction(buyers, sellers, P, CFG).iterations == {1e4: 9, 1e-4: 13}[bound]
+# v'' = v'^2 / x: a tiny x makes a seller's marginal value steep near the
+# price it clears at, a tiny y makes it flat.
+_STEEP = ([BuyerState(1.85, 1.0), BuyerState(1.43, 2.0)], [SellerState(3e-7, 1e6, 1.0)])
+_FLAT = ([BuyerState(1.0, 1.0)], [SellerState(0.01, 1e-4, 2.0), SellerState(0.01, 0.01, 5.0)])
+
+
+def _unit_scale_market(g):
+    """One buyer against a seller whose curvature near the price runs to
+    about 1e5, beside an ordinary seller: prices and energies of order 1."""
+    return [BuyerState(1.0, 1.0)], [SellerState(1e-7, 1e6, g), SellerState(0.2, 1.0, 4.0)]
+
+
+def test_proximal_weights_equal_the_curvature_estimate_across_decades():
+    """Once a seller has taken a slope sample, its proximal weight is its
+    curvature estimate exactly, whatever the scale: across these markets the
+    estimates run from below 1e-4 to above 1e4, where a fixed clamp of
+    [1e-4, 1e4] used to bind. Steps run on to 40; the steep and flat
+    auctions still stop after 9 and 13 rounds."""
+    estimates = []
+    for buyers, sellers in (_STEEP, _FLAT, *map(_unit_scale_market, (0.5, 1.0, 2.0))):
+        state = engine._initial_state(buyers, sellers, P)
+        while state.iteration < 40:
+            before, state = state, auction_step(state, CFG)
+            for old, e, w in zip(before.curv_ema, state.curv_ema, state.prox_weights):
+                if e != old:
+                    assert w == e
+                    estimates.append(e)
+    assert min(estimates) < 1e-4 and max(estimates) > 1e4
+    assert run_auction(*_STEEP, P, CFG).iterations == 9
+    assert run_auction(*_FLAT, P, CFG).iterations == 13
+
+
+@pytest.mark.parametrize("g, iterations", [(0.5, 28), (1.0, 21), (2.0, 40)])
+def test_a_seller_curved_past_the_old_clamp_converges(g, iterations):
+    """With the weight clamped to 1e4 these unit-scale markets ran 20,000
+    rounds unconverged: the steep seller's curvature near the price exceeds
+    twice the clamp, where a proximal step diverges. With the weight at its
+    estimate they stop at the equilibrium reference."""
+    buyers, sellers = _unit_scale_market(g)
+    outcome = run_auction(buyers, sellers, P, AuctionConfig(max_iters=20000, record_trace=False))
+    assert outcome.converged and outcome.iterations == iterations
+    verify_outcome(outcome, buyers, sellers)
+    zero_bid_mismatch, mu_gap, alloc_gap, ask_gap = equilibrium_gaps(
+        outcome, equilibrium_reference(buyers, sellers, P.p)
+    )
+    assert not zero_bid_mismatch
+    assert mu_gap <= 1e-6 and alloc_gap <= 5e-6 and ask_gap <= 1e-6
+
+
+def test_an_estimate_of_zero_or_inf_keeps_the_previous_weight():
+    """The clearing refuses a weight of 0.0 or inf, so an estimate that
+    underflows to 0.0 or overflows to inf leaves the seller's weight as it
+    was. Both sellers move and sample a slope of 0.0 (their targets are
+    already those at the new allocations), from estimates of 0.0 and inf."""
+    state = auction_step(engine._initial_state(*_FLAT, P), CFG)
+    assert all(a > 0 for a in state.avails)
+    s_new = tuple(s + a / 2 for s, a in zip(state.prev_s, state.avails))
+    targets = engine._requote_sellers(state, s_new)[1]
+    moved = dataclasses.replace(state, curv_ema=(0.0, math.inf), last_targets=targets)
+    _, _, weights, ema = engine._requote_sellers(moved, s_new)
+    assert ema == (0.0, math.inf)
+    assert weights == state.prox_weights
 
 
 def test_asks_never_exceed_the_retail_price():
@@ -1331,3 +1363,65 @@ def test_sold_out_markets_converge_to_the_saturated_fixed_point(k):
     zero_bid_mismatch, mu_gap, _, _ = equilibrium_gaps(outcome, reference)
     assert not zero_bid_mismatch
     assert mu_gap <= 1e-6
+
+
+_LONG_RUN = AuctionConfig(max_iters=2500, record_trace=False)
+
+
+def _clearing_bits(result):
+    """A ClearingResult's fields as float.hex strings where they are floats,
+    so that -0.0 and 0.0 differ."""
+    floats = (result.d, result.s, result.bids, result.asks, result.avails)
+    mu = None if result.mu is None else result.mu.hex()
+    return [[v.hex() for v in values] for values in floats], mu, result.buyer_budget_active
+
+
+def test_a_warm_clearing_is_bit_for_bit_a_cold_one(cold_checks):
+    """Every round of large-market seed 0, m = 0, and of 20 corpus markets,
+    cleared by the engine with the memo holding the previous round's
+    inputs, and again with the memo emptied: float.hex-identical results.
+    The warm calls do find the availabilities, and often the asks, there."""
+    avails_hits = asks_hits = rounds = 0
+    for buyers, sellers in [_large_market(0)] + [_corpus_market(k) for k in range(20)]:
+        state = engine._initial_state(buyers, sellers, P)
+        for _ in range(run_auction(buyers, sellers, P, _LONG_RUN).iterations):
+            known_avails, _, known_asks, _ = clearing._checked
+            avails_hits += known_avails is state.avails
+            asks_hits += known_asks is state.asks
+            nxt = auction_step(state, _LONG_RUN)
+            cold_checks()
+            cold = clearing.clear_market_proximal(
+                state.bids, state.asks, state.avails, P,
+                prev_s=state.prev_s, weights=state.prox_weights,
+            )
+            assert _clearing_bits(cold) == _clearing_bits(nxt.clearing)
+            state = nxt
+            rounds += 1
+    assert avails_hits == rounds - 21
+    assert 0 < asks_hits < avails_hits
+
+
+def test_each_quote_tuple_is_checked_once(cold_checks, checked_names):
+    """On large-market seed 0, m = 0, the availabilities are checked on the
+    first round only. The asks and weights are checked on the first round
+    and on each round after one that moved a seller, the rounds that clear
+    new tuples of them. The bids are checked in the pass that sums them and
+    never reach check_nonnegative."""
+    buyers, sellers = _large_market(0)
+    rounds = run_auction(buyers, sellers, P, _LONG_RUN).iterations
+    state = engine._initial_state(buyers, sellers, P)
+    moved = []
+    for _ in range(rounds):
+        checked_names.clear()
+        nxt = auction_step(state, _LONG_RUN)
+        if state.iteration == 0:
+            assert checked_names == [
+                "proximal weights", "availabilities", "asks of offering sellers"
+            ]
+        elif moved[-1]:
+            assert checked_names == ["proximal weights", "asks of offering sellers"]
+        else:
+            assert checked_names == []
+        moved.append(nxt.clearing.s != state.prev_s)
+        state = nxt
+    assert True in moved[:-1] and False in moved[:-1]
