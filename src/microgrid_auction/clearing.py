@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import compress, filterfalse
 from operator import is_, itemgetter
@@ -381,7 +382,9 @@ def clear_market_proximal(
     the guess and its left neighbour, and only a wrong guess falls back to
     bisection: O(N_s log N_s). Supply is linear on the bracketing segment, so
     the root is closed-form in the two exact sums at its ends (linear below
-    the floor, a quadratic above it).
+    the floor, a quadratic above it). Where a large weight makes that root
+    magnify the sums' rounding more than 512-fold, one Newton step on the
+    excess in exact arithmetic (:func:`_exact_newton_step`) restores it.
     At a stationary point (s == prev_s) interior sellers force mu == c_j, so
     fixed points satisfy the exact clearing optimality system. The result
     computes its kkt_residual only when it is first read.
@@ -500,9 +503,55 @@ def clear_market_proximal(
         # so the responses, not the whole availabilities, keep the balance.
         mu = max(total_bid / total_avail, top)
     else:
-        mu = solve_segment(grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo])
+        m0, m1, s0, s1 = grid[lo - 1], grid[lo], supplies[lo - 1], supplies[lo]
+        mu = solve_segment(m0, m1, s0, s1)
+        # The float root carries the rounding of s0, s1 and m0 into mu
+        # magnified by about (s1 / k + |m0|) / mu, k the segment's slope:
+        # a seller with a large weight makes k small, and its lower kink
+        # c_j - w_j*prev_j far below zero. Past 512 (corpus markets reach
+        # 23, wide-range ones 181), one Newton step on the exact excess
+        # restores the root.
+        if s1 > s0 and mu > 0 and s1 * (m1 - m0) / (s1 - s0) + abs(m0) > 512.0 * mu:
+            mu = _exact_newton_step(mu, m0, m1, bids, offering, p)
 
     return _settle(bids, asks, avails, params, mu, allocations(mu))
+
+
+def _exact_newton_step(
+    mu: float,
+    m0: float,
+    m1: float,
+    bids: tuple[float, ...],
+    offering: list[tuple[float, float, float, float]],
+    p: float,
+) -> float:
+    """mu moved by one Newton step on the excess supply(mu) - demand(mu),
+    taken in exact arithmetic and rounded once, kept within [m0, m1].
+
+    offering holds (prev_j clipped to [0, a_j], c_j, w_j, a_j) per offering
+    seller. The slope counts the sellers strictly between their kinks at
+    the segment's midpoint, on which supply is linear; demand is
+    total_bid / max(mu, p). Supply is linear on the segment, so below p
+    the step lands on the root, and above it the step squares the float
+    root's relative error.
+    """
+    x, mid = Fraction(mu), (Fraction(m0) + Fraction(m1)) / 2
+    supply = slope = Fraction(0)
+    for pj, cj, wj, aj in offering:
+        w, a = Fraction(wj), Fraction(aj)
+        base = Fraction(pj) - Fraction(cj) / w
+        v = base + x / w
+        supply += a if v >= a else v if v > 0 else 0
+        if 0 < base + mid / w < a:
+            slope += 1 / w
+    total_bid = sum(Fraction(b) for b in bids if b > BID_FLOOR)
+    if x > p:
+        excess, dexcess = supply - total_bid / x, slope + total_bid / (x * x)
+    else:
+        excess, dexcess = supply - total_bid / Fraction(p), slope
+    if dexcess <= 0:
+        return mu
+    return min(max(float(x - excess / dexcess), m0), m1)
 
 
 def clearing_objective(

@@ -452,18 +452,49 @@ def sold_out_boundary_markets(draw):
         True,
     )
 )
+# one seller of weight 1e4 at its availability, its lower kink near -25000:
+# the float root interpolated from there is 3e-12 off by cancellation
+@example(
+    case=(
+        (
+            (0.6242457290584639,),
+            (0.25,) * 8,
+            (0.0, 0.0, 2.4969829187308386) + (0.0,) * 5,
+            (0.0, 0.0, 2.4969829187308386) + (0.0,) * 5,
+            (1.0, 1.0, 10000.0) + (1.0,) * 5,
+        ),
+        True,
+    )
+)
+# the same seller with a bid total that rounds: a float root taken from m1,
+# clear of the cancellation, is still 4e-12 off
+@example(
+    case=(
+        ((0.24999999975, 0.4999999995), (0.25, 0.25, 0.25), (0.0, 0.0, 3.0), (0.0, 0.0, 3.0), (1.0, 1.0, 10000.0)),
+        True,
+    )
+)
+# weight 1000 beside a capped seller whose upper kink 0.125 starts the
+# segment: its slope from the rounded sums at both ends puts the float root
+# 1.8e-12 off
+@example(
+    case=(
+        (
+            (1.1242457285584637,),
+            (0.125, 0.125, 0.25) + (0.125,) * 5,
+            (0.0, 0.0, 3.4969829187308386, 0.0, 0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 3.4969829187308386, 0.0, 0.0, 0.0, 1.0, 0.0),
+            (1.0, 1.0, 1000.0) + (1.0,) * 5,
+        ),
+        True,
+    )
+)
 def test_proximal_price_at_the_edge_of_the_sold_out_screen(case):
     # Above the edge a round clears without the breakpoint search; at it and
     # below, the search runs. Both must match the linear scan, in the price
     # wherever the price is pinned.
     market, price_pinned = case
     _assert_proximal_matches_reference(*market, price_pinned=price_pinned)
-
-
-_INELASTIC_SEGMENT = (
-    "the price on the bracketing segment is interpolated from the rounded supply "
-    "sums at its ends, and a seller's large weight magnifies their rounding"
-)
 
 
 @pytest.mark.parametrize(
@@ -481,7 +512,8 @@ _INELASTIC_SEGMENT = (
             ),
             id="weight 1000 at the sold-out edge",
         ),
-        # the same edge with weight 3210: 2.3e-11 relative off the root
+        # the same edge with weight 3210: the float root is 2.3e-11
+        # relative off
         pytest.param(
             (
                 (0.020367743717946016, 1.429677386990264, 5.902528496637213e-92),
@@ -491,13 +523,12 @@ _INELASTIC_SEGMENT = (
                 (133.33448470216828, 12.015590334940212, 1.0, 3209.8856484795333),
             ),
             id="weight 3210 at the sold-out edge",
-            marks=pytest.mark.xfail(strict=True, reason=_INELASTIC_SEGMENT),
         ),
-        # weight 1000 with both sellers at their availability: 1.8e-12 off
+        # weight 1000 with both sellers at their availability: the float
+        # root is 1.8e-12 off
         pytest.param(
             ((1.227307310990296,), (0.125, 0.25), (3.9092292488704143, 1.0), (3.9092292488704143, 1.0), (1.0, 1000.0)),
             id="weight 1000 below the edge",
-            marks=pytest.mark.xfail(strict=True, reason=_INELASTIC_SEGMENT),
         ),
     ],
 )
