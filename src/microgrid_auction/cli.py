@@ -33,6 +33,9 @@ from .scenario import (
 )
 from .serialize import dumps, load_outcome, outcome_payload, to_csv
 
+# The floor-price default, read from its one home.
+_PRICE_FLOOR = MarketParams().p
+
 TRACE_HEADER = ("iter", "agent_kind", "agent_id", "bid_or_ask", "alloc", "mu", "phi", "theta")
 
 EXIT_OK = 0
@@ -62,7 +65,8 @@ def _parse_floats(text: str, name: str) -> tuple[float, ...]:
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     defaults = AuctionConfig()
     sub.add_argument(
-        "--tol", type=float, default=defaults.tol_rel, help="relative stationarity tolerance"
+        "--tol", type=float, default=defaults.tol_rel,
+        help="relative stationarity tolerance; the final KKT residual must be <= min(tol, 1e-6)",
     )
     sub.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iteration cap")
 
@@ -82,7 +86,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
         "--price-floor",
         type=float,
         default=None,
-        help="floor price (default 0.25; overrides a scenario file's value when given)",
+        help=f"floor price (default {_PRICE_FLOOR}; overrides a scenario file's value when given)",
     )
 
 
@@ -99,7 +103,7 @@ def _build_parser() -> _Parser:
     clear.add_argument("--bids", required=True, help="comma-separated buyer bids")
     clear.add_argument("--asks", required=True, help="comma-separated seller asks")
     clear.add_argument("--avails", required=True, help="comma-separated seller availabilities")
-    clear.add_argument("--price-floor", type=float, default=0.25)
+    clear.add_argument("--price-floor", type=float, default=_PRICE_FLOOR)
     clear.add_argument("--strict", action="store_true", help="exit 3 when no trade clears")
     _add_output_flags(clear)
     clear.set_defaults(handler=_cmd_clear)
@@ -144,7 +148,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--buyers", type=int, default=5)
     gen.add_argument("--sellers", type=int, default=5)
     gen.add_argument("--width", type=float, default=0.5)
-    gen.add_argument("--price-floor", type=float, default=0.25)
+    gen.add_argument("--price-floor", type=float, default=_PRICE_FLOOR)
     gen.add_argument("--out", help="output path (default stdout)")
     gen.set_defaults(handler=_cmd_scenario_gen)
 
@@ -171,7 +175,7 @@ def _load_market(args: argparse.Namespace) -> Scenario:
                 sellers=scenario.sellers,
             )
         return scenario
-    params = MarketParams(p=args.price_floor if args.price_floor is not None else 0.25)
+    params = MarketParams(p=args.price_floor if args.price_floor is not None else _PRICE_FLOOR)
     return generate_scenario(
         args.seed,
         args.buyers,

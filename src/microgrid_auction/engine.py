@@ -96,6 +96,11 @@ _EXTRAPOLATION_MIN_SHARE = 0.5
 # A buyer whose unit price b/d agrees to within this relative tolerance at
 # its last two clearings bids its best response at that price.
 _SETTLED_PRICE_TOL = 1e-8
+# The outcome is read as an exact clearing of its own quotes, so a stopping
+# round's clearing must meet their KKT system within min(tol_rel, _KKT_TOL):
+# a tighter tol_rel tightens the bound, and a looser one, which stops the
+# quotes sooner, does not loosen it past the 1e-6 of a default run.
+_KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,23 +108,22 @@ class AuctionConfig:
     """Engine knobs.
 
     Every agent re-quotes its undamped target each round, so there is no
-    step size to set. Convergence needs three things within tol_rel:
-    stationary bids and asks, stationary seller allocations, and a clearing
-    whose optimality residual is below inner_kkt_tol. A run that has not
-    converged after max_iters clearings stops there, flagged unconverged.
-    record_trace keeps one IterationRecord per clearing, which costs one
-    social_welfare sum per round; a record's phi is computed when read.
+    step size to set. Convergence needs three things: bids and asks
+    stationary within tol_rel, seller allocations stationary within tol_rel,
+    and a clearing whose optimality residual is within min(tol_rel, 1e-6)
+    (see _KKT_TOL). A run that has not converged after max_iters clearings
+    stops there, flagged unconverged. record_trace keeps one IterationRecord
+    per clearing, which costs one social_welfare sum per round; a record's
+    phi is computed when read.
     """
 
     tol_rel: float = 1e-6
     max_iters: int = 2000
-    inner_kkt_tol: float = 1e-6
     record_trace: bool = True
 
     def __post_init__(self) -> None:
         check_count("max_iters", self.max_iters)
         check_positive("tol_rel", self.tol_rel)
-        check_positive("inner_kkt_tol", self.inner_kkt_tol)
 
 
 @dataclass(frozen=True)
@@ -253,12 +257,12 @@ def _extrapolate(
 ) -> list[float]:
     """Each buyer's bid on an extrapolating round: its best response at a
     settled unit price, else Aitken's delta-squared step on its bids b0, b1,
-    b2, safeguarded.
+    b2, safeguarded, and parked (0.0) when below BID_FLOOR.
 
     Takes the round's lists, one entry per buyer, and returns the new bids.
-    b0, b1, b2 are a buyer's last two bids and its re-quoted new bid, d0 and
-    d1 the allocations that b0 and b1 cleared to, and constants the buyers'
-    (x*y, y).
+    b0, b1, b2 are a buyer's last two bids and its new bid from the plain
+    pass of auction_step (re-quoted and floored), d0 and d1 the allocations
+    that b0 and b1 cleared to, and constants the buyers' (x*y, y).
 
     A buyer whose unit prices b0/d0 and b1/d1 both exist and agree within
     _SETTLED_PRICE_TOL relative of u = b1/d1 bids its best response at u,
@@ -268,6 +272,8 @@ def _extrapolate(
     bids the limit of the geometric sequence with ratio r, but at least
     _EXTRAPOLATION_MIN_SHARE of b2. A parked buyer (b1 = b2 = 0.0,
     d1 = 0.0) has no unit price and no ratio in the window, and keeps 0.0.
+    A b2 that the plain pass parked, though b1 was not, stays parked: any
+    step from it lands below the floor.
     """
     max_ratio, share, tol = _EXTRAPOLATION_MAX_RATIO, _EXTRAPOLATION_MIN_SHARE, _SETTLED_PRICE_TOL
     bids = []
@@ -281,7 +287,7 @@ def _extrapolate(
                 jump = b2 + (b2 - b1) * r / (1 - r)
                 floor = b2 * share
                 b2 = floor if floor > jump else jump
-        bids.append(b2)
+        bids.append(0.0 if b2 < BID_FLOOR else b2)
     return bids
 
 
@@ -323,10 +329,10 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     """Clear the current quotes, then let the agents re-quote their targets.
 
     A buyer bids u'(d)*d and a seller asks min(v'(g - s), p). On every
-    _EXTRAPOLATION_PERIOD-th step after the first, each active buyer instead
-    bids its best response at a settled unit price, or extrapolates (see
-    _extrapolate), from its two previous bids and the two allocations those
-    cleared to, before the floor test. Only the sellers whose allocation
+    _EXTRAPOLATION_PERIOD-th step after the first, _extrapolate then takes
+    those bids and lets each active buyer bid its best response at a settled
+    unit price, or extrapolate, from its two previous bids and the two
+    allocations those cleared to. Only the sellers whose allocation
     moved re-quote; the others carry their ask, target, weight and curvature
     estimate, which the previous step or the opening computed from that same
     allocation. A step in which no seller moved returns the state's own
@@ -339,26 +345,20 @@ def auction_step(state: AuctionState, config: AuctionConfig) -> AuctionState:
     )
 
     # Each target is utility.marginals' (x*y)/(y*d + 1.0) times d, written
-    # out here and in _requote_sellers: fused with the floor test it costs
-    # less per round than a list call and a second pass. Never
+    # out once here and once in _requote_sellers: fused with the floor test
+    # it costs less per round than a list call and a second pass. Never
     # x*y*d/(y*d + 1.0), which rounds differently. A parked buyer's 0.0
-    # stays 0.0; a bid below BID_FLOOR, extrapolated or not, parks its buyer.
+    # stays 0.0, and a bid below BID_FLOOR parks its buyer. An extrapolating
+    # step passes these bids to _extrapolate, which floors its own.
+    bids = [
+        0.0 if b == 0.0 or (t := xy / (y * d + 1.0) * d) < BID_FLOOR else t
+        for (xy, y), b, d in zip(state.buyer_constants, state.bids, result.d)
+    ]
     previous = state.clearing
-    quotes = zip(state.buyer_constants, state.bids, result.d)
     if previous is not None and (state.iteration + 1) % _EXTRAPOLATION_PERIOD == 0:
-        requoted = [0.0 if b == 0.0 else xy / (y * d + 1.0) * d for (xy, y), b, d in quotes]
-        bids = [
-            0.0 if b < BID_FLOOR else b
-            for b in _extrapolate(
-                previous.bids, state.bids, requoted, previous.d, result.d,
-                state.buyer_constants,
-            )
-        ]
-    else:
-        bids = [
-            0.0 if b == 0.0 or (t := xy / (y * d + 1.0) * d) < BID_FLOOR else t
-            for (xy, y), b, d in quotes
-        ]
+        bids = _extrapolate(
+            previous.bids, state.bids, bids, previous.d, result.d, state.buyer_constants
+        )
 
     # A seller whose allocation equals prev_s has the target the previous
     # step, or the opening, computed from it, so the same ask, and takes no
@@ -395,12 +395,12 @@ def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig
 
     Every quote must have moved by at most tol_rel relative to its old value
     (floored at 1e-12), every allocation by at most tol_rel * max(1, a_j),
-    and the clearing's residual must be within inner_kkt_tol. Each test stops
-    at the first agent that fails it, and a test whose lists compare equal,
-    as the asks and allocations of a step that moved no seller do, passes
-    without a pass over the agents: an unmoved value meets any tolerance.
-    The residual test runs last, so the clearing computes its residual only
-    for a round that could stop.
+    and the clearing's residual must be within min(tol_rel, _KKT_TOL). Each
+    test stops at the first agent that fails it, and a test whose lists
+    compare equal, as the asks and allocations of a step that moved no
+    seller do, passes without a pass over the agents: an unmoved value
+    meets any tolerance. The residual test runs last, so the clearing
+    computes its residual only for a round that could stop.
     """
     result = after.clearing
     assert result is not None
@@ -424,7 +424,7 @@ def _stationary(before: AuctionState, after: AuctionState, config: AuctionConfig
             diff = s - prev
             if (diff if diff > 0.0 else -diff) > tol * (a if a > 1.0 else 1.0):
                 return False
-    return result.kkt_residual <= config.inner_kkt_tol
+    return result.kkt_residual <= min(tol, _KKT_TOL)
 
 
 def _settle(state: AuctionState, converged: bool, trace: list[IterationRecord]) -> AuctionOutcome:

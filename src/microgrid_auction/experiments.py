@@ -403,10 +403,11 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
     """Welfare with no trade, with trade, and after redistribution, per cell."""
     cfg = config or WelfareFairnessConfig()
     run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
+    # Every cell faces the same sellers.
+    seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, cfg.n_sellers))
+    sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
     records = []
     for nb in cfg.buyer_counts:
-        seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, cfg.n_sellers))
-        sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
         buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, 999, nb))
         buyers = draw_buyers(buyer_rng, nb, cfg.buyer_ranges)
         outcome = run_auction(buyers, sellers, cfg.params, run_cfg)

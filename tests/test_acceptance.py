@@ -200,9 +200,7 @@ def test_c04_individual_rationality(corpus):
 
 def test_c05_quasi_efficiency():
     sizes = ((5, 5), (10, 5), (25, 50), (50, 100))
-    config = AuctionConfig(
-        tol_rel=1e-12, inner_kkt_tol=1e-9, max_iters=4000, record_trace=False
-    )
+    config = AuctionConfig(tol_rel=1e-12, max_iters=4000, record_trace=False)
     worst_gap = 0.0
     worst_match = 0.0
     runs = 0

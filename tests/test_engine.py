@@ -397,7 +397,8 @@ def test_a_step_in_which_no_seller_moved_carries_the_seller_tuples():
 
 
 def _stationary_reference(before, after, config):
-    """The three stopping tests with builtin abs and max over every agent."""
+    """The three stopping tests with builtin abs and max over every agent,
+    and builtin min for the residual bound."""
     tol = config.tol_rel
     for old, new in ((before.bids, after.bids), (before.asks, after.asks)):
         if any(abs(b - a) / max(abs(a), 1e-12) > tol for a, b in zip(old, new)):
@@ -405,7 +406,7 @@ def _stationary_reference(before, after, config):
     moved = zip(after.clearing.s, before.prev_s, after.avails)
     if any(abs(s - prev) > tol * max(1.0, a) for s, prev, a in moved):
         return False
-    return after.clearing.kkt_residual <= config.inner_kkt_tol
+    return after.clearing.kkt_residual <= min(config.tol_rel, 1e-6)
 
 
 def test_the_stopping_test_matches_a_plain_reference():
@@ -445,6 +446,29 @@ def test_the_stopping_test_matches_a_plain_reference():
                     assert not engine._stationary(state, moved, config)
                     assert not _stationary_reference(state, moved, config)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("tol_rel", [1e-3, 1e-8])
+def test_the_residual_bound_is_the_smaller_of_tol_rel_and_1e_6(tol_rel):
+    """A step that stops on corpus market 2 stops no longer once its
+    clearing's residual sits one ulp above min(tol_rel, 1e-6), and still
+    stops one ulp below: a tight tol_rel tightens the bound, a loose one
+    does not loosen it."""
+    config = AuctionConfig(tol_rel=tol_rel)
+    state = engine._initial_state(*_corpus_market(2), P)
+    while not engine._stationary(state, nxt := auction_step(state, config), config):
+        state = nxt
+    bound = min(tol_rel, 1e-6)
+    for residual, stops in ((math.nextafter(bound, 1.0), False), (math.nextafter(bound, 0.0), True)):
+        cleared = dataclasses.replace(nxt.clearing)
+        # kkt_residual is a cached_property: this is the value it will read
+        cleared.__dict__["kkt_residual"] = residual
+        assert engine._stationary(state, dataclasses.replace(nxt, clearing=cleared), config) is stops
+
+
+def test_config_has_three_settings():
+    names = [f.name for f in dataclasses.fields(AuctionConfig)]
+    assert names == ["tol_rel", "max_iters", "record_trace"]
 
 
 # v'' = v'^2 / x: a tiny x makes a seller's marginal value steep near the
@@ -980,7 +1004,7 @@ def test_config_requires_an_integer_iteration_cap(value):
         AuctionConfig(max_iters=value)
 
 
-@pytest.mark.parametrize("field", ["tol_rel", "inner_kkt_tol"])
+@pytest.mark.parametrize("field", ["tol_rel"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
 def test_config_rejects_tolerances_that_are_not_positive_and_finite(field, value):
     # every "> tol" stopping test is false against NaN, so a NaN tolerance
@@ -1276,8 +1300,9 @@ def test_formerly_stuck_markets_converge_to_the_reference(k):
 
 
 # Asks of the engine before quotes were undamped (each round blended half
-# way toward its target), without extrapolation, run to tol_rel=1e-12,
-# inner_kkt_tol=1e-9 and max_iters=20000; both took 80 rounds.
+# way toward its target), without extrapolation, run to tol_rel=1e-12 with
+# the clearing's KKT residual held to 1e-9 (a setting of that engine), and
+# max_iters=20000; both took 80 rounds.
 _REFERENCE_ASKS = {
     2: (
         0.09568445155525326, 0.05974490393543978, 0.05974490393544049,

@@ -7,7 +7,7 @@ holds both of its sides. This test walks the source and holds three rules:
   clearing call in auction_step, names the agents (buyers, sellers), their
   constants (buyer_constants, seller_constants), a parameter x, y or g, or
   a utility response rule;
-- agents: _extrapolate, _requote_sellers and the bid loops of auction_step
+- agents: _extrapolate, _requote_sellers and the bid loop of auction_step
   subscript a per-agent list only by their own loop index, and reduce no
   list with sum, fsum, min or max;
 - evaluator: outside _initial_state, where each agent builds its own

@@ -482,6 +482,10 @@ def _choke_price_repro_2():
     return buyers, sellers, tuple(bids), tuple(avails)
 
 
+# Repros 3 and 4 are failing draws of
+# test_welfare_price_matches_linear_scan_reference. The fourth is cut from
+# a draw of 37 buyers and 37 sellers down to its one bidder and its two
+# offering sellers, which still fail.
 _CHOKE_PRICE_REPROS = (
     (
         (
@@ -493,13 +497,33 @@ _CHOKE_PRICE_REPROS = (
         0.039623855541050385,
     ),
     (_choke_price_repro_2(), 0.05346348813036678),
+    (
+        (
+            [BuyerState(1.0, 1.0), BuyerState(1.0, 1.0), BuyerState(0.05, 2.25), BuyerState(1.0, 1.0)],
+            [SellerState(0.125, 1.0, 1.0), SellerState(1.0, 1.0, 1.0)],
+            (0.0, 0.0, 0.03125, 0.0),
+            (2.225073858507203e-309, 1.0),
+        ),
+        0.1125,
+    ),
+    (
+        (
+            [BuyerState(0.01720105280004459, 1.5)],
+            [SellerState(0.1, 0.5, 1.9878282349294194), SellerState(0.5, 0.5, 3.6600254882889574)],
+            (0.028677107828403662,),
+            (5.347976251305495e-120, 1.4776235972081193),
+        ),
+        0.025801579200066885,
+    ),
 )
 
 
-@pytest.mark.parametrize("market, mu", _CHOKE_PRICE_REPROS, ids=["repro 1", "repro 2"])
+@pytest.mark.parametrize(
+    "market, mu", _CHOKE_PRICE_REPROS, ids=["repro 1", "repro 2", "repro 3", "repro 4"]
+)
 def test_the_reference_trades_at_the_choke_price_of_each_repro(market, mu):
-    """In both repros the reference puts mu on the lone bidder's choke price
-    fl(x*y), where its demand x/mu - 1/y rounds to a few 1e-17, not 0."""
+    """In each repro the reference puts mu on the lone bidder's choke price
+    fl(x*y), where its demand x/mu - 1/y rounds to at most 2.2e-16, not 0."""
     buyers, sellers, bids, avails = market
     (choke,) = [b.x * b.y for b, bid in zip(buyers, bids) if bid > 0.0]
     assert welfare_price_reference(buyers, sellers, bids, avails, P.p) == mu == choke
@@ -512,14 +536,17 @@ _VERDICT = "the planner's no-trade verdict is decided by rounding at a buyer's c
 @given(market=welfare_markets())
 @example(market=_CHOKE_PRICE_REPROS[0][0]).xfail(raises=AssertionError, reason=_VERDICT)
 @example(market=_CHOKE_PRICE_REPROS[1][0]).xfail(raises=AssertionError, reason=_VERDICT)
+@example(market=_CHOKE_PRICE_REPROS[2][0]).xfail(raises=AssertionError, reason=_VERDICT)
+@example(market=_CHOKE_PRICE_REPROS[3][0]).xfail(raises=AssertionError, reason=_VERDICT)
 def test_planner_trades_where_the_reference_trades_at_a_choke_price(market):
     """Each example is a strict expected failure: Hypothesis fails the test
-    if either stops failing. At mu = fl(x*y) the lone bidder's demand
-    x/mu - 1/y rounds to a few 1e-17, not 0, so the planner's exact excess
-    stays positive at the choke kink and it roots the segment above it,
-    where demand is 0, and reports no trade. In exact arithmetic the market
-    trades the first seller's tiny availability (9.1e-273 and 4.34e-202)
-    just below the choke price, where the reference puts mu
+    if any stops failing. At mu = fl(x*y) the lone bidder's demand
+    x/mu - 1/y rounds to at most 2.2e-16, not 0, so the planner's exact
+    excess stays positive at the choke kink and it roots the segment above
+    it, where demand is 0, and reports no trade. In exact arithmetic the
+    market trades the first seller's tiny availability (9.1e-273,
+    4.34e-202, the subnormal 2.2e-309 and 5.3e-120) just below the choke
+    price, where the reference puts mu
     (test_the_reference_trades_at_the_choke_price_of_each_repro)."""
     buyers, sellers, bids, avails = market
     mu = welfare_price_reference(buyers, sellers, bids, avails, P.p)
