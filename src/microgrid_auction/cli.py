@@ -71,8 +71,7 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iteration cap")
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", help="scenario JSON path (overrides --seed/--buyers/--sellers)")
+def _add_draw_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="scenario seed when drawing")
     sub.add_argument("--buyers", type=int, default=5, help="buyer count when drawing")
     sub.add_argument("--sellers", type=int, default=5, help="seller count when drawing")
@@ -83,16 +82,26 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
         help="half-width of the unit-centered parameter ranges when drawing",
     )
     sub.add_argument(
-        "--price-floor",
-        type=float,
-        default=None,
-        help=f"floor price (default {_PRICE_FLOOR}; overrides a scenario file's value when given)",
+        "--price-floor", type=float, default=None, help=f"floor price (default {_PRICE_FLOOR})"
     )
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+
+
+def _add_auction_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--scenario",
+        help="scenario JSON path (replaces --seed/--buyers/--sellers/--width; "
+        "--price-floor overrides its p)",
+    )
+    _add_draw_flags(sub)
+    _add_engine_flags(sub)
+    sub.add_argument("--strict", action="store_true", help="exit 3 when no trade clears")
+    sub.add_argument("--trace-out", help="write the per-iteration trace CSV here")
+    _add_output_flags(sub)
 
 
 def _build_parser() -> _Parser:
@@ -109,11 +118,7 @@ def _build_parser() -> _Parser:
     clear.set_defaults(handler=_cmd_clear)
 
     auction = commands.add_parser("auction", help="run the iterative auction")
-    _add_scenario_flags(auction)
-    _add_engine_flags(auction)
-    auction.add_argument("--strict", action="store_true", help="exit 3 when no trade clears")
-    auction.add_argument("--trace-out", help="write the per-iteration trace CSV here")
-    _add_output_flags(auction)
+    _add_auction_flags(auction)
     auction.set_defaults(handler=_cmd_auction, redistribute=False)
 
     redist = commands.add_parser(
@@ -121,13 +126,10 @@ def _build_parser() -> _Parser:
     )
     redist.add_argument(
         "--outcome",
-        help="saved outcome JSON to redistribute; the scenario still supplies the utilities",
+        help="saved outcome JSON to redistribute; the scenario still supplies the utilities, "
+        "and --tol, --max-iters and --trace-out do not apply",
     )
-    _add_scenario_flags(redist)
-    _add_engine_flags(redist)
-    redist.add_argument("--strict", action="store_true", help="exit 3 when no trade clears")
-    redist.add_argument("--trace-out", help="write the per-iteration trace CSV here")
-    _add_output_flags(redist)
+    _add_auction_flags(redist)
     redist.set_defaults(handler=_cmd_redistribute, redistribute=True)
 
     experiment = commands.add_parser("experiment", help="run a canned study")
@@ -144,11 +146,7 @@ def _build_parser() -> _Parser:
     scenario = commands.add_parser("scenario", help="scenario file utilities")
     scenario_cmds = scenario.add_subparsers(dest="scenario_command", required=True)
     gen = scenario_cmds.add_parser("gen", help="draw a scenario and write it as JSON")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--buyers", type=int, default=5)
-    gen.add_argument("--sellers", type=int, default=5)
-    gen.add_argument("--width", type=float, default=0.5)
-    gen.add_argument("--price-floor", type=float, default=_PRICE_FLOOR)
+    _add_draw_flags(gen)
     gen.add_argument("--out", help="output path (default stdout)")
     gen.set_defaults(handler=_cmd_scenario_gen)
 
@@ -165,16 +163,7 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_market(args: argparse.Namespace) -> Scenario:
-    if args.scenario is not None:
-        scenario = load_scenario(args.scenario)
-        if args.price_floor is not None:
-            scenario = Scenario(
-                params=MarketParams(p=args.price_floor),
-                buyers=scenario.buyers,
-                sellers=scenario.sellers,
-            )
-        return scenario
+def _draw_market(args: argparse.Namespace) -> Scenario:
     params = MarketParams(p=args.price_floor if args.price_floor is not None else _PRICE_FLOOR)
     return generate_scenario(
         args.seed,
@@ -182,6 +171,17 @@ def _load_market(args: argparse.Namespace) -> Scenario:
         args.sellers,
         ranges=ParameterRanges.centered(args.width),
         params=params,
+    )
+
+
+def _load_market(args: argparse.Namespace) -> Scenario:
+    if args.scenario is None:
+        return _draw_market(args)
+    scenario = load_scenario(args.scenario)
+    if args.price_floor is None:
+        return scenario
+    return Scenario(
+        params=MarketParams(p=args.price_floor), buyers=scenario.buyers, sellers=scenario.sellers
     )
 
 
@@ -280,6 +280,8 @@ def _cmd_auction(args: argparse.Namespace) -> int:
 def _cmd_redistribute(args: argparse.Namespace) -> int:
     if args.outcome is None:
         return _cmd_auction(args)
+    if args.trace_out is not None:
+        raise UsageError("--trace-out does not apply with --outcome: no auction runs")
     outcome = load_outcome(args.outcome)
     scenario = _load_market(args)
     red = redistribute(outcome, scenario.buyers, scenario.sellers)
@@ -294,14 +296,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_gen(args: argparse.Namespace) -> int:
-    scenario = generate_scenario(
-        args.seed,
-        args.buyers,
-        args.sellers,
-        ranges=ParameterRanges.centered(args.width),
-        params=MarketParams(p=args.price_floor),
-    )
-    _write(scenario_to_json(scenario), args.out)
+    _write(scenario_to_json(_draw_market(args)), args.out)
     return EXIT_OK
 
 

@@ -304,6 +304,8 @@ def _requote_sellers(
     weights = list(state.prox_weights)
     ema = list(state.curv_ema)
     p = state.params.p
+    # A seller with a_j = 0 never moves: it opens at prev_s = 0.0, and
+    # every clearing gives it exactly 0.0.
     for j in compress(count(), map(ne, s_new, prev_s)):
         xy, y, g = constants[j]
         s = s_new[j]
@@ -314,14 +316,13 @@ def _requote_sellers(
         targets[j] = target
         asks[j] = p if p < target else target
         a = avails[j]
-        if a > 0:
-            ds = s - prev_s[j]
-            if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
-                slope = abs(target - last[j]) / abs(ds)
-                e = 0.5 * ema[j] + 0.5 * slope
-                ema[j] = e
-                if 0.0 < e < inf:
-                    weights[j] = e
+        ds = s - prev_s[j]
+        if abs(ds) > 1e-12 * (a if a > 1.0 else 1.0):
+            slope = abs(target - last[j]) / abs(ds)
+            e = 0.5 * ema[j] + 0.5 * slope
+            ema[j] = e
+            if 0.0 < e < inf:
+                weights[j] = e
     return tuple(asks), tuple(targets), tuple(weights), tuple(ema)
 
 

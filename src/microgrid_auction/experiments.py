@@ -11,9 +11,10 @@ Four runners, each reproducible bit-for-bit from its config:
 - exp_efficiency: per-iteration gap between the auction's welfare and the
   full-information benchmark, for four market sizes.
 
-Every config checks its market sizes and replications at construction,
-each an int >= 1 and every list of them non-empty, and names the field it
-refuses. Every runner validates balance, bound, and revenue invariants on
+Every config draws its buyers and sellers from one ParameterRanges,
+`ranges`, which its report's config block lists. Every config checks its
+market sizes and replications at construction, each an int >= 1 and every
+list of them non-empty, and names the field it refuses. Every runner validates balance, bound, and revenue invariants on
 each outcome before emitting a row, and refuses to serialize a violating
 run.
 Randomness comes from a fixed splitmix64-based seed mixer so reports are
@@ -177,7 +178,7 @@ class PayoffSweepConfig:
 
     Buyer draws are shared across seller counts and buyer counts reuse
     prefixes of one pool per replication, so cells differ only in the
-    population actually present. The parameter windows keep every buyer's
+    population actually present. The windows in ranges keep every buyer's
     marginal value at zero above the floor price and place the
     supply-saturation crossover mid-sweep, where the trend statistics are
     informative.
@@ -187,11 +188,10 @@ class PayoffSweepConfig:
     seller_counts: tuple[int, ...] = (10, 15)
     buyer_counts: tuple[int, ...] = tuple(range(5, 51, 5))
     replications: int = 100
-    buyer_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(buyer_x=(0.35, 0.55), buyer_y=(1.2, 1.6))
-    )
-    seller_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(seller_x=(0.3, 0.7), seller_y=(1.2, 1.8))
+    ranges: ParameterRanges = field(
+        default_factory=lambda: ParameterRanges(
+            buyer_x=(0.35, 0.55), buyer_y=(1.2, 1.6), seller_x=(0.3, 0.7), seller_y=(1.2, 1.8)
+        )
     )
     params: MarketParams = field(default_factory=MarketParams)
     tol_rel: float = 1e-6
@@ -226,9 +226,9 @@ def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentRepor
     for ns in cfg.seller_counts:
         for rep in range(cfg.replications):
             seller_rng = random.Random(mix_seed(cfg.seed, _SALT_SELLERS, ns, rep))
-            sellers = draw_sellers(seller_rng, ns, cfg.seller_ranges)
+            sellers = draw_sellers(seller_rng, ns, cfg.ranges)
             buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_BUYERS, rep))
-            buyer_pool = draw_buyers(buyer_rng, nb_max, cfg.buyer_ranges)
+            buyer_pool = draw_buyers(buyer_rng, nb_max, cfg.ranges)
             for nb in cfg.buyer_counts:
                 buyers = buyer_pool[:nb]
                 outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
@@ -281,19 +281,17 @@ def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentRepor
 class CaseStudyConfig:
     """Two markets sharing one seller draw: 5 buyers, then 10.
 
-    With wide buyer budgets and cheap sellers, the small market leaves slack
-    supply (every served buyer pays the floor price) and the large one
-    saturates every seller, so the pair brackets both clearing regimes.
+    With wide buyer budgets and cheap sellers in ranges, the small market
+    leaves slack supply (every served buyer pays the floor price) and the
+    large one saturates every seller, so the pair brackets both clearing
+    regimes.
     """
 
     seed: int = 2024
     n_sellers: int = 5
     buyer_counts: tuple[int, ...] = (5, 10)
-    buyer_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(buyer_x=(0.5, 1.2))
-    )
-    seller_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(seller_x=(0.1, 0.4))
+    ranges: ParameterRanges = field(
+        default_factory=lambda: ParameterRanges(buyer_x=(0.5, 1.2), seller_x=(0.1, 0.4))
     )
     params: MarketParams = field(default_factory=MarketParams)
     tol_rel: float = 1e-6
@@ -309,9 +307,9 @@ def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
     cfg = config or CaseStudyConfig()
     run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 1))
-    sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
+    sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.ranges)
     buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 2))
-    buyer_pool = draw_buyers(buyer_rng, max(cfg.buyer_counts), cfg.buyer_ranges)
+    buyer_pool = draw_buyers(buyer_rng, max(cfg.buyer_counts), cfg.ranges)
 
     records: list[dict[str, Any]] = []
     summaries = []
@@ -384,11 +382,8 @@ class WelfareFairnessConfig:
     seed: int = 77
     n_sellers: int = 50
     buyer_counts: tuple[int, ...] = (20, 30, 50, 60, 100)
-    buyer_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(buyer_x=(0.9, 1.6))
-    )
-    seller_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(seller_x=(0.1, 0.4))
+    ranges: ParameterRanges = field(
+        default_factory=lambda: ParameterRanges(buyer_x=(0.9, 1.6), seller_x=(0.1, 0.4))
     )
     params: MarketParams = field(default_factory=MarketParams)
     tol_rel: float = 1e-6
@@ -405,11 +400,11 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
     run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     # Every cell faces the same sellers.
     seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, cfg.n_sellers))
-    sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.seller_ranges)
+    sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.ranges)
     records = []
     for nb in cfg.buyer_counts:
         buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, 999, nb))
-        buyers = draw_buyers(buyer_rng, nb, cfg.buyer_ranges)
+        buyers = draw_buyers(buyer_rng, nb, cfg.ranges)
         outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
         verify_outcome(outcome, buyers, sellers)
         red = redistribute(outcome, buyers, sellers)
@@ -440,15 +435,13 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
 
 @dataclass(frozen=True)
 class EfficiencyConfig:
-    """Welfare-gap trajectories for four market sizes."""
+    """Welfare-gap trajectories for four market sizes, each market drawn
+    from ranges with keen buyers and cheap sellers."""
 
     seed: int = 88
     sizes: tuple[tuple[int, int], ...] = ((5, 5), (5, 10), (25, 50), (50, 100))
-    buyer_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(buyer_x=(0.9, 1.6))
-    )
-    seller_ranges: ParameterRanges = field(
-        default_factory=lambda: ParameterRanges(seller_x=(0.1, 0.4))
+    ranges: ParameterRanges = field(
+        default_factory=lambda: ParameterRanges(buyer_x=(0.9, 1.6), seller_x=(0.1, 0.4))
     )
     params: MarketParams = field(default_factory=MarketParams)
     tol_rel: float = 1e-6
@@ -474,8 +467,8 @@ def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:
     finals = []
     for ns, nb in cfg.sizes:
         rng = random.Random(mix_seed(cfg.seed, ns, nb))
-        buyers = draw_buyers(rng, nb, cfg.buyer_ranges)
-        sellers = draw_sellers(rng, ns, cfg.seller_ranges)
+        buyers = draw_buyers(rng, nb, cfg.ranges)
+        sellers = draw_sellers(rng, ns, cfg.ranges)
         outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
         verify_outcome(outcome, buyers, sellers)
         final_gap = None

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 from .market import BuyerState, MarketParams, SellerState
 from .serialize import dumps, read_number
+from .utility import check_positive
 
 
-def _check_range(name: str, bounds: tuple[float, float], positive: bool = True) -> None:
+def _check_range(name: str, bounds: tuple[float, float]) -> None:
     lo, hi = bounds
+    check_positive(f"{name} range", lo, hi)
     if lo > hi:
         raise ValueError(f"{name} range has lo > hi: {bounds}")
-    if positive and lo <= 0:
-        raise ValueError(f"{name} range must be positive: {bounds}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class ParameterRanges:
 
     Buyer and seller utility scales are separate knobs: experiments often
     need buyers keen and sellers cheap (or vice versa) to land the market in
-    a particular demand regime.
+    a particular demand regime. Every bound must be positive and finite,
+    and no pair may have lo > hi.
     """
 
     buyer_x: tuple[float, float] = (0.5, 1.5)

@@ -193,23 +193,23 @@ def test_auction_trace_csv(capsys, tmp_path):
 
 
 def test_scenario_gen_and_reuse_are_identical(capsys, tmp_path):
-    scenario_path = tmp_path / "market.json"
-    code, _ = run_cli(
-        capsys,
-        ["scenario", "gen", "--seed", "3", "--buyers", "4", "--sellers", "3", "--out", str(scenario_path)],
-    )
-    assert code == 0
-    parsed = json.loads(scenario_path.read_text())
-    assert len(parsed["buyers"]) == 4
-    assert len(parsed["sellers"]) == 3
+    """scenario gen writes the market that auction draws from the same
+    flags, at the default width and floor price and at others."""
+    draw = ["--seed", "3", "--buyers", "4", "--sellers", "3"]
+    for extra in ([], ["--width", "0.2", "--price-floor", "0.4"]):
+        scenario_path = tmp_path / "market.json"
+        code, _ = run_cli(capsys, ["scenario", "gen", *draw, *extra, "--out", str(scenario_path)])
+        assert code == 0
+        parsed = json.loads(scenario_path.read_text())
+        assert len(parsed["buyers"]) == 4
+        assert len(parsed["sellers"]) == 3
+        assert parsed["p"] == (0.4 if extra else 0.25)
 
-    code, from_file = run_cli(capsys, ["auction", "--scenario", str(scenario_path)])
-    assert code == 0
-    code, from_draw = run_cli(
-        capsys, ["auction", "--seed", "3", "--buyers", "4", "--sellers", "3"]
-    )
-    assert code == 0
-    assert from_file == from_draw
+        code, from_file = run_cli(capsys, ["auction", "--scenario", str(scenario_path)])
+        assert code == 0
+        code, from_draw = run_cli(capsys, ["auction", *draw, *extra])
+        assert code == 0
+        assert from_file == from_draw
 
 
 def test_redistribute_inline(capsys):
@@ -224,6 +224,23 @@ def test_redistribute_inline(capsys):
     for s_r_j, a_j in zip(red["s_r"], doc["avails"]):
         assert s_r_j <= a_j + 1e-9
         assert s_r_j == pytest.approx(min(a_j, red["K"]), abs=1e-9)
+
+
+def test_redistribute_refuses_a_trace_for_a_saved_outcome(capsys, tmp_path):
+    """With --outcome no auction runs, so there is no trace to write: the
+    command exits 4 naming both flags and leaves no file at the trace path."""
+    outcome_path = tmp_path / "o.json"
+    trace_path = tmp_path / "t.csv"
+    draw = ["--seed", "3", "--buyers", "4", "--sellers", "3"]
+    code, _ = run_cli(capsys, ["auction", *draw, "--out", str(outcome_path)])
+    assert code == 0
+    code = main(
+        ["redistribute", *draw, "--outcome", str(outcome_path), "--trace-out", str(trace_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "--trace-out" in err and "--outcome" in err
+    assert not trace_path.exists()
 
 
 def test_redistribute_saved_outcome_chain(capsys, tmp_path):

@@ -339,7 +339,9 @@ def test_the_opening_state_is_a_requote_at_zero_allocations():
     first step may carry them like any other. The targets stay unclamped,
     and a seller whose target lies above p offers nothing, so it never
     moves: the hand market's second seller, v'(g) = 0.5, and every such
-    seller of the 600 wide-range markets (the corpus has none)."""
+    seller of the 600 wide-range markets (the corpus has none). Every
+    clearing of their runs gives each of them exactly s_j = 0.0, so none
+    enters the re-quote's moved set."""
     hand = (
         [BuyerState(1.2, 1.4), BuyerState(0.8, 1.6)],
         [SellerState(0.2, 1.3, 3.0), SellerState(1.0, 1.0, 1.0)],
@@ -357,6 +359,9 @@ def test_the_opening_state_is_a_requote_at_zero_allocations():
             if target > P.p:
                 assert a == 0.0
                 above_p += 1
+        offers_nothing = [j for j, a in enumerate(state.avails) if a == 0.0]
+        for rec in run_auction(buyers, sellers, P, CFG).trace:
+            assert all(rec.clearing.s[j] == 0.0 for j in offers_nothing)
     assert above_p > 4000
 
 

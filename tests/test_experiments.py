@@ -146,16 +146,19 @@ def test_study_configs_refuse_bad_sizes_naming_the_field(config_class, fields, m
 @pytest.mark.parametrize(
     "config_class, digest",
     [
-        (PayoffSweepConfig, "c4c7391174f7e75c15d61c737a105a522c46af12f131241825b99b0cd9a5b9ff"),
-        (WelfareFairnessConfig, "ca45e7cd99db1ec63afe303f4777aa64981d7a0a74af19df806064687eb6a8bd"),
-        (EfficiencyConfig, "805c8bdfc1806a1b871ada2f82549e6555d7da0bf3c7bf72fdde2cd82e96e428"),
-        (CaseStudyConfig, "4f5dd364224b74f1f73b23b3fd0f8b81bb3b9a28aeadaf0a20db406e9f88890f"),
+        (PayoffSweepConfig, "c6bed5c259748135bd3a610fd226652384ed6636b6c2365cc8f2ff0467283459"),
+        (WelfareFairnessConfig, "6a06075b0915dc08bab40d94bde73ba995ab31f71abb487c8c1b20687c57b73c"),
+        (EfficiencyConfig, "5763cdd1144933106293f81e57b0ce143020488154751b403a43ca3a013d918e"),
+        (CaseStudyConfig, "401e454c493811481d0bfce7e902ef2b189c89cb75710e607211b31eb96b8517"),
     ],
     ids=["sweep", "fairness", "efficiency", "case"],
 )
 def test_default_study_configs_serialize_as_pinned(config_class, digest):
-    """The config checks add no field: each default config, the config
-    block of its report, keeps its bytes."""
+    """Each default config, the config block of its report, keeps its
+    bytes. The four digests were last re-recorded when each config's
+    buyer_ranges and seller_ranges became one ranges field, holding the
+    buyer half of the first and the seller half of the second: the pairs
+    the runners drew from."""
     config = dumps(dataclasses.asdict(config_class()))
     assert hashlib.sha256(config.encode()).hexdigest() == digest
 
@@ -163,6 +166,28 @@ def test_default_study_configs_serialize_as_pinned(config_class, digest):
 TINY_SWEEP = PayoffSweepConfig(
     seed=7, seller_counts=(3, 5), buyer_counts=(4, 8, 12), replications=6, max_iters=2000
 )
+
+
+@pytest.mark.parametrize(
+    "runner, config",
+    [
+        (exp_payoff_sweep, TINY_SWEEP),
+        (exp_case_study, CaseStudyConfig(buyer_counts=(3, 8), n_sellers=4)),
+        (exp_welfare_fairness, WelfareFairnessConfig(n_sellers=10, buyer_counts=(4, 20))),
+        (exp_efficiency, EfficiencyConfig(sizes=((3, 4), (5, 6)))),
+    ],
+    ids=["sweep", "case", "fairness", "efficiency"],
+)
+def test_every_range_pair_reaches_the_draws(runner, config):
+    """Narrowing any one of the five pairs of a study's ranges to its lower
+    half changes the report's records or aggregates: no pair is written into
+    the config block and then never drawn from."""
+    base = runner(config)
+    for name in ("buyer_x", "buyer_y", "seller_x", "seller_y", "gen"):
+        lo, hi = getattr(config.ranges, name)
+        narrowed = dataclasses.replace(config.ranges, **{name: (lo, (lo + hi) / 2)})
+        report = runner(dataclasses.replace(config, ranges=narrowed))
+        assert (report.records, report.aggregates) != (base.records, base.aggregates), name
 
 
 def test_payoff_sweep_report_shape_and_determinism():
@@ -264,18 +289,20 @@ def test_report_serialization_roundtrip():
 @pytest.mark.parametrize(
     "study, digest",
     [
-        (exp_efficiency, "1daff3144674791b7c814a57fee53c66e3ac667ed2989b7191cda170c9dfddb4"),
-        (exp_welfare_fairness, "573b0d4e6f1692f08377d5d3777d3a44dcbe1a0594d9ffe2ca21e51dc6a6ae25"),
-        (exp_case_study, "fc5f04d98c4dee4145bb37abd21d087a281da50fac3594a7562f96e29e6a01c9"),
+        (exp_efficiency, "9ca983673fc1560d26edc21c7dca76d658c54f41a8c4a2631ecd3ab0f82db661"),
+        (exp_welfare_fairness, "36710ca533323bcccf0950ee708e7c21749c0739f1267944b240a9020c2f0c06"),
+        (exp_case_study, "4f0248abe0fb3d7fc838c132dc42f6fdebc453707a2a6a9c5f75fd1d178d7afc"),
     ],
     ids=["efficiency", "welfare-fairness", "case-study"],
 )
 def test_study_json_is_pinned_byte_for_byte(study, digest):
     """A change that only speeds the auction up leaves every byte of the
     default study reports as it is. The three digests were last re-recorded
-    when buyers on a settled unit price began to bid their best response
-    there: the efficiency study's final gap went from -2.1e-14 to 2.1e-14
-    percent, the fairness study's two mu moved by 1.2e-9 and 1.7e-8
-    relative, and the case study's quotes and allocations in their last
-    bits."""
+    when each study config's buyer_ranges and seller_ranges became one
+    ranges field: only the config block changed, and the records and
+    aggregates kept every byte. Before that, when buyers on a settled unit
+    price began to bid their best response there, the efficiency study's
+    final gap went from -2.1e-14 to 2.1e-14 percent, the fairness study's
+    two mu moved by 1.2e-9 and 1.7e-8 relative, and the case study's quotes
+    and allocations in their last bits."""
     assert hashlib.sha256(study().to_json().encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from microgrid_auction.market import MarketParams
@@ -45,8 +47,16 @@ def test_centered_ranges():
     assert ranges.buyer_x == (0.8, 1.2)
     assert ranges.seller_y == (0.8, 1.2)
     assert ranges.gen == (2.0, 5.0)
-    with pytest.raises(ValueError):
-        ParameterRanges(buyer_x=(2.0, 1.0))
+    # Each refused at construction, not at the first agent drawn.
+    for bounds, message in [
+        ({"buyer_x": (2.0, 1.0)}, r"buyer_x range has lo > hi: \(2.0, 1.0\)"),
+        ({"buyer_x": (math.nan, 1.0)}, "buyer_x range must be positive and finite, got nan"),
+        ({"buyer_x": (0.5, math.inf)}, "buyer_x range must be positive and finite, got inf"),
+        ({"gen": (2.0, math.nan)}, "gen range must be positive and finite, got nan"),
+        ({"seller_y": (math.nan, math.nan)}, "seller_y range must be positive and finite, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ParameterRanges(**bounds)
 
 
 def test_json_roundtrip(tmp_path):
