@@ -11,12 +11,14 @@ Four runners, each reproducible bit-for-bit from its config:
 - exp_efficiency: per-iteration gap between the auction's welfare and the
   full-information benchmark, for four market sizes.
 
-Every config draws its buyers and sellers from one ParameterRanges,
-`ranges`, which its report's config block lists. Every config checks its
-market sizes and replications at construction, each an int >= 1 and every
-list of them non-empty, and names the field it refuses. Every runner validates balance, bound, and revenue invariants on
-each outcome before emitting a row, and refuses to serialize a violating
-run.
+A config holds only the experiment: its seed, its market sizes and one
+ParameterRanges, `ranges`, for its buyers and sellers, all listed in its
+report's config block. Every auction runs at MarketParams() and the
+AuctionConfig defaults, so a report reproduces from its config alone.
+Configs refuse market sizes and replications that are not ints >= 1, or
+empty lists of them, naming the field. Every runner checks balance, bound
+and revenue invariants on each outcome before emitting a row, so a
+violating run is never serialized.
 Randomness comes from a fixed splitmix64-based seed mixer so reports are
 identical across platforms and processes.
 """
@@ -144,6 +146,18 @@ def verify_outcome(
             raise RuntimeError(f"seller {j} worse off than walking away: {pj}")
 
 
+def _run_verified(
+    buyers: list[BuyerState] | tuple[BuyerState, ...],
+    sellers: list[SellerState] | tuple[SellerState, ...],
+    trace: bool = False,
+) -> AuctionOutcome:
+    """Run one study auction at MarketParams() and the AuctionConfig
+    defaults, traced when asked, and refuse it by verify_outcome."""
+    outcome = run_auction(buyers, sellers, MarketParams(), AuctionConfig(record_trace=trace))
+    verify_outcome(outcome, buyers, sellers)
+    return outcome
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Uniform result container: tidy records plus summary aggregates."""
@@ -193,9 +207,6 @@ class PayoffSweepConfig:
             buyer_x=(0.35, 0.55), buyer_y=(1.2, 1.6), seller_x=(0.3, 0.7), seller_y=(1.2, 1.8)
         )
     )
-    params: MarketParams = field(default_factory=MarketParams)
-    tol_rel: float = 1e-6
-    max_iters: int = 2500
 
     def __post_init__(self) -> None:
         check_count("seller_counts", *self.seller_counts)
@@ -219,7 +230,6 @@ def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentRepor
     Raises ValueError when no run of a cell converges: its means are undefined.
     """
     cfg = config or PayoffSweepConfig()
-    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     nb_max = max(cfg.buyer_counts)
     sums: dict[tuple[int, int], list[float]] = {}
     unconverged = 0
@@ -231,8 +241,7 @@ def exp_payoff_sweep(config: PayoffSweepConfig | None = None) -> ExperimentRepor
             buyer_pool = draw_buyers(buyer_rng, nb_max, cfg.ranges)
             for nb in cfg.buyer_counts:
                 buyers = buyer_pool[:nb]
-                outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
-                verify_outcome(outcome, buyers, sellers)
+                outcome = _run_verified(buyers, sellers)
                 if not outcome.converged:
                     unconverged += 1
                     continue
@@ -293,9 +302,6 @@ class CaseStudyConfig:
     ranges: ParameterRanges = field(
         default_factory=lambda: ParameterRanges(buyer_x=(0.5, 1.2), seller_x=(0.1, 0.4))
     )
-    params: MarketParams = field(default_factory=MarketParams)
-    tol_rel: float = 1e-6
-    max_iters: int = 3000
 
     def __post_init__(self) -> None:
         check_count("n_sellers", self.n_sellers)
@@ -305,7 +311,6 @@ class CaseStudyConfig:
 def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
     """Per-agent quotes, allocations, and prices, before and after fairness."""
     cfg = config or CaseStudyConfig()
-    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 1))
     sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.ranges)
     buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CASE, 2))
@@ -315,8 +320,7 @@ def exp_case_study(config: CaseStudyConfig | None = None) -> ExperimentReport:
     summaries = []
     for case_idx, nb in enumerate(cfg.buyer_counts, start=1):
         buyers = buyer_pool[:nb]
-        outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
-        verify_outcome(outcome, buyers, sellers)
+        outcome = _run_verified(buyers, sellers)
         red = redistribute(outcome, buyers, sellers)
         prices = outcome.unit_prices
         clearing = outcome.clearing
@@ -385,9 +389,6 @@ class WelfareFairnessConfig:
     ranges: ParameterRanges = field(
         default_factory=lambda: ParameterRanges(buyer_x=(0.9, 1.6), seller_x=(0.1, 0.4))
     )
-    params: MarketParams = field(default_factory=MarketParams)
-    tol_rel: float = 1e-6
-    max_iters: int = 3000
 
     def __post_init__(self) -> None:
         check_count("n_sellers", self.n_sellers)
@@ -397,7 +398,6 @@ class WelfareFairnessConfig:
 def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> ExperimentReport:
     """Welfare with no trade, with trade, and after redistribution, per cell."""
     cfg = config or WelfareFairnessConfig()
-    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=False)
     # Every cell faces the same sellers.
     seller_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, cfg.n_sellers))
     sellers = draw_sellers(seller_rng, cfg.n_sellers, cfg.ranges)
@@ -405,8 +405,7 @@ def exp_welfare_fairness(config: WelfareFairnessConfig | None = None) -> Experim
     for nb in cfg.buyer_counts:
         buyer_rng = random.Random(mix_seed(cfg.seed, _SALT_CELLS, 999, nb))
         buyers = draw_buyers(buyer_rng, nb, cfg.ranges)
-        outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
-        verify_outcome(outcome, buyers, sellers)
+        outcome = _run_verified(buyers, sellers)
         red = redistribute(outcome, buyers, sellers)
         clearing = outcome.clearing
         theta_no_trade = social_welfare(buyers, sellers, (0.0,) * nb, (0.0,) * cfg.n_sellers)
@@ -443,9 +442,6 @@ class EfficiencyConfig:
     ranges: ParameterRanges = field(
         default_factory=lambda: ParameterRanges(buyer_x=(0.9, 1.6), seller_x=(0.1, 0.4))
     )
-    params: MarketParams = field(default_factory=MarketParams)
-    tol_rel: float = 1e-6
-    max_iters: int = 3000
 
     def __post_init__(self) -> None:
         if any(len(size) != 2 for size in self.sizes):
@@ -462,19 +458,17 @@ def exp_efficiency(config: EfficiencyConfig | None = None) -> ExperimentReport:
     on the table.
     """
     cfg = config or EfficiencyConfig()
-    run_cfg = AuctionConfig(tol_rel=cfg.tol_rel, max_iters=cfg.max_iters, record_trace=True)
     records = []
     finals = []
     for ns, nb in cfg.sizes:
         rng = random.Random(mix_seed(cfg.seed, ns, nb))
         buyers = draw_buyers(rng, nb, cfg.ranges)
         sellers = draw_sellers(rng, ns, cfg.ranges)
-        outcome = run_auction(buyers, sellers, cfg.params, run_cfg)
-        verify_outcome(outcome, buyers, sellers)
+        outcome = _run_verified(buyers, sellers, trace=True)
         final_gap = None
         for rec in outcome.trace:
             benchmark = solve_welfare(
-                buyers, sellers, rec.clearing.bids, rec.clearing.avails, cfg.params
+                buyers, sellers, rec.clearing.bids, rec.clearing.avails, rec.clearing.params
             )
             gap = efficiency_gap(rec.theta, benchmark.theta)
             records.append(

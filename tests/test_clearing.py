@@ -286,6 +286,12 @@ def test_kkt_residual_at_the_tie_of_its_inlined_max(b, a):
     assert residuals == [0.0, (P.p - 0.2) / P.p]
 
 
+def test_clearing_objective_of_a_bidder_served_nothing():
+    # log(0) for a buyer above BID_FLOOR; one at the floor is not counted.
+    assert clearing_objective((1.0,), (0.1,), (0.0,), (1.0,)) == -math.inf
+    assert clearing_objective((BID_FLOOR,), (0.1,), (0.0,), (1.0,)) == -0.1
+
+
 def test_matches_slsqp_on_random_small_instances():
     rng = random.Random(606)
     for _ in range(60):
@@ -580,6 +586,24 @@ def test_proximal_price_regimes_match_reference(regime, market):
         "lowest breakpoint": mu == lowest,
     }
     assert reached[regime]
+
+
+@pytest.mark.parametrize("proximal", [False, True], ids=["exact", "proximal"])
+def test_a_price_strictly_between_two_ask_levels(proximal):
+    """One bid of 2.0 against asks 1.0 and 3.0 of one unit each. Seller 0
+    sells its unit at any price from 1.0 up, and the demand 2.0/mu meets it
+    at mu = 2.0, where supply is flat. The exact clearing finds that price
+    strictly between its two ask levels; the proximal one, from zero
+    allocations at weights 0.1, on the flat segment between seller 0's
+    upper kink 1.1 and seller 1's lower kink 3.0."""
+    bids, asks, avails, prev, weights = (2.0,), (1.0, 3.0), (1.0, 1.0), (0.0, 0.0), (0.1, 0.1)
+    if proximal:
+        result = clear_market_proximal(bids, asks, avails, P, prev_s=prev, weights=weights)
+        assert proximal_clearing_reference(bids, asks, avails, P.p, prev, weights) == (2.0, (1.0, 0.0))
+    else:
+        result = clear_market(bids, asks, avails, P)
+    assert (result.mu, result.d, result.s) == (2.0, (1.0,), (1.0, 0.0))
+    assert result.kkt_residual == kkt_residual_reference(result, bids, asks, avails, P.p) == 0.0
 
 
 @pytest.mark.parametrize(

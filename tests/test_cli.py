@@ -1,5 +1,11 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +216,60 @@ def test_scenario_gen_and_reuse_are_identical(capsys, tmp_path):
         code, from_draw = run_cli(capsys, ["auction", *draw, *extra])
         assert code == 0
         assert from_file == from_draw
+
+
+@pytest.mark.parametrize("command", ["auction", "redistribute"])
+def test_outcome_csv_rows_match_the_json_outcome(capsys, command):
+    """The CSV form writes one row per agent from the outcome that the JSON
+    form writes for the same draw. Seed 8 leaves a buyer with no unit price
+    and a seller unsold, so both empty cells are read too."""
+    draw = [command, "--seed", "8", "--buyers", "4", "--sellers", "3"]
+    code, text = run_cli(capsys, [*draw, "--format", "csv"])
+    assert code == 0
+    code, out = run_cli(capsys, draw)
+    assert code == 0
+    doc = json.loads(out)
+    assert None in doc["unit_prices"] and 0.0 in doc["s"]
+    s_r = doc["redistribution"]["s_r"] if command == "redistribute" else doc["s"]
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["agent_kind", "agent_id", "quote", "alloc", "unit_price", "alloc_redistributed"]
+    read = [[kind, int(i), *(float(c) if c else None for c in cells)] for kind, i, *cells in rows]
+    buyers = zip(doc["bids"], doc["d"], doc["unit_prices"])
+    sellers = zip(doc["asks"], doc["s"], s_r)
+    assert read == [
+        *(["buyer", i, b, d, u, d] for i, (b, d, u) in enumerate(buyers)),
+        *(["seller", j, c, s, c if s > 0 else None, r] for j, (c, s, r) in enumerate(sellers)),
+    ]
+
+
+def test_price_floor_overrides_only_the_scenario_files_p(capsys, tmp_path):
+    """--scenario FILE --price-floor X runs the auction that FILE with its p
+    replaced by X runs: the buyers and sellers are the file's."""
+    scenario_path = tmp_path / "market.json"
+    code, _ = run_cli(
+        capsys, ["scenario", "gen", "--seed", "3", "--buyers", "4", "--sellers", "3", "--out", str(scenario_path)]
+    )
+    assert code == 0
+    edited_path = tmp_path / "edited.json"
+    edited_path.write_text(json.dumps({**json.loads(scenario_path.read_text()), "p": 0.4}))
+    code, overridden = run_cli(capsys, ["auction", "--scenario", str(scenario_path), "--price-floor", "0.4"])
+    assert code == 0
+    code, edited = run_cli(capsys, ["auction", "--scenario", str(edited_path)])
+    assert code == 0
+    assert overridden == edited
+    assert json.loads(overridden)["p"] == 0.4
+
+
+def test_module_entry_point_writes_what_main_writes(capsys):
+    """python3 -m microgrid_auction runs cli.entrypoint, which exits with
+    main's code after writing main's output."""
+    argv = ["scenario", "gen", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "microgrid_auction", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (0, proc.stdout) == run_cli(capsys, argv)
 
 
 def test_redistribute_inline(capsys):

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
 
+from microgrid_auction import experiments
 from microgrid_auction.engine import AuctionConfig, run_auction
 from microgrid_auction.experiments import (
     CaseStudyConfig,
@@ -71,13 +73,36 @@ def test_verify_outcome_accepts_an_honest_run():
     verify_outcome(outcome, buyers, sellers)
 
 
+def _doctored(outcome, **clearing_fields):
+    """The outcome with some clearing fields replaced; the doctored clearing
+    still balances, so verify_outcome gets past its balance check."""
+    clearing = dataclasses.replace(outcome.clearing, **clearing_fields)
+    assert math.fsum(clearing.d) == pytest.approx(math.fsum(clearing.s), rel=1e-12)
+    return dataclasses.replace(outcome, clearing=clearing)
+
+
+def test_verify_outcome_rejects_an_unbalanced_outcome():
+    outcome, buyers, sellers = _converged()
+    d = (outcome.clearing.d[0] + 0.5, *outcome.clearing.d[1:])
+    broken = dataclasses.replace(outcome, clearing=dataclasses.replace(outcome.clearing, d=d))
+    with pytest.raises(RuntimeError, match="balance violated: sum d "):
+        verify_outcome(broken, buyers, sellers)
+
+
 def test_verify_outcome_rejects_bound_violations():
     outcome, buyers, sellers = _converged()
-    bad_s = tuple(a + 0.5 for a in outcome.clearing.avails)
-    broken = dataclasses.replace(
-        outcome, clearing=dataclasses.replace(outcome.clearing, s=bad_s)
-    )
-    with pytest.raises(RuntimeError):
+    # Halving seller 0's availability leaves its allocation above it.
+    avails = (outcome.clearing.s[0] / 2, *outcome.clearing.avails[1:])
+    broken = _doctored(outcome, avails=avails)
+    with pytest.raises(RuntimeError, match=r"seller 0 allocation \S+ outside \[0, "):
+        verify_outcome(broken, buyers, sellers)
+
+
+def test_verify_outcome_rejects_a_negative_buyer_allocation():
+    outcome, buyers, sellers = _converged()
+    d0, d1, *rest = outcome.clearing.d
+    broken = _doctored(outcome, d=(-0.1, d1 + d0 + 0.1, *rest))
+    with pytest.raises(RuntimeError, match=r"buyer 0 allocation -0\.1 negative"):
         verify_outcome(broken, buyers, sellers)
 
 
@@ -86,18 +111,38 @@ def test_verify_outcome_rejects_negative_revenue():
     broken = dataclasses.replace(
         outcome, payoffs=dataclasses.replace(outcome.payoffs, mc_revenue=-1e-3)
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="controller revenue negative: -0.001"):
         verify_outcome(broken, buyers, sellers)
 
 
 def test_verify_outcome_rejects_budget_overrun():
     outcome, buyers, sellers = _converged()
-    bad_d = tuple(d + (b / P.p) for d, b in zip(outcome.clearing.d, outcome.clearing.bids))
-    broken = dataclasses.replace(
-        outcome, clearing=dataclasses.replace(outcome.clearing, d=bad_d)
-    )
-    with pytest.raises(RuntimeError):
+    # Buyer 0 keeps its allocation but now bid half of what it costs at p.
+    bids = (P.p * outcome.clearing.d[0] / 2, *outcome.clearing.bids[1:])
+    broken = _doctored(outcome, bids=bids)
+    with pytest.raises(RuntimeError, match=r"buyer 0 allocation \S+ breaks budget"):
         verify_outcome(broken, buyers, sellers)
+
+
+@pytest.mark.parametrize(
+    "side, worse, message",
+    [
+        ("buyer_payoffs", -1e-3, "buyer 0 worse off than walking away: -0.001"),
+        # seller 0 walks away with v(g) > 0, so a zero payoff is below it
+        ("seller_payoffs", 0.0, "seller 0 worse off than walking away: 0.0"),
+    ],
+    ids=["buyer", "seller"],
+)
+def test_verify_outcome_rejects_a_participation_violation(side, worse, message):
+    outcome, buyers, sellers = _converged()
+    payoffs = getattr(outcome.payoffs, side)
+    broken = dataclasses.replace(
+        outcome, payoffs=dataclasses.replace(outcome.payoffs, **{side: (worse, *payoffs[1:])})
+    )
+    with pytest.raises(RuntimeError, match=message):
+        verify_outcome(broken, buyers, sellers)
+    # An unconverged run is not held to participation.
+    verify_outcome(dataclasses.replace(broken, converged=False), buyers, sellers)
 
 
 @pytest.mark.parametrize(
@@ -146,25 +191,25 @@ def test_study_configs_refuse_bad_sizes_naming_the_field(config_class, fields, m
 @pytest.mark.parametrize(
     "config_class, digest",
     [
-        (PayoffSweepConfig, "c6bed5c259748135bd3a610fd226652384ed6636b6c2365cc8f2ff0467283459"),
-        (WelfareFairnessConfig, "6a06075b0915dc08bab40d94bde73ba995ab31f71abb487c8c1b20687c57b73c"),
-        (EfficiencyConfig, "5763cdd1144933106293f81e57b0ce143020488154751b403a43ca3a013d918e"),
-        (CaseStudyConfig, "401e454c493811481d0bfce7e902ef2b189c89cb75710e607211b31eb96b8517"),
+        (PayoffSweepConfig, "c8ab6902c54a2e9cb7326f73f9545440e83dd016444ffa89cec73afcb3116f2e"),
+        (WelfareFairnessConfig, "11879724fffda875f1592e51386cbc63e94af4fe28a45392cb1c70dd8d268d61"),
+        (EfficiencyConfig, "7a43bc86f6b15e347406f6b68cb42e4f2e4e51121c381a48d3bcfdfa13da45f6"),
+        (CaseStudyConfig, "789bf30cf8f641c4474a7a9f3e9288b03c3b6aef586f75e9e3a90c979716d8e4"),
     ],
     ids=["sweep", "fairness", "efficiency", "case"],
 )
 def test_default_study_configs_serialize_as_pinned(config_class, digest):
     """Each default config, the config block of its report, keeps its
-    bytes. The four digests were last re-recorded when each config's
-    buyer_ranges and seller_ranges became one ranges field, holding the
-    buyer half of the first and the seller half of the second: the pairs
-    the runners drew from."""
+    bytes. The four digests were last re-recorded when the configs dropped
+    params, tol_rel and max_iters, which every study auction now takes from
+    the engine's defaults; before that, when each config's buyer_ranges and
+    seller_ranges became one ranges field."""
     config = dumps(dataclasses.asdict(config_class()))
     assert hashlib.sha256(config.encode()).hexdigest() == digest
 
 
 TINY_SWEEP = PayoffSweepConfig(
-    seed=7, seller_counts=(3, 5), buyer_counts=(4, 8, 12), replications=6, max_iters=2000
+    seed=7, seller_counts=(3, 5), buyer_counts=(4, 8, 12), replications=6
 )
 
 
@@ -201,10 +246,16 @@ def test_payoff_sweep_report_shape_and_determinism():
     assert report.to_json() == again.to_json()
 
 
-def test_payoff_sweep_names_a_cell_in_which_no_run_converged():
-    config = PayoffSweepConfig(
-        seller_counts=(3,), buyer_counts=(2, 4, 6), replications=2, max_iters=1
-    )
+def test_payoff_sweep_names_a_cell_in_which_no_run_converged(monkeypatch):
+    """The study takes the engine's default cap, which its markets never
+    reach, so a run capped at one clearing stands in for a market that does
+    not converge."""
+
+    def one_clearing(buyers, sellers, params, config):
+        return run_auction(buyers, sellers, params, dataclasses.replace(config, max_iters=1))
+
+    monkeypatch.setattr(experiments, "run_auction", one_clearing)
+    config = PayoffSweepConfig(seller_counts=(3,), buyer_counts=(2, 4, 6), replications=2)
     with pytest.raises(ValueError, match=r"\(n_sellers=3, n_buyers=2\): 2 of 2 runs unconverged"):
         exp_payoff_sweep(config)
 
@@ -289,17 +340,18 @@ def test_report_serialization_roundtrip():
 @pytest.mark.parametrize(
     "study, digest",
     [
-        (exp_efficiency, "9ca983673fc1560d26edc21c7dca76d658c54f41a8c4a2631ecd3ab0f82db661"),
-        (exp_welfare_fairness, "36710ca533323bcccf0950ee708e7c21749c0739f1267944b240a9020c2f0c06"),
-        (exp_case_study, "4f0248abe0fb3d7fc838c132dc42f6fdebc453707a2a6a9c5f75fd1d178d7afc"),
+        (exp_efficiency, "9e8f64b69d2448025da9e954f09ab816b90323bc4e8d0b39c8b6689f1cb71b7d"),
+        (exp_welfare_fairness, "637ef75fbca896517edf69dc4b19907987dd8fbc492acb6242085fdfeda84a8b"),
+        (exp_case_study, "36a4c0aea41645c36a5a1827877e55c80d93afea5e6e310a18d4f1bf7ed5179d"),
     ],
     ids=["efficiency", "welfare-fairness", "case-study"],
 )
 def test_study_json_is_pinned_byte_for_byte(study, digest):
     """A change that only speeds the auction up leaves every byte of the
     default study reports as it is. The three digests were last re-recorded
-    when each study config's buyer_ranges and seller_ranges became one
-    ranges field: only the config block changed, and the records and
+    when the study configs dropped params, tol_rel and max_iters, and before
+    that when each config's buyer_ranges and seller_ranges became one ranges
+    field: both times only the config block changed, and the records and
     aggregates kept every byte. Before that, when buyers on a settled unit
     price began to bid their best response there, the efficiency study's
     final gap went from -2.1e-14 to 2.1e-14 percent, the fairness study's

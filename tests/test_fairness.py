@@ -50,6 +50,7 @@ def test_water_fill_edge_cases():
         water_fill((1.0, -0.1), 0.5)
     with pytest.raises(ValueError):
         water_fill((1.0,), -0.5)
+    assert water_fill((), 0.0) == ((), 0.0)  # no sellers, nothing to place
 
 
 @settings(deadline=None, max_examples=120)

@@ -47,6 +47,9 @@ def test_centered_ranges():
     assert ranges.buyer_x == (0.8, 1.2)
     assert ranges.seller_y == (0.8, 1.2)
     assert ranges.gen == (2.0, 5.0)
+    for width in (1.0, -0.1):
+        with pytest.raises(ValueError, match=rf"width must be in \[0, 1\), got {width}"):
+            ParameterRanges.centered(width)
     # Each refused at construction, not at the first agent drawn.
     for bounds, message in [
         ({"buyer_x": (2.0, 1.0)}, r"buyer_x range has lo > hi: \(2.0, 1.0\)"),

@@ -28,6 +28,21 @@ def test_dumps_known_document():
     assert json.loads(text) == doc
 
 
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"mu": math.nan}, ValueError, "cannot serialize non-finite number nan"),
+        ([-math.inf], ValueError, "cannot serialize non-finite number -inf"),
+        ({1: 2.0}, TypeError, "JSON object keys must be strings, got 1"),
+        ({"ids": {3, 4}}, TypeError, "cannot serialize set"),
+    ],
+    ids=["nan", "infinity", "integer key", "set"],
+)
+def test_dumps_refuses_what_json_cannot_hold(doc, error, message):
+    with pytest.raises(error, match=message):
+        dumps(doc)
+
+
 @given(
     st.floats(allow_nan=False, allow_infinity=False),
 )

@@ -647,13 +647,14 @@ def test_the_study_json_is_unchanged_after_an_unrelated_solve(cold_memo):
     """A memo left warm by another market changes no byte of the pinned
     efficiency report. The digest is the efficiency one of
     tests/test_experiments.py::test_study_json_is_pinned_byte_for_byte,
-    re-recorded with it when the study configs took one ranges field."""
+    re-recorded with it when the study configs dropped params, tol_rel and
+    max_iters."""
     from microgrid_auction.experiments import exp_efficiency
 
     buyers, sellers, bids, avails = _random_instance(random.Random(3), 6, 4)
     solve_welfare(buyers, sellers, bids, avails, P)
     digest = hashlib.sha256(exp_efficiency().to_json().encode()).hexdigest()
-    assert digest == "9ca983673fc1560d26edc21c7dca76d658c54f41a8c4a2631ecd3ab0f82db661"
+    assert digest == "9e8f64b69d2448025da9e954f09ab816b90323bc4e8d0b39c8b6689f1cb71b7d"
 
 
 @pytest.mark.parametrize(
