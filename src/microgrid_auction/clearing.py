@@ -17,14 +17,16 @@ Two solvers live here:
   engine iterates it because the all-or-nothing merit order is discontinuous
   in near-tied asks and re-quoting alone cannot stabilize that. After the
   shared input step, which is O(N_b + N_s) but skips the availabilities,
-  asks and weights that are the tuples its previous call checked, a round
-  clears in one of two regimes:
+  asks and weights that are the tuples its previous call checked, and a
+  prev_s that is an allocation this module returned, a round clears in
+  one of two regimes:
 
   - sold out: demand at the top breakpoint exceeds all that is offered,
     so every seller sells its whole availability, as in clear_market's
     sold-out case; both settle through one exit. The test reads each
     seller's upper kink, O(N_s) without a sort, or, when prev_s equals
-    the availabilities, only the asks, with no Python-level pass.
+    the availabilities, only the asks, with no Python-level pass; such a
+    round settles on a returned prev_s itself, which is that allocation.
   - otherwise the price search guesses the bracketing segment with
     :func:`sweep_guess`, then confirms the guess with :func:`first_passing`
     and the exact O(N_s) supply sum at the segment's two ends (bisecting
@@ -61,6 +63,8 @@ class ClearingResult:
     then all zero. bids, asks, avails and params are the inputs that were
     cleared, as floats: the one record of a round's quotes, which an auction
     outcome and its trace read from here. What they fix is computed on read.
+    A trading clearing's s is an _Allocation, a tuple of finite floats
+    that clear_market_proximal takes back as prev_s unchecked.
     """
 
     d: tuple[float, ...]
@@ -241,28 +245,44 @@ def sweep_guess(
     return grid, guess
 
 
+class _Allocation(tuple):
+    """The seller allocations of a clearing that traded, built only here
+    and only of finite floats that are never -0.0: 0.0, abs(a_j) of a
+    checked availability, a positive share of one, or a proximal response
+    clipped to [0, a_j] with max(0.0, v) first, which maps -0.0 and NaN to
+    0.0."""
+
+    __slots__ = ()
+
+
 def _settle(
     bids: tuple[float, ...],
     asks: tuple[float, ...],
     avails: tuple[float, ...],
     params: MarketParams,
     mu: float,
-    s: list[float],
+    s: _Allocation,
 ) -> ClearingResult:
     # Budget-capped demand at mu. No budget binds above p.
     denom = max(mu, params.p)
     d = tuple([b / denom if b > BID_FLOOR else 0.0 for b in bids])
-    return ClearingResult(d, tuple(s), mu, bids, asks, avails, params)
+    return ClearingResult(d, s, mu, bids, asks, avails, params)
 
 
-def _sold_out(quotes: _Quotes, params: MarketParams, top: float) -> ClearingResult:
+def _sold_out(
+    quotes: _Quotes, params: MarketParams, top: float, capped: _Allocation | None = None
+) -> ClearingResult:
     # Demand at the top breakpoint, p or the highest ask or upper kink,
     # exceeds all that is offered: every seller sells its availability, at
     # the price where demand meets their total, or at top if higher. abs is
     # `a if a > 0 else 0.0` on checked availabilities: it maps -0.0 to 0.0.
+    # capped, when given, is an allocation equal to the availabilities, so
+    # abs(a_j) bit for bit: it holds no -0.0.
     bids, asks, avails, total_bid, total_avail = quotes
     mu = max(total_bid / total_avail, top)
-    return _settle(bids, asks, avails, params, mu, list(map(abs, avails)))
+    if capped is None:
+        capped = _Allocation(map(abs, avails))
+    return _settle(bids, asks, avails, params, mu, capped)
 
 
 def clear_market(
@@ -336,7 +356,7 @@ def clear_market(
         group_avail = math.fsum(avails[j] for j in marginal)
         for j in marginal:
             s[j] = residual * (avails[j] / group_avail)
-    return _settle(bids, asks, avails, params, mu, s)
+    return _settle(bids, asks, avails, params, mu, _Allocation(s))
 
 
 def clear_market_proximal(
@@ -353,16 +373,20 @@ def clear_market_proximal(
     them before any work, one helper call per list: weights one per seller
     and positive, prev_s one per seller and finite (a finite prev_s_j
     outside [0, a_j] is clipped, not refused), then the quotes as in
-    clear_market. A failed check raises ValueError. The exception is a
-    tuple this function checked on its previous call: the engine passes
-    the same avails tuple every round, and the same asks and weights
-    after a round that moved no seller, so the call keeps them in
-    _checked and skips the conversion and check of each that is that
+    clear_market. A failed check raises ValueError. There are two
+    exceptions. One is a tuple this function checked on its previous call:
+    the engine passes the same avails tuple every round, and the same asks
+    and weights after a round that moved no seller, so the call keeps them
+    in _checked and skips the conversion and check of each that is that
     very tuple again, and the availabilities' fsum total (see _quotes).
     Only a tuple of floats is kept, and it cannot change, so each skipped
-    check would pass and each skipped conversion return the tuple itself:
-    the result is the same bit for bit. The length checks always run.
-    A call that raises or clears no trade leaves _checked as it was.
+    check would pass and each skipped conversion return the tuple itself.
+    The other is a prev_s that is a trading clearing's s, an _Allocation,
+    as the engine passes after its first round: its floats are finite by
+    construction, so its conversion would return them and its check pass.
+    Any other prev_s, a plain tuple too, is checked. Either way the result
+    is the same bit for bit. The length checks always run. A call that
+    raises or clears no trade leaves _checked as it was.
     Solves the clearing objective minus
     sum(w_j/2 * (s_j - prev_s_j)^2), whose seller response
     s_j(mu) = clip(prev_s_j + (mu - c_j)/w_j, 0, a_j) is continuous in the
@@ -374,8 +398,10 @@ def clear_market_proximal(
     breakpoint is in surplus: every seller is capped and the price is where
     demand meets total availability, found in O(N_s) with no sort. If
     prev_s equals the availabilities, every upper kink is the seller's ask,
-    so that test needs no pass over the sellers at all. Either way the round
-    settles through :func:`_sold_out`, like clear_market's. Otherwise
+    so that test needs no pass over the sellers at all, and a returned
+    prev_s is itself the allocation: equal to each a_j and never -0.0, it
+    is abs(a_j) bit for bit. Either way the round settles through
+    :func:`_sold_out`, like clear_market's. Otherwise
     :func:`sweep_guess` sorts the breakpoints once and sweeps a running
     supply line to guess that breakpoint; the exact supply sum then confirms
     the guess and its left neighbour, and only a wrong guess falls back to
@@ -401,11 +427,14 @@ def clear_market_proximal(
         raise ValueError(f"{len(weights)} proximal weights vs {n_s} sellers")
     if not weights_known:
         check_positive("proximal weights", *weights)
-    prev_s = tuple(map(float, prev_s))
+    returned = type(prev_s) is _Allocation
+    if not returned:
+        prev_s = tuple(map(float, prev_s))
     if len(prev_s) != n_s:
         raise ValueError(f"{len(prev_s)} previous allocations vs {n_s} sellers")
-    for v in filterfalse(math.isfinite, prev_s):
-        raise ValueError(f"previous allocations must be finite, got {v}")
+    if not returned:
+        for v in filterfalse(math.isfinite, prev_s):
+            raise ValueError(f"previous allocations must be finite, got {v}")
     quotes = _quotes(bids, asks, avails, params, (known_avails, known_total, known_asks))
     if isinstance(quotes, ClearingResult):
         return quotes
@@ -417,7 +446,7 @@ def clear_market_proximal(
         # c_j + w_j*0.0 = c_j and top is p or the highest offering ask.
         top = max(p, max(compress(asks, avails)))
         if total_bid / top > total_avail:
-            return _sold_out(quotes, params, top)
+            return _sold_out(quotes, params, top, prev_s if returned else None)
     # (prev_s_j clipped to [0, a_j], c_j, w_j, a_j) per seller. CPython
     # evaluates max(u, v) as `v if v > u else u` and min(u, v) as
     # `v if v < u else u`; per-agent loops spell the clamps out that way,
@@ -430,11 +459,13 @@ def clear_market_proximal(
 
     def allocations(mu: float) -> list[float]:
         # A seller with nothing to offer sells nothing, whatever its ask.
+        # max(0.0, v) maps the -0.0 of a prev_s_j of -0.0 plus a step that
+        # underflows to 0.0, so an _Allocation holds none.
         out = []
         for pj, cj, wj, aj in sellers:
             if aj > 0:
                 v = pj + (mu - cj) / wj
-                v = 0.0 if 0.0 > v else v
+                v = v if v > 0.0 else 0.0
                 out.append(aj if aj < v else v)
             else:
                 out.append(0.0)
@@ -513,7 +544,7 @@ def clear_market_proximal(
         if s1 > s0 and mu > 0 and s1 * (m1 - m0) / (s1 - s0) + abs(m0) > 512.0 * mu:
             mu = _exact_newton_step(mu, m0, m1, bids, offering, p)
 
-    return _settle(bids, asks, avails, params, mu, allocations(mu))
+    return _settle(bids, asks, avails, params, mu, _Allocation(allocations(mu)))
 
 
 def _exact_newton_step(
@@ -578,8 +609,9 @@ def kkt_residual(result: ClearingResult) -> float:
     slackness. Price mismatches are normalized by max(mu, p), balance by
     max(1, total traded); bound violations are absolute, so a one-unit
     overdispatch contributes at least 1. The quotes are the ones result
-    cleared. A NaN price or allocation, which every comparison below would
-    pass, gives NaN, which no tolerance accepts.
+    cleared. A NaN that the checks read (price, allocations, bids,
+    availabilities, offering sellers' asks) would pass every comparison
+    below, so it gives NaN, which no tolerance accepts.
     """
     # A running max over the violations in a fixed order; `v > worst`
     # replaces worst exactly when max() over the same list would. worst
@@ -589,8 +621,14 @@ def kkt_residual(result: ClearingResult) -> float:
     # differs only in the sign of a zero. The max(1.0, v) scales are inline
     # by CPython's rule (see clear_market_proximal). The
     # walks zip each quote with its field strictly, so fields of another
-    # length raise instead of being cut short.
-    if any(map(math.isnan, (*result.d, *result.s, result.mu or 0.0))):
+    # length raise instead of being cut short. The NaN test sums each list
+    # in C, building nothing: a sum is NaN for a NaN or infinities of both
+    # signs, which no clearing returns either.
+    sums = (
+        sum(result.bids), sum(result.d), sum(compress(result.asks, result.avails)),
+        sum(result.avails), sum(result.s), result.mu or 0.0,
+    )
+    if any(map(math.isnan, sums)):
         return math.nan
     if result.mu is None:
         # with NaN ruled out above, max() equals a running max from 0.0

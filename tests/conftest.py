@@ -1,4 +1,11 @@
 import pytest
+from hypothesis import settings
+
+# Each failing Hypothesis draw prints its @reproduce_failure blob, which pins
+# it as an @example without a search of the .hypothesis database. Every
+# other setting is the active profile's, the "ci" one where CI is set.
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 @pytest.fixture

@@ -211,10 +211,60 @@ def test_kkt_residual_of_a_nan_price_or_allocation_is_accepted_by_no_tolerance()
         dataclasses.replace(result, d=(math.nan, 1.0)),
         dataclasses.replace(result, mu=math.nan),
         dataclasses.replace(no_trade, s=(math.nan,)),
+        dataclasses.replace(result, bids=(math.nan, 0.5)),
+        dataclasses.replace(result, asks=(math.nan, 0.3)),
+        dataclasses.replace(result, avails=(math.nan, 1.0)),
+        dataclasses.replace(no_trade, bids=(math.nan,)),
     ):
         residual = kkt_residual(bad)
         assert not residual <= 1e300, bad
         assert not bad.kkt_residual <= 1e300, bad
+    # The ask of a seller with nothing to offer is read by neither the
+    # clearing nor the residual, so a NaN there is no fault.
+    idle = clear_market((1.0, 0.5), (0.2, 0.3, math.nan), (2.0, 1.0, 0.0), P)
+    assert kkt_residual(idle) == 0.0
+
+
+def test_a_returned_allocation_is_taken_back_unchecked_and_nothing_else_is():
+    """The s of a trading clearing skips prev_s's conversion and check, in
+    either solver; a list, a plain tuple or a replaced s of the same
+    values does not, and a NaN among them is refused as before."""
+    exact = clear_market((1.0, 0.5), (0.2, 0.3), (2.0, 1.0), P)
+    proximal = _clear_prox(prev_s=exact.s)
+    for result in (exact, proximal):
+        prev_s = result.s
+        assert type(prev_s) is not tuple and isinstance(prev_s, tuple)
+        taken = _clear_prox(prev_s=prev_s)
+        assert taken == _clear_prox(prev_s=tuple(prev_s)) == _clear_prox(prev_s=list(prev_s))
+        bad = dataclasses.replace(result, s=(math.nan, *prev_s[1:])).s
+        for faulty in (bad, tuple(bad), list(bad)):
+            with pytest.raises(ValueError) as err:
+                _clear_prox(prev_s=faulty)
+            assert str(err.value) == "previous allocations must be finite, got nan"
+    assert type(clear_market((), (0.2,), (1.0,), P).s) is tuple
+
+
+def test_a_returned_allocation_holds_no_negative_zero():
+    # A prev_s_j of -0.0 plus a step (mu - c_j)/w_j that underflows to -0.0
+    # gave s_j = -0.0; settled on as an all-capped prev_s where a_j = 0.0,
+    # that would not be abs(a_j) bit for bit.
+    result = clear_market_proximal(
+        (0.1,), (1e-300, 1e-5), (1.0, 10.0), P,
+        prev_s=[-0.0, 10.0], weights=(1e308, 1e-5 / 9.6),
+    )
+    assert result.mu < 0.0 and result.s[0].hex() == "0x0.0p+0"
+    sold_out = clear_market_proximal(
+        (1.0,), (0.2, 0.3), (0.0, result.s[1]), P, prev_s=result.s, weights=(0.5, 0.5)
+    )
+    assert sold_out.s is result.s
+    assert [v.hex() for v in sold_out.s] == [abs(a).hex() for a in sold_out.avails]
+
+
+def _clear_prox(prev_s):
+    return clear_market_proximal(
+        _PROX_INPUTS["bids"], _PROX_INPUTS["asks"], _PROX_INPUTS["avails"], P,
+        prev_s=prev_s, weights=_PROX_INPUTS["weights"],
+    )
 
 
 @st.composite

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1423,8 +1424,13 @@ def test_a_warm_clearing_is_bit_for_bit_a_cold_one(cold_checks):
     """Every round of large-market seed 0, m = 0, and of 20 corpus markets,
     cleared by the engine with the memo holding the previous round's
     inputs, and again with the memo emptied: float.hex-identical results.
-    The warm calls do find the availabilities, and often the asks, there."""
+    The warm calls do find the availabilities, and often the asks, there.
+    From the second round on, prev_s is the allocation the clearing
+    returned, which it takes without a check; passed as a plain tuple or
+    a list of the same values, it is checked, and clears to the same
+    bits, in each regime: all capped and sold out, sold out, and search."""
     avails_hits = asks_hits = rounds = 0
+    regimes = Counter()
     for buyers, sellers in [_large_market(0)] + [_corpus_market(k) for k in range(20)]:
         state = engine._initial_state(buyers, sellers, P)
         for _ in range(run_auction(buyers, sellers, P, _LONG_RUN).iterations):
@@ -1432,16 +1438,39 @@ def test_a_warm_clearing_is_bit_for_bit_a_cold_one(cold_checks):
             avails_hits += known_avails is state.avails
             asks_hits += known_asks is state.asks
             nxt = auction_step(state, _LONG_RUN)
-            cold_checks()
-            cold = clearing.clear_market_proximal(
-                state.bids, state.asks, state.avails, P,
-                prev_s=state.prev_s, weights=state.prox_weights,
-            )
-            assert _clearing_bits(cold) == _clearing_bits(nxt.clearing)
+            for prev_s in (state.prev_s, tuple(state.prev_s), list(state.prev_s)):
+                cold_checks()
+                cold = clearing.clear_market_proximal(
+                    state.bids, state.asks, state.avails, P,
+                    prev_s=prev_s, weights=state.prox_weights,
+                )
+                assert _clearing_bits(cold) == _clearing_bits(nxt.clearing)
+            if state.iteration > 0:
+                sold_out = nxt.clearing.s == state.avails
+                all_capped = sold_out and state.prev_s == state.avails
+                regimes["all capped" if all_capped else "sold out" if sold_out else "search"] += 1
             state = nxt
             rounds += 1
     assert avails_hits == rounds - 21
     assert 0 < asks_hits < avails_hits
+    assert sorted(regimes) == ["all capped", "search", "sold out"]
+
+
+def test_an_all_capped_sold_out_round_settles_on_the_allocation_it_was_passed():
+    """On large-market seed 0, m = 0, 10 of the 13 rounds are sold out with
+    every seller capped the round before. Exactly those return the very
+    prev_s tuple the engine passed, the allocation the previous clearing
+    returned, in place of a new tuple of the same availabilities."""
+    buyers, sellers = _large_market(0)
+    state = engine._initial_state(buyers, sellers, P)
+    same, all_capped = [], []
+    for _ in range(run_auction(buyers, sellers, P, _LONG_RUN).iterations):
+        nxt = auction_step(state, _LONG_RUN)
+        same.append(nxt.clearing.s is state.prev_s)
+        all_capped.append(state.prev_s == state.avails == nxt.clearing.s)
+        state = nxt
+    assert len(same) == 13 and sum(all_capped) == 10
+    assert same == all_capped
 
 
 def test_each_quote_tuple_is_checked_once(cold_checks, checked_names):
