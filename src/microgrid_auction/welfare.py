@@ -10,8 +10,9 @@ The optimum's price is found exactly from sorted response breakpoints: the
 breakpoint sweep of proximal clearing (clearing.sweep_guess), run on the
 surplus line -(A/mu + B)*mu, guesses the bracketing segment, two exact excess
 sums confirm it (clearing.first_passing bisects only if they disagree), and
-the root on that segment is closed-form in those two sums: O(N log N) per
-solve, no rescale of either side to force the balance.
+the root on that segment is closed-form in those two sums (or in the
+segment's line, where they leave no demand): O(N log N) per solve, no
+rescale of either side to force the balance.
 
 The planner builds each active buyer's constants (x, 1/y, b/p) once per
 solve. The seller side, each offering seller's (x, 1/y, g, a) and its
@@ -113,8 +114,11 @@ def solve_welfare(
     wrong guess falls back to bisection. The two exact values e0 > 0 >= e1 at
     the segment's ends m0 < m1 then fix its root -A/B, interpolated in 1/mu
     from the end whose value is the smaller, so a negligible end value leaves
-    mu on that kink. A market without a mutually beneficial trade lands on
-    allocations that sum to zero on one side, and is reported as no trade.
+    mu on that kink. Where that mu leaves no demand, mu is the root of the
+    segment's line itself (_segment_root), since a buyer's demand at its
+    choke kink fl(x*y) is rounding residue that can outweigh a tiny supply.
+    A market without a mutually beneficial trade lands on allocations that
+    sum to zero on one side, and is reported as no trade.
     """
     if len(bids) != len(buyers):
         raise ValueError(f"{len(bids)} bids vs {len(buyers)} buyers")
@@ -226,16 +230,58 @@ def solve_welfare(
             mu = m0 / (1.0 - e0 / (e0 - e1) * (m1 - m0) / m1)
         mu = min(max(mu, m0), m1)
 
+    bought, sold = demands(buyer_k, mu), supplies(seller_k, mu)
+    total = math.fsum(bought)
+    if 0 < lo < len(grid) and total <= 0.0:
+        # The end values fix the root only where they lie on the segment's
+        # line. At a choke kink fl(x*y) the demand x/fl(x*y) - 1/y is
+        # rounding residue, which can outweigh a tiny supply and leave mu on
+        # the wrong side of the kink, with no demand; the line itself does
+        # not hold that residue.
+        mu = _segment_root(buyer_k, seller_k, m0, m1)
+        bought, sold = demands(buyer_k, mu), supplies(seller_k, mu)
+        total = math.fsum(bought)
+    if total <= 0.0 or math.fsum(sold) <= 0.0:
+        return autarky()
     d = [0.0] * len(buyers)
     s = [0.0] * len(sellers)
-    for i, q in zip(active_b, demands(buyer_k, mu)):
+    for i, q in zip(active_b, bought):
         d[i] = q
-    for j, q in zip(active_s, supplies(seller_k, mu)):
+    for j, q in zip(active_s, sold):
         s[j] = q
-    if math.fsum(d) <= 0.0 or math.fsum(s) <= 0.0:
-        return autarky()
     theta = social_welfare(buyers, sellers, d, s)
     return WelfareSolution(tuple(d), tuple(s), mu, theta)
+
+
+def _segment_root(buyer_k: list, seller_k: tuple, m0: float, m1: float) -> float:
+    """The root -A/B of the excess A/mu + B on the segment [m0, m1], clamped
+    to it, or m1 where B >= 0.
+
+    Each agent's response at the midpoint says which term it adds: a buyer
+    strictly inside its bounds adds x/mu - 1/y, a seller strictly inside
+    its bounds adds x/mu - g - 1/y, and every other agent its constant
+    response, with the sign of excess demand. No kink lies inside the
+    segment, so the midpoint speaks for all of it.
+    """
+    mid = 0.5 * (m0 + m1)
+    slope, const = [], []
+    for (x, inv_y, cap), q in zip(buyer_k, demands(buyer_k, mid)):
+        if 0.0 < q < cap:
+            slope.append(x)
+            const.append(-inv_y)
+        else:
+            const.append(q)
+    for (x, inv_y, g, a), q in zip(seller_k, supplies(seller_k, mid)):
+        # min(a, g) inline, by CPython's rule
+        if 0.0 < q < (g if g < a else a):
+            slope.append(x)
+            const += (-g, -inv_y)
+        else:
+            const.append(-q)
+    intercept = math.fsum(const)
+    if not intercept < 0.0:
+        return m1
+    return min(max(math.fsum(slope) / -intercept, m0), m1)
 
 
 def efficiency_gap(theta_auction: float, theta_optimal: float) -> float:

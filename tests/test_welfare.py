@@ -339,6 +339,20 @@ def welfare_markets(draw):
 @settings(deadline=None, max_examples=200)
 @given(market=welfare_markets())
 @example(market=([BuyerState(0.01, 1.0)], [SellerState(0.5, 1.0, 2.0)], (1.0,), (2.0,)))
+# A tiny supply meets a buyer whose choke kink x*y ends the bracket. In the
+# first the segment's root lies an ulp below the kink, where both trade; in
+# the second it rounds onto the kink, where neither may.
+@example(
+    market=(
+        [BuyerState(0.02, 1.75), BuyerState(1.046773159077356, 1.2165393924939536)],
+        [SellerState(1.0, 2.151145935323634, 4.965083712947362)],
+        (0.031568481358613634, 0.027960397480625142),
+        (1.7401165611240843e-199,),
+    )
+)
+@example(
+    market=([BuyerState(1.0, 1.0)], [SellerState(1.0, 1.0, 1.0)], (0.03125,), (3.122407806259719e-308,))
+)
 def test_welfare_price_matches_linear_scan_reference(market):
     buyers, sellers, bids, avails = market
     sol = solve_welfare(buyers, sellers, bids, avails, P)
@@ -481,10 +495,11 @@ def _choke_price_repro_2():
     return buyers, sellers, tuple(bids), tuple(avails)
 
 
-# Repros 3 and 4 are failing draws of
+# Repros 3 to 5 are failing draws of
 # test_welfare_price_matches_linear_scan_reference. The fourth is cut from
-# a draw of 37 buyers and 37 sellers down to its one bidder and its two
-# offering sellers, which still fail.
+# a draw of 37 buyers and 37 sellers, and the fifth from one of 29 buyers and
+# 16 sellers, down to the one bidder and two offering sellers, which still
+# failed.
 _CHOKE_PRICE_REPROS = (
     (
         (
@@ -514,11 +529,20 @@ _CHOKE_PRICE_REPROS = (
         ),
         0.025801579200066885,
     ),
+    (
+        (
+            [BuyerState(0.016820174342235063, 3.0)],
+            [SellerState(0.25, 0.5, 3.0), SellerState(1.0, 1.0, 1.0)],
+            (0.03125,),
+            (8.512734945350236e-136, 1.0),
+        ),
+        0.05046052302670519,
+    ),
 )
 
 
 @pytest.mark.parametrize(
-    "market, mu", _CHOKE_PRICE_REPROS, ids=["repro 1", "repro 2", "repro 3", "repro 4"]
+    "market, mu", _CHOKE_PRICE_REPROS, ids=["repro 1", "repro 2", "repro 3", "repro 4", "repro 5"]
 )
 def test_the_reference_trades_at_the_choke_price_of_each_repro(market, mu):
     """In each repro the reference puts mu on the lone bidder's choke price
@@ -528,30 +552,32 @@ def test_the_reference_trades_at_the_choke_price_of_each_repro(market, mu):
     assert welfare_price_reference(buyers, sellers, bids, avails, P.p) == mu == choke
 
 
-_VERDICT = "the planner's no-trade verdict is decided by rounding at a buyer's choke price"
-
-
 @settings(phases=[Phase.explicit])
 @given(market=welfare_markets())
-@example(market=_CHOKE_PRICE_REPROS[0][0]).xfail(raises=AssertionError, reason=_VERDICT)
-@example(market=_CHOKE_PRICE_REPROS[1][0]).xfail(raises=AssertionError, reason=_VERDICT)
-@example(market=_CHOKE_PRICE_REPROS[2][0]).xfail(raises=AssertionError, reason=_VERDICT)
-@example(market=_CHOKE_PRICE_REPROS[3][0]).xfail(raises=AssertionError, reason=_VERDICT)
+@example(market=_CHOKE_PRICE_REPROS[0][0])
+@example(market=_CHOKE_PRICE_REPROS[1][0])
+@example(market=_CHOKE_PRICE_REPROS[2][0])
+@example(market=_CHOKE_PRICE_REPROS[3][0])
+@example(market=_CHOKE_PRICE_REPROS[4][0])
 def test_planner_trades_where_the_reference_trades_at_a_choke_price(market):
-    """Each example is a strict expected failure: Hypothesis fails the test
-    if any stops failing. At mu = fl(x*y) the lone bidder's demand
-    x/mu - 1/y rounds to at most 2.2e-16, not 0, so the planner's exact
-    excess stays positive at the choke kink and it roots the segment above
-    it, where demand is 0, and reports no trade. In exact arithmetic the
-    market trades the first seller's tiny availability (9.1e-273,
-    4.34e-202, the subnormal 2.2e-309 and 5.3e-120) just below the choke
-    price, where the reference puts mu
-    (test_the_reference_trades_at_the_choke_price_of_each_repro)."""
+    """At mu = fl(x*y) the lone bidder's demand x/mu - 1/y rounds to at
+    most 2.2e-16, not 0, so the planner's exact excess stays positive at the
+    choke kink and the segment above it brackets the root, where demand is
+    0. In exact arithmetic the market trades the first seller's tiny
+    availability (9.1e-273, 4.34e-202, the subnormal 2.2e-309, 5.3e-120 and
+    8.5e-136) just below the choke price x*y, within half an ulp of the
+    kink, where the reference puts mu
+    (test_the_reference_trades_at_the_choke_price_of_each_repro).
+    Interpolated from the end values, mu lands above the kink with no
+    demand; the planner then roots the segment's own line, and trades there
+    too, with its two sides in balance."""
     buyers, sellers, bids, avails = market
     mu = welfare_price_reference(buyers, sellers, bids, avails, P.p)
     sol = solve_welfare(buyers, sellers, bids, avails, P)
     assert not sol.no_trade
     assert math.isclose(sol.mu_star, mu, rel_tol=1e-12)
+    total_d = math.fsum(sol.d_star)
+    assert 0.0 < total_d and abs(total_d - math.fsum(sol.s_star)) <= 1e-12 * max(1.0, total_d)
 
 
 @pytest.fixture
